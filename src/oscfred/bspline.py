@@ -167,6 +167,30 @@ class SplineSpace:
             vals[k] = saved
         return i - m + 1, vals
 
+    def eval_nonzero_array(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`eval_nonzero` at every point of a 1-d array: (first indices (n,), values (n, order))."""
+        m = self.order
+        t = self.knots.knots
+        z = self.knots.breakpoints
+        s = np.asarray(s, dtype=float)
+        if not np.all((z[0] <= s) & (s <= z[-1])):
+            raise ValueError(f"points outside [{z[0]}, {z[-1]}]")
+        i = m - 1 + np.minimum(np.searchsorted(z, s, side="right") - 1, len(z) - 2)
+        vals = np.zeros((len(s), m))
+        vals[:, 0] = 1.0
+        left = np.zeros((len(s), m))
+        right = np.zeros((len(s), m))
+        for k in range(1, m):
+            left[:, k] = s - t[i + 1 - k]
+            right[:, k] = t[i + k] - s
+            saved = 0.0
+            for r in range(k):
+                tmp = vals[:, r] / (right[:, r + 1] + left[:, k - r])
+                vals[:, r] = saved + right[:, r + 1] * tmp
+                saved = left[:, k - r] * tmp
+            vals[:, k] = saved
+        return i - m + 1, vals
+
     def eval_basis(self, j: int, s: float) -> float:
         """Value of basis function j at s (0 outside its support)."""
         self._check_index(j)

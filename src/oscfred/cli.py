@@ -91,8 +91,12 @@ class ExperimentConfig:
                 raise ConfigError("convergence requires at least one --kappa (or a --problem file)")
             if self.n_levels < 2:
                 raise ConfigError("convergence needs at least two mesh levels")
+        if not all(math.isfinite(k) for k in self.kappas):
+            raise ConfigError("wavenumbers must be finite")
         if any(k <= 1.0 for k in self.kappas) and self.command in ("convergence", "sweep"):
             raise ConfigError("wavenumbers must exceed 1")
+        if self.command == "sweep" and self.problem_path is not None:
+            raise ConfigError("sweep runs the built-in benchmark and does not take --problem")
 
 
 @dataclass

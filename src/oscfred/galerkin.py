@@ -31,10 +31,14 @@ assembly kappa-independent but requires the data itself to be
 non-oscillatory -- oscillatory right-hand sides must be expressed as a
 :class:`StructuredFunction`.
 
-Every assembled entry is a pure function of immutable inputs, so entries
-may be computed concurrently; the quadrature oracles at the bottom of the
-module integrate the defining formulas numerically and exist to
-cross-check the closed forms.
+Assembly works on whole arrays of cells.  A cell enters the phase-dependent
+moments only through its width, so the unit moments (1-d, and the
+triangle moments of the shared-cell terms) are computed once per distinct
+cell width -- a few for a uniform mesh -- by one batched routine, then
+contracted with the stacked per-cell polynomial coefficients and scattered
+onto the banded cell structure of each block.  The quadrature oracles at
+the bottom of the module integrate the defining formulas numerically and
+exist to cross-check the closed forms.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import linalg
 from .bspline import SplineSpace
@@ -51,12 +56,12 @@ from .oscquad import (
     Polynomial,
     SmoothAmplitude,
     _as_coeffs,
-    _compose_affine,
-    _pem,
+    _eval_on,
     _polyint,
     _polyval,
     _sigma_coeffs,
     _trim,
+    _unit_moments,
     gauss_legendre_rule,
     oscillatory_quad,
 )
@@ -289,22 +294,6 @@ class DiscreteSystem:
 # Chebyshev fitting of smooth (non-oscillatory) data
 # ---------------------------------------------------------------------------
 
-def _chebfit_1d(func: Callable, lo: float, hi: float, deg: int, what: str) -> np.ndarray:
-    """Monomial coefficients, in the normalized coordinate of [lo, hi], of a smooth function."""
-    cheb = np.polynomial.chebyshev
-    pts = cheb.chebpts1(deg + 1)
-    s = 0.5 * (lo + hi) + 0.5 * (hi - lo) * pts
-    vals = np.asarray([func(si) for si in s], dtype=complex)
-    coef = cheb.chebfit(pts, vals, deg)
-    scale = max(float(np.max(np.abs(coef))), 1e-300)
-    if float(np.max(np.abs(coef[-2:]))) > 1e-10 * scale:
-        raise ValueError(
-            f"{what} is not resolved by a degree-{deg} fit; oscillatory data must be "
-            "given in structured form"
-        )
-    return cheb.cheb2poly(coef)
-
-
 def _chebfit_2d(func: Callable, deg: int) -> np.ndarray:
     """Monomial coefficient matrix of a smooth bivariate function on [-1, 1]^2."""
     cheb = np.polynomial.chebyshev
@@ -349,138 +338,130 @@ def _chebfit_2d(func: Callable, deg: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Closed-form cell integrals
+# Closed-form cell integrals, batched over cells
 # ---------------------------------------------------------------------------
 
-def _moment_table(sp: SplineSpace, amp: np.ndarray | None, omega: float) -> np.ndarray:
-    """M[j, c] = int_{cell c} amp(s) B_j(s) e^{i*omega*s} ds  (dense (d, ncells))."""
-    d = sp.dimension
-    nc = sp.knots.num_cells
-    m = sp.order
-    M = np.zeros((d, nc), dtype=complex)
-    for c in range(nc):
-        s0, h2 = sp.cell_mid_half(c)
-        P = sp.cell_pieces(c)
-        ax = None if amp is None else _compose_affine(amp, s0, h2)
-        pre = h2 * np.exp(1j * omega * s0)
-        wh = omega * h2
-        for r in range(m):
-            cf = P[r] if ax is None else np.convolve(P[r], ax)
-            M[c + r, c] = pre * _pem(cf, -1.0, 1.0, wh)
-    return M
+def _cells(sp: SplineSpace):
+    """Per-cell geometry: midpoints, half-widths, width groups and local pieces.
 
-
-def _cum_before(Y: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(Y)
-    out[:, 1:] = np.cumsum(Y[:, :-1], axis=1)
-    return out
-
-
-def _cum_after(Y: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(Y)
-    out[:, :-1] = np.cumsum(Y[:, :0:-1], axis=1)[:, ::-1]
-    return out
-
-
-def _shift_scale_matrix(deg: int, s0: float, h2: float) -> np.ndarray:
-    """T with column a = coefficients of (s0 + h2*x)^a, so local = T_s @ C @ T_t^T."""
-    T = np.zeros((deg + 1, deg + 1))
-    T[0, 0] = 1.0
-    col = np.array([1.0])
-    lin = np.array([s0, h2])
-    for a in range(1, deg + 1):
-        col = np.convolve(col, lin)
-        T[: a + 1, a] = col
-    return T
-
-
-def _bipoly_conv(W: np.ndarray, pu: np.ndarray, pv: np.ndarray) -> np.ndarray:
-    """Multiply a bivariate coefficient matrix by pu(u) along axis 0 and pv(v) along axis 1."""
-    A, B = W.shape
-    tmp = np.zeros((A + len(pu) - 1, B), dtype=complex)
-    for b in range(B):
-        col = W[:, b]
-        if np.any(col):
-            tmp[:, b] = np.convolve(col, pu)
-    out = np.zeros((tmp.shape[0], B + len(pv) - 1), dtype=complex)
-    for a in range(tmp.shape[0]):
-        row = tmp[a, :]
-        if np.any(row):
-            out[a, :] = np.convolve(row, pv)
-    return out
-
-
-_TAYLOR_EPS = 1e-18
-
-
-def _taylor_terms(x: float) -> int:
-    """Smallest K with x^K / K! below the Taylor remainder target."""
-    term = 1.0
-    for k in range(1, 60):
-        term *= x / k
-        if term < _TAYLOR_EPS:
-            return k
-    return 60
-
-
-def _tri_x(W: np.ndarray, ls: float, lt: float, lower: bool) -> complex:
-    """Triangle moment on the normalized cell square.
-
-    Computes  int_{-1}^{1} du int_L W(u, v) e^{i(ls*u + lt*v)} dv  with
-    L = [-1, u] (``lower``, the t <= s half) or L = [u, 1] (upper half).
-    W[alpha, beta] multiplies u^alpha v^beta.  Exact up to roundoff; all
-    paths reduce to 1-d moments so the cost is phase-independent.
+    Returns ``(s0, h2, widths, group, pieces)``: cell c is [s0 - h2, s0 + h2]
+    with h2 == widths[group[c]], and ``pieces[c]`` is ``sp.cell_pieces(c)``.
+    Every phase-dependent moment depends on a cell only through its width,
+    so it is computed once per distinct (bitwise) half-width.
     """
-    total = 0.0 + 0.0j
-    v0 = -1.0 if lower else 1.0
-    Bv = W.shape[1]
-    for beta in range(Bv):
-        wb = _trim(W[:, beta].astype(complex))
-        if len(wb) == 1 and wb[0] == 0:
-            continue
-        x = abs(2.0 * lt)
-        if lt == 0.0:
-            # plain antiderivative of v^beta over the v-range
-            arr = np.zeros(beta + 2, dtype=complex)
-            if lower:
-                arr[beta + 1] = 1.0 / (beta + 1)
-                arr[0] = -((-1.0) ** (beta + 1)) / (beta + 1)
-            else:
-                arr[beta + 1] = -1.0 / (beta + 1)
-                arr[0] = 1.0 / (beta + 1)
-            total += _pem(np.convolve(wb, arr), -1.0, 1.0, ls)
-        elif x >= max(1.0, 0.5 * beta):
-            eb = np.zeros(beta + 1, dtype=complex)
-            eb[beta] = 1.0
-            sg = _sigma_coeffs(eb, lt)
-            inner_at_end = np.exp(1j * lt * v0) * _polyval(sg, v0)
-            if lower:
-                total += _pem(np.convolve(wb, sg), -1.0, 1.0, ls + lt)
-                total -= inner_at_end * _pem(wb, -1.0, 1.0, ls)
-            else:
-                total += inner_at_end * _pem(wb, -1.0, 1.0, ls)
-                total -= _pem(np.convolve(wb, sg), -1.0, 1.0, ls + lt)
-        else:
-            # small phase: expand e^{i*lt*v} around the fixed endpoint v0
-            K = _taylor_terms(x)
-            base = np.array([1.0 + 0.0j])      # (v - v0)^k, ascending in v
-            coef = np.exp(1j * lt * v0)
-            S = np.zeros(beta + K + 2, dtype=complex)
-            for k in range(K + 1):
-                pk = np.zeros(beta + len(base), dtype=complex)
-                pk[beta:] = base
-                A = _polyint(pk)
-                if lower:
-                    contrib = A.copy()
-                    contrib[0] -= _polyval(A, v0)
-                else:
-                    contrib = -A
-                    contrib[0] += _polyval(A, 1.0)
-                S[: len(contrib)] += coef * contrib
-                coef *= 1j * lt / (k + 1)
-                base = np.convolve(base, np.array([-v0, 1.0]))
-            total += _pem(np.convolve(wb, _trim(S)), -1.0, 1.0, ls)
-    return total
+    z = sp.knots.breakpoints
+    s0 = 0.5 * (z[:-1] + z[1:])
+    h2 = 0.5 * (z[1:] - z[:-1])
+    widths, group = np.unique(h2, return_inverse=True)
+    pieces = np.stack([sp.cell_pieces(c) for c in range(len(h2))])
+    return s0, h2, widths, group, pieces
+
+
+def _shift_scale(deg: int, s0: np.ndarray, h2: np.ndarray) -> np.ndarray:
+    """T[c, k, a] = coefficient of x^k in (s0[c] + h2[c]*x)^a, so p(s0 + h2*x) = T @ p."""
+    a = np.arange(deg + 1)
+    binom = np.array([[math.comb(j, k) for j in a] for k in a], dtype=float)
+    return binom * s0[:, None, None] ** np.maximum(a - a[:, None], 0) * h2[:, None, None] ** a[:, None]
+
+
+def _cell_table(cells, local: np.ndarray, omega: float) -> np.ndarray:
+    """V[c, r] = int_{cell c} amp(s) B_{c+r}(s) e^{i*omega*s} ds for every cell at once.
+
+    ``local[c]`` holds the coefficients of amp in cell c's local coordinate
+    x (s = s0 + h2*x).  V is the band of the (d, ncells) moment table whose
+    entry [c + r, c] is V[c, r].
+    """
+    s0, h2, widths, group, pieces = cells
+    m, D = pieces.shape[1], local.shape[1]
+    mom = _unit_moments(omega * widths, m + D - 2)[group]
+    hankel = sliding_window_view(mom, D, axis=1)           # [c, i, j] = mom[c, i + j]
+    pre = h2 * np.exp(1j * omega * s0)
+    return pre[:, None] * np.einsum("cri,cij,cj->cr", pieces, hankel, local)
+
+
+def _add_band(seg: np.ndarray, band: np.ndarray) -> None:
+    """seg[c + r] += band[c, r]: scatter a banded cell table onto its rows."""
+    c = np.arange(band.shape[0])
+    for r in range(band.shape[1]):
+        seg[c + r] += band[:, r]
+
+
+def _prefix(band: np.ndarray, low: bool, d: int) -> np.ndarray:
+    """cum[c, j] = sum of table entries [j, c'] over the cells c' < c (``low``) or c' > c."""
+    nc, m = band.shape
+    c = np.arange(nc)
+    buf = np.zeros((nc + 1, d), dtype=complex)
+    for r in range(m):
+        buf[c + 1 if low else c, c + r] = band[:, r]
+    if low:
+        np.cumsum(buf, axis=0, out=buf)
+        return buf[:nc]
+    rev = buf[::-1]
+    np.cumsum(rev, axis=0, out=rev)
+    return buf[1:]
+
+
+def _triangle_moments(ls: np.ndarray, lt: np.ndarray, A: int, B: int) -> np.ndarray:
+    """mu[e, a, b] = int_{-1}^{1} du int_{-1}^{u} u^a v^b e^{i(ls[e]*u + lt[e]*v)} dv.
+
+    Column b is linear in the inner integral g_b(u) = int_{-1}^{u} v^b
+    e^{i*lt*v} dv, written as sum_n G[b, n] u^n e^{i*w*u} + const with
+    polynomial coefficients G, so mu follows from the 1-d moments of
+    :func:`_unit_moments` at ls + w.  Per column, as the phase |2*lt| of
+    the inner integral reaches max(1, b/2), g_b is the boundary (sigma)
+    expansion (w = lt); below that it integrates the Maclaurin series of
+    e^{i*lt*v} summed until its terms drop under 1e-18 (w = 0; one term
+    when lt == 0).  The cost does not depend on the phases.
+    """
+    b = np.arange(B)
+    sigma = 2.0 * np.abs(lt)[:, None] >= np.maximum(1.0, 0.5 * b)
+
+    # small phase: g_b(u) = sum_j t_j (u^(b+j+1) - (-1)^(b+j+1)) / (b+j+1), t_j = (i*lt)^j / j!
+    lt_small = np.where(np.all(sigma, axis=1), 0.0, lt)
+    x = float(np.max(np.abs(lt_small), initial=0.0))
+    J = 1
+    while x**J / math.factorial(J) >= 1e-18:
+        J += 1
+    j = np.arange(J)
+    n = b[:, None] + j + 1
+    t = (1j * lt_small[:, None]) ** j / np.array([math.factorial(i) for i in j], dtype=float)
+    G_small = np.zeros((len(lt), B, B + J), dtype=complex)
+    G_small[:, b[:, None], n] = np.where(sigma[:, :, None], 0.0, t[:, None, :] / n)
+
+    # large phase: g_b(u) = e^{i*lt*u} s_b(u) - e^{-i*lt} s_b(-1) with
+    # s_b[n] = (-1)^(b-n) (i*lt)^-(b-n+1) b!/n!, so (e^{i*lt*v} s_b)' = v^b e^{i*lt*v}
+    inv = np.divide(1.0, 1j * lt, out=np.zeros(len(lt), dtype=complex), where=lt != 0)
+    k = b[:, None] - b
+    fact = np.array([math.factorial(i) for i in b], dtype=float)
+    ratio = np.where(k >= 0, (-1.0) ** k * fact[:, None] / fact, 0.0)
+    G_large = np.where(sigma[:, :, None], ratio * inv[:, None, None] ** (np.maximum(k, 0) + 1), 0.0)
+
+    alt = (-1.0) ** np.arange(B + J)                        # x^n at x = -1
+    const = -(G_small @ alt) - np.exp(-1j * lt)[:, None] * (G_large @ alt[:B])
+    mom0 = _unit_moments(ls, A + B + J - 2)
+    mom1 = _unit_moments(ls + lt, A + B - 2)
+    return (np.einsum("ean,ebn->eab", sliding_window_view(mom0, B + J, axis=1), G_small)
+            + np.einsum("ean,ebn->eab", sliding_window_view(mom1, B, axis=1), G_large)
+            + mom0[:, :A, None] * const[:, None, :])
+
+
+def _chebfit_cells(func: Callable, s0: np.ndarray, h2: np.ndarray, deg: int) -> np.ndarray:
+    """Local monomial coefficients (ncells, deg+1) of the degree-``deg`` Chebyshev interpolant per cell."""
+    cheb = np.polynomial.chebyshev
+    pts = cheb.chebpts1(deg + 1)
+    s = (s0[:, None] + h2[:, None] * pts).ravel()
+    vals = np.asarray(_eval_on(func, s), dtype=complex).reshape(len(s0), deg + 1)
+    coef = cheb.chebfit(pts, vals.T, deg)
+    scale = np.maximum(np.max(np.abs(coef), axis=0), 1e-300)
+    if np.any(np.max(np.abs(coef[-2:]), axis=0) > 1e-10 * scale):
+        raise ValueError(
+            f"right-hand side is not resolved by a degree-{deg} fit; oscillatory data must be "
+            "given in structured form"
+        )
+    to_mono = np.zeros((deg + 1, deg + 1))
+    for i in range(deg + 1):
+        to_mono[: i + 1, i] = cheb.cheb2poly(np.eye(i + 1)[i])
+    return (to_mono @ coef).T
 
 
 # ---------------------------------------------------------------------------
@@ -499,25 +480,23 @@ def assemble_mass(space: TrialSpace) -> np.ndarray:
     mult = space.multipliers
     d = sp.dimension
     m = sp.order
-    nc = sp.knots.num_cells
     nb = len(mult)
+    cells = _cells(sp)
+    s0, h2, widths, group, P = cells
+    c = np.arange(len(h2))
     E = np.zeros((nb * d, nb * d), dtype=complex)
     for qi in range(nb):
         for pi in range(qi, nb):
             omega = (mult[pi] - mult[qi]) * kappa
-            block = np.zeros((d, d), dtype=complex)
-            for c in range(nc):
-                s0, h2 = sp.cell_mid_half(c)
-                P = sp.cell_pieces(c)
-                pre = h2 * np.exp(1j * omega * s0)
-                wh = omega * h2
-                for r1 in range(m):
-                    for r2 in range(r1, m):
-                        v = pre * _pem(np.convolve(P[r1], P[r2]), -1.0, 1.0, wh)
-                        block[c + r1, c + r2] += v
-                        if r2 != r1:
-                            block[c + r2, c + r1] += v
-            E[qi * d:(qi + 1) * d, pi * d:(pi + 1) * d] = block
+            mom = _unit_moments(omega * widths, 2 * m - 2)[group]
+            vals = np.einsum("cai,cbj,cij->cab", P, P, sliding_window_view(mom, m, axis=1))
+            vals *= (h2 * np.exp(1j * omega * s0))[:, None, None]
+            block = E[qi * d:(qi + 1) * d, pi * d:(pi + 1) * d]
+            for r1 in range(m):
+                for r2 in range(r1, m):
+                    block[c + r1, c + r2] += vals[:, r1, r2]
+                    if r2 != r1:
+                        block[c + r2, c + r1] += vals[:, r1, r2]
             if pi != qi:
                 E[pi * d:(pi + 1) * d, qi * d:(qi + 1) * d] = block.conj().T
     return E
@@ -528,10 +507,19 @@ def assemble_operator(space: TrialSpace, kernel: OscKernel) -> np.ndarray:
 
     The inner t-integral of each entry is split at t = s: on t <= s the
     phase is kappa((1 - eps_q) s + (eps_p - 1) t), on t > s it is
-    kappa(-(1 + eps_q) s + (eps_p + 1) t).  Cell pairs away from the
-    diagonal factorize through a separated (SVD) form of the kernel
-    coefficients and are accumulated with prefix sums; the shared-cell
-    triangles are added per cell.  Cost is independent of kappa.
+    kappa(-(1 + eps_q) s + (eps_p + 1) t).  All cells are handled at once:
+
+    * cell pairs away from the diagonal factorize through a separated (SVD)
+      form of the kernel coefficients into banded per-cell moment tables,
+      accumulated with prefix sums over the cells and added to each block
+      as ``order`` shifted row updates;
+    * the shared-cell triangles are linear in each cell's local coefficient
+      tensor W, so one moment tensor per (phase pair, cell width) is
+      contracted with the stacked W of all cells and scattered onto the
+      block's ``order**2`` shifted diagonals.
+
+    Moments come in closed form from a batched routine whose cost does not
+    depend on kappa; a uniform mesh has only a few distinct cell widths.
     """
     _check_kappa(space, kernel.kappa)
     sp = space.splines
@@ -539,68 +527,70 @@ def assemble_operator(space: TrialSpace, kernel: OscKernel) -> np.ndarray:
     mult = space.multipliers
     d = sp.dimension
     m = sp.order
-    nc = sp.knots.num_cells
     nb = len(mult)
     n = nb * d
 
     C = kernel.coefficient_matrix()
     if not np.any(C):
         return np.zeros((n, n), dtype=complex)
+    cells = _cells(sp)
+    s0, h2, widths, group, P = cells
+    nc = len(h2)
+    c = np.arange(nc)
 
-    U, sv, Vh = np.linalg.svd(C)
+    U, sv, Vh = np.linalg.svd(C, full_matrices=False)
     keep = sv > sv[0] * 1e-15
     roots = np.sqrt(sv[keep])
-    phis = [U[:, r] * roots[r] for r in range(len(roots))]   # s-side factors
-    psis = [Vh[r, :] * roots[r] for r in range(len(roots))]  # t-side factors
-
-    tables: dict[tuple[str, int, int], np.ndarray] = {}
-
-    def tbl(role: str, r: int, mult_int: int) -> np.ndarray:
-        key = (role, r, mult_int)
-        got = tables.get(key)
-        if got is None:
-            amp = phis[r] if role == "s" else psis[r]
-            got = _moment_table(sp, amp, mult_int * kappa)
-            tables[key] = got
-        return got
-
-    # per-cell triangle data, independent of the block multipliers
-    cell_geo = []
-    cell_W = []
-    deg_c = max(C.shape) - 1
-    for c in range(nc):
-        s0, h2 = sp.cell_mid_half(c)
-        P = sp.cell_pieces(c)
-        T = _shift_scale_matrix(deg_c, s0, h2)
-        Ts = T[: C.shape[0], : C.shape[0]]
-        Tt = T[: C.shape[1], : C.shape[1]]
-        Cc = Ts @ C @ Tt.T
-        Ws = [[_bipoly_conv(Cc, P[rj], P[rl]) for rl in range(m)] for rj in range(m)]
-        cell_geo.append((s0, h2))
-        cell_W.append(Ws)
+    A0, B0 = C.shape
+    T = _shift_scale(max(A0, B0) - 1, s0, h2)
+    Ts, Tt = T[:, :A0, :A0], T[:, :B0, :B0]
+    phis = Ts @ (U[:, keep] * roots)        # s-side factors, local coordinates: (nc, A0, rank)
+    psis = Tt @ (Vh[keep].T * roots)        # t-side factors: (nc, B0, rank)
 
     K = np.zeros((n, n), dtype=complex)
+
+    # cell pairs: block += sum_r X_r cum_r^T, X_r[c + rr, c] nonzero only
+    xtabs: dict[tuple[int, int], np.ndarray] = {}
+    for pi, ep in enumerate(mult):
+        for low in (True, False):
+            ltm = ep - 1 if low else ep + 1
+            for r in range(len(roots)):
+                cum = _prefix(_cell_table(cells, psis[:, :, r], ltm * kappa), low, d)
+                for qi, eq in enumerate(mult):
+                    lsm = 1 - eq if low else -(1 + eq)
+                    X = xtabs.get((lsm, r))
+                    if X is None:
+                        X = xtabs[lsm, r] = _cell_table(cells, phis[:, :, r], lsm * kappa)
+                    block = K[qi * d:(qi + 1) * d, pi * d:(pi + 1) * d]
+                    for rr in range(m):
+                        block[rr:rr + nc] += X[:, rr, None] * cum
+
+    # shared cells: W[c, rj, rl] = local kernel factor times pieces rj (in u) and rl (in v)
+    Cc = np.einsum("cka,ab,clb->ckl", Ts, C, Tt)
+    W = np.zeros((nc, m, m, A0 + m - 1, B0 + m - 1), dtype=complex)
+    for i in range(m):
+        for j in range(m):
+            W[:, :, :, i:i + A0, j:j + B0] += (
+                P[:, :, None, i, None, None] * P[:, None, :, j, None, None] * Cc[:, None, None])
+    A, B = W.shape[3:]
+    # the upper triangle (t > s) at phases (ls, lt) is the lower one at (-ls, -lt)
+    # under (u, v) -> (-u, -v), with the sign (-1)^(a+b)
+    pairs = sorted({(1 - eq, ep - 1) for eq in mult for ep in mult}
+                   | {(1 + eq, -(ep + 1)) for eq in mult for ep in mult})
+    lsm, ltm = np.array(pairs).T
+    mu = _triangle_moments((lsm[:, None] * kappa * widths).ravel(),
+                           (ltm[:, None] * kappa * widths).ravel(), A, B)
+    mu = mu.reshape(len(pairs), len(widths), A, B)
+    at = {p: i for i, p in enumerate(pairs)}
+    flip = (-1.0) ** np.add.outer(np.arange(A), np.arange(B))
     for qi, eq in enumerate(mult):
         for pi, ep in enumerate(mult):
-            block = np.zeros((d, d), dtype=complex)
-            sides = ((1 - eq, ep - 1, True), (-(1 + eq), ep + 1, False))
-            for lsm, ltm, low in sides:
-                for r in range(len(roots)):
-                    X = tbl("s", r, lsm)
-                    Y = tbl("t", r, ltm)
-                    cum = _cum_before(Y) if low else _cum_after(Y)
-                    block += X @ cum.T
-            for c in range(nc):
-                s0, h2 = cell_geo[c]
-                Ws = cell_W[c]
-                for lsm, ltm, low in sides:
-                    ls = lsm * kappa
-                    lt = ltm * kappa
-                    pre = h2 * h2 * np.exp(1j * (ls + lt) * s0)
-                    for rj in range(m):
-                        for rl in range(m):
-                            block[c + rj, c + rl] += pre * _tri_x(Ws[rj][rl], ls * h2, lt * h2, low)
-            K[qi * d:(qi + 1) * d, pi * d:(pi + 1) * d] = block
+            tri = mu[at[1 - eq, ep - 1]] + flip * mu[at[1 + eq, -(ep + 1)]]
+            vals = np.einsum("cjlab,cab->cjl", W, tri[group])
+            vals *= (h2 * h2 * np.exp(1j * (ep - eq) * kappa * s0))[:, None, None]
+            for rj in range(m):
+                for rl in range(m):
+                    K[qi * d + rj + c, pi * d + rl + c] += vals[:, rj, rl]
     return K
 
 
@@ -615,43 +605,24 @@ def assemble_rhs(space: TrialSpace, f) -> np.ndarray:
     kappa = space.kappa
     mult = space.multipliers
     d = sp.dimension
-    m = sp.order
-    nc = sp.knots.num_cells
+    cells = _cells(sp)
+    s0, h2 = cells[:2]
     out = np.zeros(len(mult) * d, dtype=complex)
 
     if isinstance(f, StructuredFunction):
         _check_kappa(space, f.kappa)
-        for qi, eq in enumerate(mult):
-            seg = out[qi * d:(qi + 1) * d]
-            for tau, w in f.terms:
-                omega = (tau - eq) * kappa
-                for c in range(nc):
-                    s0, h2 = sp.cell_mid_half(c)
-                    P = sp.cell_pieces(c)
-                    ax = _compose_affine(w.coeffs, s0, h2)
-                    pre = h2 * np.exp(1j * omega * s0)
-                    wh = omega * h2
-                    for r in range(m):
-                        seg[c + r] += pre * _pem(np.convolve(P[r], ax), -1.0, 1.0, wh)
+        for tau, w in f.terms:
+            local = _shift_scale(w.degree, s0, h2) @ w.coeffs
+            for qi, eq in enumerate(mult):
+                _add_band(out[qi * d:(qi + 1) * d], _cell_table(cells, local, (tau - eq) * kappa))
         return out
 
     func = f.func if isinstance(f, SmoothAmplitude) else f
     if not callable(func):
         raise TypeError("right-hand side must be a StructuredFunction or a callable")
-    fits = []
-    for c in range(nc):
-        s0, h2 = sp.cell_mid_half(c)
-        fits.append(_chebfit_1d(func, s0 - h2, s0 + h2, _RHS_FIT_DEGREE, "right-hand side"))
+    local = _chebfit_cells(func, s0, h2, _RHS_FIT_DEGREE)
     for qi, eq in enumerate(mult):
-        seg = out[qi * d:(qi + 1) * d]
-        omega = -eq * kappa
-        for c in range(nc):
-            s0, h2 = sp.cell_mid_half(c)
-            P = sp.cell_pieces(c)
-            pre = h2 * np.exp(1j * omega * s0)
-            wh = omega * h2
-            for r in range(m):
-                seg[c + r] += pre * _pem(np.convolve(P[r], fits[c]), -1.0, 1.0, wh)
+        _add_band(out[qi * d:(qi + 1) * d], _cell_table(cells, local, -eq * kappa))
     return out
 
 
@@ -682,18 +653,13 @@ def eval_solution(space: TrialSpace, a, s):
         raise ValueError(f"coefficient vector must have length {space.dimension}, got {a.shape}")
     sp = space.splines
     d = sp.dimension
-    m = sp.order
     scalar = np.ndim(s) == 0
     pts = np.atleast_1d(np.asarray(s, dtype=float))
-    spline_parts = np.zeros((len(space.multipliers), len(pts)), dtype=complex)
-    for i, si in enumerate(pts):
-        j0, vals = sp.eval_nonzero(si)
-        for bi in range(len(space.multipliers)):
-            seg = a[bi * d + j0: bi * d + j0 + m]
-            spline_parts[bi, i] = vals @ seg
+    j0, vals = sp.eval_nonzero_array(pts)
+    idx = j0[:, None] + np.arange(sp.order)
     out = np.zeros(len(pts), dtype=complex)
     for bi, eps in enumerate(space.multipliers):
-        out += spline_parts[bi] * np.exp(1j * eps * space.kappa * pts)
+        out += np.einsum("ir,ir->i", vals, a[bi * d + idx]) * np.exp(1j * eps * space.kappa * pts)
     return complex(out[0]) if scalar else out
 
 
@@ -894,29 +860,30 @@ def operator_entry_quadrature(space: TrialSpace, kernel: OscKernel, row: int, co
 
 
 def mass_entry_quadrature(space: TrialSpace, row: int, col: int) -> complex:
-    """Brute-force value of mass entry (row, col)."""
+    """Brute-force value of mass entry (row, col), cell by cell.
+
+    Integrating each cell on its own keeps the breakpoints, where the
+    spline product loses smoothness, off the interior of every panel.
+    """
     sp = space.splines
     kappa = space.kappa
     d = sp.dimension
     qi, j = divmod(row, d)
     pi, l = divmod(col, d)
     omega = (space.multipliers[pi] - space.multipliers[qi]) * kappa
-    lo = max(sp.support(j)[0], sp.support(l)[0])
-    hi = min(sp.support(j)[1], sp.support(l)[1])
-    if hi <= lo:
-        return 0.0 + 0.0j
     fn = lambda t: sp.eval_basis(j, t) * sp.eval_basis(l, t) * np.exp(1j * omega * t)
-    return oscillatory_quad(fn, lo, hi, omega, target=1e-15)
+    cells = sorted(set(sp.cells_of_basis(j)) & set(sp.cells_of_basis(l)))
+    return complex(sum(oscillatory_quad(fn, *sp.cell_bounds(c), omega, target=1e-15) for c in cells))
 
 
 def rhs_entry_quadrature(space: TrialSpace, f: Callable, row: int) -> complex:
-    """Brute-force value of load entry ``row`` for a callable f."""
+    """Brute-force value of load entry ``row`` for a callable f, cell by cell."""
     sp = space.splines
     kappa = space.kappa
     d = sp.dimension
     qi, j = divmod(row, d)
     eq = space.multipliers[qi]
-    lo, hi = sp.support(j)
     rate = (abs(eq) + _STRUCTURE_RANGE) * kappa
     fn = lambda t: f(t) * sp.eval_basis(j, t) * np.exp(-1j * eq * kappa * t)
-    return oscillatory_quad(fn, lo, hi, rate, target=1e-15)
+    return complex(sum(oscillatory_quad(fn, *sp.cell_bounds(c), rate, target=1e-15)
+                       for c in sp.cells_of_basis(j)))

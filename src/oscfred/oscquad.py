@@ -43,9 +43,6 @@ __all__ = [
 
 MAX_GAUSS_NODES = 64
 
-# Taylor remainder target for the small-phase expansion of exp(i*omega*t).
-_TAYLOR_EPS = 1e-18
-
 
 # ---------------------------------------------------------------------------
 # Gauss-Legendre rules
@@ -413,6 +410,42 @@ def _pem(c: np.ndarray, a: float, b: float, omega: float) -> complex:
     if deg <= 12:
         return _pem_recurrence(c, a, b, omega)
     return _pem_sigma(c, a, b, omega)
+
+
+def _unit_moments(w: np.ndarray, K: int) -> np.ndarray:
+    """Moments M[e, k] = int_{-1}^{1} x^k e^{i w_e x} dx, k = 0..K, for an array of rates w.
+
+    The batched form of :func:`_pem` on [-1, 1] at degree K, with its
+    switch: Gauss-Legendre below a total phase of max(1, K/2), where the
+    rule is split into panels as in :func:`_pem_gauss` if one would need
+    more than ``MAX_GAUSS_NODES`` nodes, and the forward recurrence of
+    :func:`_pem_recurrence` above it.  The cost does not depend on w.
+    """
+    w = np.asarray(w, dtype=float)
+    M = np.empty((len(w), K + 1), dtype=complex)
+    small = 2.0 * np.abs(w) < max(1.0, 0.5 * K)
+    if np.any(small):
+        ws = w[small]
+        phase = 2.0 * float(np.max(np.abs(ws)))
+        base = (K + 2) // 2 + 8
+        panels = 1
+        while base + math.ceil(0.4 * phase / panels) > MAX_GAUSS_NODES and base < MAX_GAUSS_NODES:
+            panels *= 2
+        x, wt = gauss_legendre_rule(base + math.ceil(0.4 * phase / panels))
+        x = ((x + np.arange(1 - panels, panels, 2)[:, None]) / panels).ravel()
+        wt = np.tile(wt / panels, panels)
+        M[small] = (wt * np.exp(1j * ws[:, None] * x)) @ (x[:, None] ** np.arange(K + 1))
+    if not np.all(small):
+        iw = 1j * w[~small]
+        ep, em = np.exp(iw), np.exp(-iw)
+        mom = (ep - em) / iw
+        big = np.empty((len(iw), K + 1), dtype=complex)
+        big[:, 0] = mom
+        for k in range(1, K + 1):
+            mom = (ep - (-1) ** k * em - k * mom) / iw
+            big[:, k] = mom
+        M[~small] = big
+    return M
 
 
 def poly_exp_moment(p: Polynomial | Sequence[complex], a: float, b: float, omega: float) -> complex:

@@ -10,6 +10,7 @@ recording the quantities the benchmark tables report.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -251,11 +252,20 @@ def _coeff_to_json(c: complex):
     return [c.real, c.imag]
 
 
-def _coeff_from_json(v) -> complex:
-    if isinstance(v, (int, float)):
-        return complex(v)
-    re, im = v
-    return complex(re, im)
+def _coeff_from_json(v, where: str) -> complex:
+    """A coefficient is a real number or a [re, im] pair; anything else raises ValueError."""
+    parts = v if isinstance(v, list) and len(v) == 2 else [v]
+    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+               for x in parts):
+        raise ValueError(
+            f"problem file: {where} must hold finite numbers or [re, im] pairs, got {v!r}")
+    return complex(*parts)
+
+
+def _field(d, key: str, where: str):
+    if not isinstance(d, dict) or key not in d:
+        raise ValueError(f"problem file: missing {where}{key}")
+    return d[key]
 
 
 def _structured_to_dict(f: StructuredFunction) -> dict:
@@ -267,10 +277,20 @@ def _structured_to_dict(f: StructuredFunction) -> dict:
     }
 
 
-def _structured_from_dict(d: dict, kappa: float) -> StructuredFunction:
+def _structured_from_dict(d: dict, kappa: float, where: str) -> StructuredFunction:
+    items = _field(d, "terms", f"{where}.")
+    if not isinstance(items, list):
+        raise ValueError(f"problem file: {where}.terms must be a list")
     terms = {}
-    for item in d["terms"]:
-        terms[int(item["tau"])] = Polynomial([_coeff_from_json(v) for v in item["coeffs"]])
+    for i, item in enumerate(items):
+        at = f"{where}.terms[{i}]."
+        coeffs = _field(item, "coeffs", at)
+        if not isinstance(coeffs, list) or not coeffs:
+            raise ValueError(f"problem file: {at}coeffs must be a nonempty list")
+        tau = _field(item, "tau", at)
+        if not isinstance(tau, int) or isinstance(tau, bool):
+            raise ValueError(f"problem file: {at}tau must be an integer, got {tau!r}")
+        terms[tau] = Polynomial([_coeff_from_json(v, f"{at}coeffs") for v in coeffs])
     return StructuredFunction(kappa, terms)
 
 
@@ -289,11 +309,18 @@ def problem_to_dict(problem: Problem) -> dict:
 
 
 def problem_from_dict(d: dict) -> Problem:
-    kappa = float(d["kappa"])
-    C = [[_coeff_from_json(v) for v in row] for row in d["kernel"]["poly_st"]]
-    kernel = OscKernel.polynomial(C, kappa)
-    rhs = _structured_from_dict(d["rhs"], kappa)
+    """Problem from its JSON description; a malformed one raises ValueError naming the field."""
+    kappa = _field(d, "kappa", "")
+    if not (isinstance(kappa, (int, float)) and math.isfinite(kappa) and kappa > 1.0):
+        raise ValueError(f"problem file: kappa must be a finite number above 1, got {kappa!r}")
+    rows = _field(_field(d, "kernel", ""), "poly_st", "kernel.")
+    if not (isinstance(rows, list) and rows and all(isinstance(r, list) and r for r in rows)
+            and len({len(r) for r in rows}) == 1):
+        raise ValueError("problem file: kernel.poly_st must be a nonempty rectangular list of rows")
+    C = [[_coeff_from_json(v, "kernel.poly_st") for v in row] for row in rows]
+    kernel = OscKernel.polynomial(C, float(kappa))
+    rhs = _structured_from_dict(_field(d, "rhs", ""), kernel.kappa, "rhs")
     exact = None
     if d.get("exact") is not None:
-        exact = _structured_from_dict(d["exact"], kappa)
+        exact = _structured_from_dict(d["exact"], kernel.kappa, "exact")
     return Problem(kernel=kernel, rhs=rhs, exact=exact)

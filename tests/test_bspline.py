@@ -127,6 +127,22 @@ def test_cell_pieces_match_pointwise_recurrence(m):
                 assert val_piece == pytest.approx(sp.eval_basis(c + r, s), abs=1e-13)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_eval_nonzero_array_matches_pointwise(m):
+    # the array recurrence runs the scalar one's arithmetic on every point,
+    # breakpoints and both ends included
+    sp = SplineSpace(make_knots([-0.7, -0.35, 0.1, 0.2, 0.6], m))
+    s = np.concatenate((sp.knots.breakpoints, np.random.default_rng(m).uniform(-1.0, 1.0, 40)))
+    j0, vals = sp.eval_nonzero_array(s)
+    for i, si in enumerate(s):
+        j, v = sp.eval_nonzero(si)
+        assert j0[i] == j
+        npt.assert_array_equal(vals[i], v)
+    for bad in ([-1.5], [0.0, 1.0 + 1e-12], [np.nan]):
+        with pytest.raises(ValueError):
+            sp.eval_nonzero_array(np.array(bad))
+
+
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_basis_matches_scipy(m):
     # independent oracle: scipy's B-spline basis elements

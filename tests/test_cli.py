@@ -1,6 +1,7 @@
 """Tests of the command-line experiment runner."""
 
 import json
+import warnings
 
 import pytest
 
@@ -140,3 +141,57 @@ def test_verify_passes_on_fresh_build(capsys):
 def test_verify_detects_injected_perturbation(capsys):
     assert cli.main(["verify", "--perturb", "1e-3"]) == cli.EXIT_VERIFY_FAILED
     assert "FAIL" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# invalid input: exit code 2 with a one-line message
+# ---------------------------------------------------------------------------
+
+def assert_one_line_error(capsys, *words):
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: ") and "\n" not in err, err
+    for word in words:
+        assert word in err, err
+
+
+@pytest.mark.parametrize("command", ["convergence", "sweep"])
+@pytest.mark.parametrize("kappa", ["inf", "nan"])
+def test_rejects_non_finite_kappa(capsys, command, kappa):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main([command, "--kappa", kappa, "--method", "opgm"]) == cli.EXIT_BAD_CONFIG
+    assert_one_line_error(capsys, "finite")
+
+
+def test_sweep_rejects_problem_file(tmp_path, capsys):
+    pfile = tmp_path / "prob.json"
+    pfile.write_text(json.dumps(problem_to_dict(paper_benchmark(75.0))))
+    out = tmp_path / "never.csv"
+    code = cli.main(["sweep", "--kappa", "2000", "--method", "opgm",
+                     "--problem", str(pfile), "--out", str(out)])
+    assert code == cli.EXIT_BAD_CONFIG
+    assert not out.exists()
+    assert_one_line_error(capsys, "--problem")
+
+
+def _drop_poly_st(d):
+    del d["kernel"]["poly_st"]
+
+
+def _ragged_poly_st(d):
+    d["kernel"]["poly_st"] = [[1.0, 0.5], [1.0]]
+
+
+def _three_element_coefficient(d):
+    d["kernel"]["poly_st"] = [[[1.0, 0.0, 2.0]]]
+
+
+@pytest.mark.parametrize("edit", [_drop_poly_st, _ragged_poly_st, _three_element_coefficient])
+def test_problem_file_schema_errors(tmp_path, capsys, edit):
+    d = problem_to_dict(paper_benchmark(75.0))
+    edit(d)
+    pfile = tmp_path / "prob.json"
+    pfile.write_text(json.dumps(d))
+    code = cli.main(["convergence", "--method", "opgm", "--n-levels", "2", "--problem", str(pfile)])
+    assert code == cli.EXIT_BAD_CONFIG
+    assert_one_line_error(capsys, "poly_st")

@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from oscfred.bspline import SplineSpace, gram_matrix, make_uniform_knots
+from oscfred.bspline import SplineSpace, gram_matrix, make_knots, make_uniform_knots
 from oscfred.galerkin import (
     EN_GRID,
     OscKernel,
@@ -32,6 +32,33 @@ from oscfred.oscquad import oscillatory_quad
 def spaces(N, m, kappa):
     sp = SplineSpace(make_uniform_knots(N, m))
     return TrialSpace.cgm(sp, kappa), TrialSpace.opgm(sp, kappa)
+
+
+# Meshes that steer the closed-form moments through every branch they switch
+# on, beside each oracle test's original m = 2 case: at kappa*h/2 ~ 0.15 every
+# shared-cell triangle takes the small-phase (Taylor) or lt == 0 path; orders
+# 3 and 4 hit lt == 0 with more pieces per cell; the non-uniform mesh has six
+# cell widths, one of them (kappa*h/2 = 0.3) small-phase beside large-phase ones.
+REGIME_MESHES = [
+    pytest.param(make_uniform_knots(32, 2), 5.0, id="m2-small-phase"),
+    pytest.param(make_uniform_knots(5, 3), 6.0, id="m3"),
+    pytest.param(make_knots([-0.7, -0.35, 0.1, 0.2, 0.6], 4), 6.0, id="m4-nonuniform"),
+]
+
+
+def sampled_entries(space, count, seed):
+    """Random (row, col) pairs, half of them on the band where basis functions share a cell."""
+    rng = np.random.default_rng(seed)
+    d, m, nb = space.block_dim, space.splines.order, len(space.multipliers)
+    out = []
+    for k in range(count):
+        if k % 2:
+            out.append(tuple(int(v) for v in rng.integers(0, space.dimension, 2)))
+            continue
+        j = int(rng.integers(0, d))
+        l = int(np.clip(j + rng.integers(1 - m, m), 0, d - 1))
+        out.append((int(rng.integers(nb)) * d + j, int(rng.integers(nb)) * d + l))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -114,12 +141,12 @@ def test_mass_offdiagonal_blocks_decay_with_kappa():
     assert sizes[0] > sizes[1] > sizes[2]
 
 
-def test_mass_vs_quadrature_oracle():
-    _, opgm = spaces(3, 2, 5.0)
+@pytest.mark.parametrize(
+    "knots, kappa", [pytest.param(make_uniform_knots(3, 2), 5.0, id="m2"), *REGIME_MESHES])
+def test_mass_vs_quadrature_oracle(knots, kappa):
+    opgm = TrialSpace.opgm(SplineSpace(knots), kappa)
     E = assemble_mass(opgm)
-    rng = np.random.default_rng(8)
-    for _ in range(20):
-        r, c = (int(v) for v in rng.integers(0, opgm.dimension, 2))
+    for r, c in sampled_entries(opgm, 20, seed=8):
         assert abs(E[r, c] - mass_entry_quadrature(opgm, r, c)) <= 1e-12
 
 
@@ -149,14 +176,13 @@ def test_operator_entries_match_oracle_cgm():
             assert abs(K[r, c] - operator_entry_quadrature(cgm, kern, r, c)) <= 1e-10
 
 
-def test_operator_entries_match_oracle_polynomial_kernel():
-    kappa = 7.0
-    _, opgm = spaces(3, 2, kappa)
+@pytest.mark.parametrize(
+    "knots, kappa", [pytest.param(make_uniform_knots(3, 2), 7.0, id="m2"), *REGIME_MESHES])
+def test_operator_entries_match_oracle_polynomial_kernel(knots, kappa):
+    opgm = TrialSpace.opgm(SplineSpace(knots), kappa)
     kern = OscKernel.polynomial([[0.5, -0.25], [1.0, 0.0], [0.0, 0.75]], kappa)
     K = assemble_operator(opgm, kern)
-    rng = np.random.default_rng(11)
-    for _ in range(30):
-        r, c = (int(v) for v in rng.integers(0, opgm.dimension, 2))
+    for r, c in sampled_entries(opgm, 30, seed=11):
         assert abs(K[r, c] - operator_entry_quadrature(opgm, kern, r, c)) <= 1e-10
 
 
@@ -217,12 +243,12 @@ def test_rhs_carrier_cancellation():
     npt.assert_allclose(block_plus.imag, 0.0, atol=1e-15)
 
 
-def test_rhs_vs_oracle_structured():
-    kappa = 50.0
+@pytest.mark.parametrize(
+    "knots, kappa", [pytest.param(make_uniform_knots(16, 2), 50.0, id="m2"), *REGIME_MESHES])
+def test_rhs_vs_oracle_structured(knots, kappa):
     from oscfred.problems import paper_benchmark
     f = paper_benchmark(kappa).rhs
-    sp = SplineSpace(make_uniform_knots(16, 2))
-    opgm = TrialSpace.opgm(sp, kappa)
+    opgm = TrialSpace.opgm(SplineSpace(knots), kappa)
     F = assemble_rhs(opgm, f)
     for r in range(0, opgm.dimension, 7):
         assert abs(F[r] - rhs_entry_quadrature(opgm, f, r)) <= 1e-9
@@ -282,6 +308,27 @@ def test_eval_solution_zero_and_single_basis():
     s = np.linspace(-1, 1, 23)
     expect = np.array([opgm.splines.eval_basis(j, si) for si in s])
     npt.assert_allclose(eval_solution(opgm, a, s), expect, atol=1e-15)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_eval_solution_matches_pointwise_recurrence(m):
+    # breakpoints (including s = -1 and s = 1) and random points of a
+    # non-uniform mesh, against per-point Cox-de Boor
+    sp = SplineSpace(make_knots([-0.7, -0.35, 0.1, 0.2, 0.6], m))
+    space = TrialSpace.opgm(sp, 30.0)
+    rng = np.random.default_rng(m)
+    a = rng.standard_normal(space.dimension) + 1j * rng.standard_normal(space.dimension)
+    s = np.concatenate((sp.knots.breakpoints, rng.uniform(-1.0, 1.0, 50)))
+    d = sp.dimension
+    expect = np.zeros(len(s), dtype=complex)
+    for i, si in enumerate(s):
+        j0, vals = sp.eval_nonzero(si)
+        for bi, eps in enumerate(space.multipliers):
+            expect[i] += (vals @ a[bi * d + j0: bi * d + j0 + m]) * np.exp(1j * eps * 30.0 * si)
+    npt.assert_allclose(eval_solution(space, a, s), expect, rtol=0, atol=1e-14)
+    assert eval_solution(space, a, 1.0) == pytest.approx(expect[len(sp.knots.breakpoints) - 1], abs=1e-14)
+    with pytest.raises(ValueError):
+        eval_solution(space, a, np.array([0.0, 1.5]))
 
 
 def test_eval_solution_dimension_check():

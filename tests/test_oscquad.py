@@ -12,6 +12,7 @@ from oscfred.oscquad import (
     _pem_gauss,
     _pem_recurrence,
     _pem_sigma,
+    _unit_moments,
     filon_integral,
     gauss_legendre,
     oscillatory_quad,
@@ -200,6 +201,18 @@ def test_moment_recurrence_matches_sigma_sum():
             rec = _pem_recurrence(c, -1.0, 1.0, omega)
             sig = _pem_sigma(c, -1.0, 1.0, omega)
             assert abs(rec - sig) <= 1e-10 * max(abs(rec), 1e-16)
+
+
+@pytest.mark.parametrize("K, w", [
+    (0, 0.0), (4, 0.3), (6, 2.5), (12, 2.9), (12, 30.0), (40, 7.0),
+    (100, 20.0),  # Gauss branch needing more than MAX_GAUSS_NODES: split into panels
+])
+def test_unit_moments_match_oracle(K, w):
+    M = _unit_moments(np.array([w, -w]), K)
+    for k in range(K + 1):
+        ref = osc_ref(np.eye(K + 1)[k], -1.0, 1.0, w)
+        assert abs(M[0, k] - ref) <= 1e-13
+        assert abs(M[1, k] - np.conj(ref)) <= 1e-13
 
 
 def test_moment_conjugation_symmetry():
