@@ -111,14 +111,14 @@ class SplineSpace:
     Basis index j runs over 0..dimension-1; function j is supported on the
     knot span [knots[j], knots[j + order]].  On any cell exactly ``order``
     basis functions are nonzero, with indices c..c+order-1 for cell c.
-    All evaluation state is immutable after construction except a
-    memoized per-cell piece table whose fill is idempotent, so concurrent
-    use is safe.
+    ``pieces`` (read-only, shape (num_cells, order, order)) holds the exact
+    polynomial pieces of those functions on every cell; all state is
+    immutable after construction.
     """
 
     def __init__(self, knots: KnotVector):
         self.knots = knots
-        self._pieces: dict[int, np.ndarray] = {}
+        self.pieces = _cell_pieces(knots)
 
     @property
     def order(self) -> int:
@@ -212,49 +212,47 @@ class SplineSpace:
         """(order, order) coefficient rows of basis functions c..c+order-1 on cell c.
 
         Row r holds ascending monomial coefficients in the normalized local
-        coordinate x, where s = mid + half*x and x in [-1, 1].  The same
-        recurrence as pointwise Cox-de Boor, run on polynomials.
+        coordinate x, where s = mid + half*x and x in [-1, 1]; a view of
+        :attr:`pieces`.
         """
-        cached = self._pieces.get(c)
-        if cached is not None:
-            return cached
-        m = self.order
-        t = self.knots.knots
-        s0, h2 = self.cell_mid_half(c)
-        i0 = m - 1 + c
-        funcs: dict[int, np.ndarray] = {i0: np.array([1.0])}
-        for k in range(2, m + 1):
-            new: dict[int, np.ndarray] = {}
-            for j in range(i0 - k + 1, i0 + 1):
-                acc = np.zeros(k)
-                lower = funcs.get(j)
-                if lower is not None:
-                    den = t[j + k - 1] - t[j]
-                    if den > 0:
-                        lin = np.array([(s0 - t[j]) / den, h2 / den])
-                        acc[: len(lower) + 1] += np.convolve(lin, lower)
-                upper = funcs.get(j + 1)
-                if upper is not None:
-                    den = t[j + k] - t[j + 1]
-                    if den > 0:
-                        lin = np.array([(t[j + k] - s0) / den, -h2 / den])
-                        acc[: len(upper) + 1] += np.convolve(lin, upper)
-                new[j] = acc
-            funcs = new
-        out = np.zeros((m, m))
-        for r in range(m):
-            coeffs = funcs.get(i0 - m + 1 + r)
-            if coeffs is not None:
-                out[r, : len(coeffs)] = coeffs
-        out.setflags(write=False)
-        self._pieces[c] = out
-        return out
+        return self.pieces[c]
 
     def cells_of_basis(self, j: int) -> range:
         """Indices of the cells on which basis function j is not identically zero."""
         self._check_index(j)
         m = self.order
         return range(max(0, j - m + 1), min(self.knots.num_cells, j + 1))
+
+
+def _cell_pieces(knots: KnotVector) -> np.ndarray:
+    """P[c, r] = ascending local-coordinate coefficients of B_{c+r} on cell c, all cells at once.
+
+    The Cox-de Boor recurrence run on polynomials: at order k, row r of
+    cell c is the function j = c + m - k + r, built from rows r - 1 and r
+    of order k - 1 times the linear factors (s - t_j)/(t_{j+k-1} - t_j)
+    and (t_{j+k} - s)/(t_{j+k} - t_{j+1}), with s = mid + half*x.  Every
+    denominator is positive because both functions are alive on the cell.
+    """
+    m = knots.order
+    t = knots.knots
+    z = knots.breakpoints
+    s0 = 0.5 * (z[:-1] + z[1:])[:, None, None]
+    h2 = 0.5 * (z[1:] - z[:-1])[:, None, None]
+    c = np.arange(len(z) - 1)[:, None, None]
+    P = np.ones((len(z) - 1, 1, 1))
+    for k in range(2, m + 1):
+        new = np.zeros((len(P), k, k))
+        j = c + m - k + np.arange(1, k)[:, None]  # rows 1..k-1: lower function j
+        den = t[j + k - 1] - t[j]
+        new[:, 1:, :-1] += (s0 - t[j]) / den * P
+        new[:, 1:, 1:] += h2 / den * P
+        j = c + m - k + np.arange(k - 1)[:, None]  # rows 0..k-2: upper function j + 1
+        den = t[j + k] - t[j + 1]
+        new[:, :-1, :-1] += (t[j + k] - s0) / den * P
+        new[:, :-1, 1:] -= h2 / den * P
+        P = new
+    P.setflags(write=False)
+    return P
 
 
 def gram_matrix(space: SplineSpace) -> np.ndarray:

@@ -17,17 +17,13 @@ only the ``seconds`` column varies.
 
 Exit codes: 0 success, 1 failed verification, 2 invalid configuration,
 3 at least one singular discrete system (remaining rows still run).
-The ``OSCFRED_THREADS`` environment variable caps the worker count used
-to run independent (method, kappa, N) jobs concurrently.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 
@@ -132,23 +128,6 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("OSCFRED_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _run_jobs(jobs):
-    """Run callables preserving order; parallel only when the cap allows it."""
-    workers = min(_worker_count(), max(1, len(jobs)))
-    if workers == 1:
-        return [job() for job in jobs]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda job: job(), jobs))
-
-
 def _load_file_problem(config: ExperimentConfig) -> Problem | None:
     if config.problem_path is None:
         return None
@@ -179,23 +158,16 @@ def cmd_convergence(config: ExperimentConfig) -> tuple[list[RunRecord], int]:
     # a problem file fixes the equation (and its wavenumber) for every level
     file_problem = _load_file_problem(config)
     kappas = (file_problem.kappa,) if file_problem is not None else config.kappas
-    jobs = []
-    keys = []
+    records = []
     for kappa in kappas:
         for method in config.methods():
-            base = _BASE_N[method]
+            last = None  # convergence order against the previous level
             for level in range(config.n_levels):
-                N = base * 2**level
-                jobs.append(lambda m=method, k=kappa, n=N: _single_run(config, m, k, n, file_problem))
-                keys.append((kappa, method))
-    records = _run_jobs(jobs)
-    # convergence order against the previous level of the same (kappa, method)
-    prev: dict[tuple[float, str], float] = {}
-    for key, rec in zip(keys, records):
-        last = prev.get(key)
-        if last is not None and last > 0 and rec.error > 0:
-            rec.co = math.log2(last / rec.error)
-        prev[key] = rec.error
+                rec = _single_run(config, method, kappa, _BASE_N[method] * 2**level, file_problem)
+                if last is not None and last > 0 and rec.error > 0:
+                    rec.co = math.log2(last / rec.error)
+                last = rec.error
+                records.append(rec)
     code = EXIT_SINGULAR if any(r.singular for r in records) else EXIT_OK
     return records, code
 
@@ -205,12 +177,8 @@ def cmd_sweep(config: ExperimentConfig) -> tuple[list[RunRecord], int]:
     if not kappas:
         lo, hi = _SWEEP_DEFAULT_RANGE
         kappas = tuple(np.geomspace(lo, hi, _SWEEP_DEFAULT_POINTS))
-    jobs = []
-    for method in config.methods():
-        N = _SWEEP_DEFAULT_N[method]
-        for kappa in kappas:
-            jobs.append(lambda m=method, k=float(kappa), n=N: _single_run(config, m, k, n))
-    records = _run_jobs(jobs)
+    records = [_single_run(config, method, float(kappa), _SWEEP_DEFAULT_N[method])
+               for method in config.methods() for kappa in kappas]
     code = EXIT_SINGULAR if any(r.singular for r in records) else EXIT_OK
     return records, code
 

@@ -118,8 +118,8 @@ class StructuredFunction:
     __slots__ = ("kappa", "terms")
 
     def __init__(self, kappa: float, terms: Mapping[int, object] | Iterable[tuple[int, object]]):
-        if kappa <= 0:
-            raise ValueError("wavenumber must be positive")
+        if not (math.isfinite(kappa) and kappa > 0):
+            raise ValueError("wavenumber must be positive and finite")
         items = terms.items() if isinstance(terms, Mapping) else terms
         merged: dict[int, Polynomial] = {}
         for tau, amp in items:
@@ -185,8 +185,8 @@ class OscKernel:
     __slots__ = ("kappa", "poly_st", "func", "_fit")
 
     def __init__(self, kappa: float, poly_st=None, func: Callable | None = None):
-        if not kappa > 1.0:
-            raise ValueError("wavenumber must exceed 1")
+        if not (math.isfinite(kappa) and kappa > 1.0):
+            raise ValueError("wavenumber must be finite and exceed 1")
         if (poly_st is None) == (func is None):
             raise ValueError("provide exactly one of poly_st or func")
         if poly_st is not None:
@@ -250,8 +250,8 @@ class TrialSpace:
     multipliers: tuple[int, ...]
 
     def __post_init__(self):
-        if self.kappa <= 0:
-            raise ValueError("wavenumber must be positive")
+        if not (math.isfinite(self.kappa) and self.kappa > 0):
+            raise ValueError("wavenumber must be positive and finite")
         if len(set(self.multipliers)) != len(self.multipliers) or not self.multipliers:
             raise ValueError("multipliers must be a nonempty set of distinct integers")
 
@@ -345,7 +345,7 @@ def _cells(sp: SplineSpace):
     """Per-cell geometry: midpoints, half-widths, width groups and local pieces.
 
     Returns ``(s0, h2, widths, group, pieces)``: cell c is [s0 - h2, s0 + h2]
-    with h2 == widths[group[c]], and ``pieces[c]`` is ``sp.cell_pieces(c)``.
+    with h2 == widths[group[c]], and ``pieces`` is ``sp.pieces``.
     Every phase-dependent moment depends on a cell only through its width,
     so it is computed once per distinct (bitwise) half-width.
     """
@@ -353,8 +353,7 @@ def _cells(sp: SplineSpace):
     s0 = 0.5 * (z[:-1] + z[1:])
     h2 = 0.5 * (z[1:] - z[:-1])
     widths, group = np.unique(h2, return_inverse=True)
-    pieces = np.stack([sp.cell_pieces(c) for c in range(len(h2))])
-    return s0, h2, widths, group, pieces
+    return s0, h2, widths, group, sp.pieces
 
 
 def _shift_scale(deg: int, s0: np.ndarray, h2: np.ndarray) -> np.ndarray:
@@ -642,8 +641,7 @@ def solve_system(system: DiscreteSystem) -> np.ndarray:
     Raises :class:`oscfred.linalg.SingularMatrixError` when the discrete
     operator has 1 as an eigenvalue (E - K exactly singular).
     """
-    fact = linalg.lu_factor(system.matrix)
-    return linalg.lu_solve(fact, system.load)
+    return linalg.solve(system.matrix, system.load)
 
 
 def eval_solution(space: TrialSpace, a, s):

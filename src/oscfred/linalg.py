@@ -1,8 +1,17 @@
 """Dense complex linear algebra for the discrete Galerkin systems.
 
-LU factorization with partial pivoting (LAPACK via scipy) behind a small
-stable interface, elementary matrix norms, and the exact 2-norm condition
-number sigma_max/sigma_min from the singular values (LAPACK gesdd).
+The solve path runs on numpy's LAPACK bindings alone:
+
+* :func:`solve` -- one-shot partial-pivoted LU solve, ``np.linalg.solve``
+  (LAPACK ``gesv``);
+* :func:`cond2` -- exact 2-norm condition number sigma_max/sigma_min from
+  the singular values, ``np.linalg.svd(compute_uv=False)`` (LAPACK
+  ``gesdd`` without vectors).
+
+:func:`lu_factor` / :func:`lu_solve` keep a factorization for reuse
+(including solves with A^H) through ``scipy.linalg`` (LAPACK ``getrf`` /
+``getrs``); they import scipy on first call, so nothing else pays for it.
+Also here: elementary matrix norms.
 
 Matrices and vectors are plain complex ndarrays; the validators below
 enforce the construction invariants (shape, finiteness) at the public
@@ -16,7 +25,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "LUFactorization",
@@ -57,6 +65,23 @@ def as_complex_vector(b) -> np.ndarray:
     return v
 
 
+_SINGULAR = "exactly singular matrix: zero pivot after partial pivoting"
+
+
+def _square(A) -> np.ndarray:
+    M = as_complex_matrix(A)
+    if M.shape[0] != M.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {M.shape}")
+    return M
+
+
+def _matching_vector(n: int, b) -> np.ndarray:
+    v = as_complex_vector(b)
+    if len(v) != n:
+        raise ValueError(f"dimension mismatch: matrix is {n}x{n}, vector has length {len(v)}")
+    return v
+
+
 @dataclass(frozen=True)
 class LUFactorization:
     """Packed LU factors (unit lower / upper in one array) plus pivot rows."""
@@ -71,28 +96,36 @@ class LUFactorization:
 
 def lu_factor(A) -> LUFactorization:
     """Partial-pivoted LU of a square matrix; raises SingularMatrixError on a zero pivot."""
-    M = as_complex_matrix(A)
-    if M.shape[0] != M.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {M.shape}")
+    import scipy.linalg
+
+    M = _square(A)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
         lu, piv = scipy.linalg.lu_factor(M, check_finite=False)
     if np.any(np.diag(lu) == 0):
-        raise SingularMatrixError("exactly singular matrix: zero pivot after partial pivoting")
+        raise SingularMatrixError(_SINGULAR)
     return LUFactorization(lu=lu, piv=piv)
 
 
 def lu_solve(fact: LUFactorization, b, conj_transpose: bool = False) -> np.ndarray:
     """Solve A x = b (or A^H x = b) from a factorization of A."""
-    v = as_complex_vector(b)
-    if len(v) != fact.n:
-        raise ValueError(f"dimension mismatch: matrix is {fact.n}x{fact.n}, vector has length {len(v)}")
+    import scipy.linalg
+
+    v = _matching_vector(fact.n, b)
     return scipy.linalg.lu_solve((fact.lu, fact.piv), v, trans=2 if conj_transpose else 0, check_finite=False)
 
 
 def solve(A, b) -> np.ndarray:
-    """One-shot solve A x = b with partial-pivoted LU."""
-    return lu_solve(lu_factor(A), b)
+    """One-shot solve A x = b with partial-pivoted LU (LAPACK gesv).
+
+    Raises SingularMatrixError on a zero pivot, the condition lu_factor checks.
+    """
+    M = _square(A)
+    v = _matching_vector(M.shape[0], b)
+    try:
+        return np.linalg.solve(M, v)
+    except np.linalg.LinAlgError:
+        raise SingularMatrixError(_SINGULAR) from None
 
 
 class MatrixNorms(NamedTuple):
@@ -116,10 +149,7 @@ def cond2(A) -> float:
 
     Returns +inf when the smallest singular value is exactly zero.
     """
-    M = as_complex_matrix(A)
-    if M.shape[0] != M.shape[1]:
-        raise ValueError("cond2 requires a square matrix")
-    sv = scipy.linalg.svdvals(M, check_finite=False)
+    sv = np.linalg.svd(_square(A), compute_uv=False)
     if sv[-1] == 0.0:
         return float("inf")
     return float(sv[0] / sv[-1])

@@ -78,8 +78,8 @@ def paper_benchmark(kappa: float) -> Problem:
     4*sqrt(7)/7 for every kappa (the oscillatory cross term integrates to
     zero by parity).
     """
-    if not kappa > 1.0:
-        raise ValueError("wavenumber must exceed 1")
+    if not (math.isfinite(kappa) and kappa > 1.0):
+        raise ValueError("wavenumber must be finite and exceed 1")
     k = float(kappa)
     eik = np.exp(1j * k)
     w_plus = Polynomial([
@@ -133,8 +133,8 @@ class OscProbeFunction:
     def __post_init__(self):
         if self.index not in (1, 2, 3):
             raise ValueError("probe index must be 1, 2, or 3")
-        if self.kappa <= 0:
-            raise ValueError("wavenumber must be positive")
+        if not (math.isfinite(self.kappa) and self.kappa > 0):
+            raise ValueError("wavenumber must be positive and finite")
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -157,8 +157,8 @@ def table1_experiment(
     out = np.zeros((len(kappas), 3))
     xs = np.linspace(interval[0], interval[1], interp_points)
     for i, kappa in enumerate(kappas):
-        if kappa <= 0:
-            raise ValueError("wavenumbers must be positive")
+        if not (math.isfinite(kappa) and kappa > 0):
+            raise ValueError("wavenumbers must be positive and finite")
         for j in (1, 2, 3):
             g = OscProbeFunction(index=j, kappa=float(kappa))
             approx = interp_linear(g(xs), interval)

@@ -111,11 +111,17 @@ def test_basis_index_out_of_range():
         sp.eval_basis(-1, 0.0)
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 4])
-def test_cell_pieces_match_pointwise_recurrence(m):
+NONUNIFORM_BREAKPOINTS = [-0.7, -0.35, 0.1, 0.2, 0.6]
+
+
+@pytest.mark.parametrize("m, breakpoints",
+                         [(m, None) for m in (1, 2, 3, 4)]
+                         + [(m, NONUNIFORM_BREAKPOINTS) for m in (1, 2, 3, 4)],
+                         ids=["1", "2", "3", "4"] + [f"nonuniform-{m}" for m in (1, 2, 3, 4)])
+def test_cell_pieces_match_pointwise_recurrence(m, breakpoints):
     # the polynomial pieces and the pointwise Cox-de Boor evaluation are
     # independent code paths; they must agree everywhere
-    sp = space(5, m)
+    sp = space(5, m) if breakpoints is None else SplineSpace(make_knots(breakpoints, m))
     rng = np.random.default_rng(3)
     for c in range(sp.knots.num_cells):
         s0, h2 = sp.cell_mid_half(c)
@@ -131,7 +137,7 @@ def test_cell_pieces_match_pointwise_recurrence(m):
 def test_eval_nonzero_array_matches_pointwise(m):
     # the array recurrence runs the scalar one's arithmetic on every point,
     # breakpoints and both ends included
-    sp = SplineSpace(make_knots([-0.7, -0.35, 0.1, 0.2, 0.6], m))
+    sp = SplineSpace(make_knots(NONUNIFORM_BREAKPOINTS, m))
     s = np.concatenate((sp.knots.breakpoints, np.random.default_rng(m).uniform(-1.0, 1.0, 40)))
     j0, vals = sp.eval_nonzero_array(s)
     for i, si in enumerate(s):

@@ -79,16 +79,6 @@ def test_convergence_deterministic_except_seconds(tmp_path):
     assert strip(out1) == strip(out2)
 
 
-def test_convergence_parallel_matches_serial(tmp_path, monkeypatch):
-    args = ["convergence", "--kappa", "50", "--method", "both", "--n-levels", "2"]
-    out1, out2 = tmp_path / "ser.csv", tmp_path / "par.csv"
-    assert cli.main(args + ["--out", str(out1)]) == 0
-    monkeypatch.setenv("OSCFRED_THREADS", "4")
-    assert cli.main(args + ["--out", str(out2)]) == 0
-    strip = lambda p: [ln.rsplit(",", 1)[0] for ln in p.read_text().splitlines()]
-    assert strip(out1) == strip(out2)
-
-
 def test_convergence_with_problem_file(tmp_path):
     pfile = tmp_path / "prob.json"
     pfile.write_text(json.dumps(problem_to_dict(paper_benchmark(75.0))))

@@ -71,10 +71,14 @@ def test_lu_random_reconstruction():
 
 
 def test_lu_detects_exact_singularity():
-    with pytest.raises(SingularMatrixError):
-        lu_factor(np.zeros((3, 3)))
-    with pytest.raises(SingularMatrixError):
-        lu_factor(np.array([[1.0, 2.0], [2.0, 4.0]]))
+    # the factor-reuse path (scipy getrf) and the one-shot solve (numpy gesv)
+    # must both report the zero pivot
+    factor_or_solve = (lu_factor, lambda A: solve(A, np.ones(len(A))))
+    for call in factor_or_solve:
+        with pytest.raises(SingularMatrixError):
+            call(np.zeros((3, 3)))
+        with pytest.raises(SingularMatrixError):
+            call(np.array([[1.0, 2.0], [2.0, 4.0]]))
 
 
 def test_lu_requires_square():
@@ -98,8 +102,10 @@ def test_solve_manufactured_rhs():
 
 def test_solve_dimension_mismatch():
     fact = lu_factor(np.eye(3))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="dimension mismatch"):
         lu_solve(fact, np.ones(4))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        solve(np.eye(3), np.ones(4))
 
 
 def test_solve_conjugate_transpose_mode():

@@ -1,10 +1,16 @@
 """Tests of benchmark problems, manufactured solutions, and experiments."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from oscfred.galerkin import OscKernel, Polynomial, StructuredFunction
+from oscfred.bspline import SplineSpace, make_uniform_knots
+from oscfred.galerkin import OscKernel, Polynomial, StructuredFunction, TrialSpace
 from oscfred.oscquad import oscillatory_quad
 from oscfred.problems import (
     OscProbeFunction,
@@ -142,6 +148,23 @@ def test_table1_rejects_nonpositive_kappa():
         table1_experiment([0.0])
 
 
+KAPPA_CONSTRUCTORS = {
+    "OscKernel": lambda k: OscKernel.polynomial([[1.0]], k),
+    "StructuredFunction": lambda k: StructuredFunction(k, {0: Polynomial([1.0])}),
+    "TrialSpace": lambda k: TrialSpace.opgm(SplineSpace(make_uniform_knots(4, 2)), k),
+    "OscProbeFunction": lambda k: OscProbeFunction(index=1, kappa=k),
+    "table1_experiment": lambda k: table1_experiment([k], interp_points=5, check_points=9),
+    "paper_benchmark": paper_benchmark,
+}
+
+
+@pytest.mark.parametrize("kappa", [float("inf"), float("nan")], ids=["inf", "nan"])
+@pytest.mark.parametrize("build", KAPPA_CONSTRUCTORS.values(), ids=KAPPA_CONSTRUCTORS.keys())
+def test_rejects_non_finite_kappa(build, kappa):
+    with pytest.raises(ValueError, match="finite"):
+        build(kappa)
+
+
 # ---------------------------------------------------------------------------
 # runner
 # ---------------------------------------------------------------------------
@@ -155,6 +178,23 @@ def test_run_galerkin_bookkeeping():
     assert op.e_N > 0 and cg.e_N > 0
     assert op.e_l2 == pytest.approx(np.sqrt(2) * op.e_N)
     assert np.isnan(op.cond)  # not requested
+
+
+def test_solve_path_does_not_import_scipy():
+    # a fresh interpreter: importing the package and the CLI and running a
+    # solve with its condition number must leave scipy unloaded
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "import sys\n"
+        "import oscfred, oscfred.cli\n"
+        "run = oscfred.run_galerkin(oscfred.paper_benchmark(50.0), 'opgm', 8, compute_cond=True)\n"
+        "assert run.cond > 1 and run.e_N > 0\n"
+        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "assert not loaded, loaded[:5]\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_run_galerkin_method_validation():
