@@ -10,7 +10,7 @@ Modules
 -------
 bspline   knot vectors, B-spline bases, Gram matrices, linear interpolation
 oscquad   oscillatory quadrature: exact moments, Filon rules, reference rule
-linalg    dense complex LU, norms, exact 2-norm condition number
+linalg    dense complex LU solve, exact 2-norm condition number
 galerkin  trial spaces, system assembly, solve, error metrics
 problems  benchmark problem, manufactured solutions, oscillation experiment
 cli       batch experiment runner (``oscfred`` command)
@@ -36,6 +36,7 @@ from .galerkin import (
     TrialSpace,
     apply_kernel_structured,
     assemble_mass,
+    assemble_matrix,
     assemble_operator,
     assemble_rhs,
     assemble_system,
@@ -51,7 +52,6 @@ from .linalg import (
     cond2,
     lu_factor,
     lu_solve,
-    matrix_norms,
 )
 from .oscquad import (
     Polynomial,

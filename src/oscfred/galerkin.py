@@ -36,9 +36,11 @@ moments only through its width, so the unit moments (1-d, and the
 triangle moments of the shared-cell terms) are computed once per distinct
 cell width -- a few for a uniform mesh -- by one batched routine, then
 contracted with the stacked per-cell polynomial coefficients and scattered
-onto the banded cell structure of each block.  The quadrature oracles at
-the bottom of the module integrate the defining formulas numerically and
-exist to cross-check the closed forms.
+onto the banded cell structure of each block.  The mass matrix is kept as
+block diagonals, so the system matrix E - K takes one n x n buffer: the
+operator's, negated in place.  The quadrature oracles at the bottom of the
+module integrate the defining formulas numerically and exist to
+cross-check the closed forms.
 """
 
 from __future__ import annotations
@@ -76,6 +78,7 @@ __all__ = [
     "TrialSpace",
     "apply_kernel_structured",
     "assemble_mass",
+    "assemble_matrix",
     "assemble_operator",
     "assemble_rhs",
     "assemble_system",
@@ -100,6 +103,7 @@ _KERNEL_FIT_DEGREE = 16
 _RHS_FIT_DEGREE = 12
 _STRUCTURE_RANGE = 2  # carriers e^{i*tau*kappa*s} with |tau| <= 2
 _MAX_AMPLITUDE_DEGREE = 16
+_ROW_CHUNK = 64  # rows per update of the cell-pair products, bounding their temporaries
 
 
 # ---------------------------------------------------------------------------
@@ -472,32 +476,58 @@ def _check_kappa(space: TrialSpace, kappa: float) -> None:
         raise ValueError(f"wavenumber mismatch: trial space has {space.kappa}, data has {kappa}")
 
 
-def assemble_mass(space: TrialSpace) -> np.ndarray:
-    """Block Gram matrix E of the trial basis (Hermitian, diagonal blocks real)."""
+def _mass_bands(space: TrialSpace) -> np.ndarray:
+    """Diagonals of the banded mass blocks: bands[q, p, m-1+o, i] = E_qp[i, i+o].
+
+    Each block E_qp (test multiplier q, trial multiplier p) is symmetric
+    with the 2*order - 1 diagonals o = 1-order .. order-1; entries whose
+    column i+o falls outside the block are zero.  The upper diagonals are
+    accumulated cell by cell, the lower ones mirror them, and the blocks
+    below the block diagonal are their conjugates (E is Hermitian).
+    """
     sp = space.splines
     kappa = space.kappa
     mult = space.multipliers
     d = sp.dimension
     m = sp.order
     nb = len(mult)
-    cells = _cells(sp)
-    s0, h2, widths, group, P = cells
+    s0, h2, widths, group, P = _cells(sp)
     c = np.arange(len(h2))
-    E = np.zeros((nb * d, nb * d), dtype=complex)
+    bands = np.zeros((nb, nb, 2 * m - 1, d), dtype=complex)
     for qi in range(nb):
         for pi in range(qi, nb):
             omega = (mult[pi] - mult[qi]) * kappa
             mom = _unit_moments(omega * widths, 2 * m - 2)[group]
             vals = np.einsum("cai,cbj,cij->cab", P, P, sliding_window_view(mom, m, axis=1))
             vals *= (h2 * np.exp(1j * omega * s0))[:, None, None]
-            block = E[qi * d:(qi + 1) * d, pi * d:(pi + 1) * d]
+            band = bands[qi, pi]
             for r1 in range(m):
                 for r2 in range(r1, m):
-                    block[c + r1, c + r2] += vals[:, r1, r2]
-                    if r2 != r1:
-                        block[c + r2, c + r1] += vals[:, r1, r2]
+                    band[m - 1 + r2 - r1, c + r1] += vals[:, r1, r2]
+            for o in range(1, m):
+                band[m - 1 - o, o:] = band[m - 1 + o, :d - o]
             if pi != qi:
-                E[pi * d:(pi + 1) * d, qi * d:(qi + 1) * d] = block.conj().T
+                np.conj(band, out=bands[pi, qi])
+    return bands
+
+
+def _add_mass(target: np.ndarray, space: TrialSpace) -> None:
+    """target += E, scattering the diagonals of :func:`_mass_bands` in one update."""
+    bands = _mass_bands(space)
+    nb, _, width, d = bands.shape
+    i = np.arange(d)
+    j = i + np.arange(width)[:, None] - (width - 1) // 2    # j[k, i]: block column of bands[..., k, i]
+    inside = np.broadcast_to((j >= 0) & (j < d), bands.shape)
+    start = d * np.arange(nb)
+    rows = np.broadcast_to(start[:, None, None, None] + i, bands.shape)
+    cols = np.broadcast_to(start[None, :, None, None] + j, bands.shape)
+    target[rows[inside], cols[inside]] += bands[inside]
+
+
+def assemble_mass(space: TrialSpace) -> np.ndarray:
+    """Block Gram matrix E of the trial basis (Hermitian, diagonal blocks real)."""
+    E = np.zeros((space.dimension, space.dimension), dtype=complex)
+    _add_mass(E, space)
     return E
 
 
@@ -562,7 +592,10 @@ def assemble_operator(space: TrialSpace, kernel: OscKernel) -> np.ndarray:
                         X = xtabs[lsm, r] = _cell_table(cells, phis[:, :, r], lsm * kappa)
                     block = K[qi * d:(qi + 1) * d, pi * d:(pi + 1) * d]
                     for rr in range(m):
-                        block[rr:rr + nc] += X[:, rr, None] * cum
+                        for lo in range(0, nc, _ROW_CHUNK):
+                            hi = min(lo + _ROW_CHUNK, nc)
+                            block[rr + lo:rr + hi] += X[lo:hi, rr, None] * cum[lo:hi]
+                del cum  # a cgm prefix table is nearly as large as K; never hold two
 
     # shared cells: W[c, rj, rl] = local kernel factor times pieces rj (in u) and rl (in v)
     Cc = np.einsum("cka,ab,clb->ckl", Ts, C, Tt)
@@ -591,6 +624,19 @@ def assemble_operator(space: TrialSpace, kernel: OscKernel) -> np.ndarray:
                 for rl in range(m):
                     K[qi * d + rj + c, pi * d + rl + c] += vals[:, rj, rl]
     return K
+
+
+def assemble_matrix(space: TrialSpace, kernel: OscKernel) -> np.ndarray:
+    """System matrix E - K, built in the operator's buffer.
+
+    The operator is negated in place and the mass diagonals are added to
+    it, so no other n x n array is alive; IEEE addition makes (-K) + E
+    equal E - K exactly.
+    """
+    A = assemble_operator(space, kernel)
+    np.negative(A, out=A)
+    _add_mass(A, space)
+    return A
 
 
 def assemble_rhs(space: TrialSpace, f) -> np.ndarray:

@@ -11,7 +11,6 @@ The solve path runs on numpy's LAPACK bindings alone:
 :func:`lu_factor` / :func:`lu_solve` keep a factorization for reuse
 (including solves with A^H) through ``scipy.linalg`` (LAPACK ``getrf`` /
 ``getrs``); they import scipy on first call, so nothing else pays for it.
-Also here: elementary matrix norms.
 
 Matrices and vectors are plain complex ndarrays; the validators below
 enforce the construction invariants (shape, finiteness) at the public
@@ -22,20 +21,16 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
-
 import numpy as np
 
 __all__ = [
     "LUFactorization",
-    "MatrixNorms",
     "SingularMatrixError",
     "as_complex_matrix",
     "as_complex_vector",
     "cond2",
     "lu_factor",
     "lu_solve",
-    "matrix_norms",
     "solve",
 ]
 
@@ -126,22 +121,6 @@ def solve(A, b) -> np.ndarray:
         return np.linalg.solve(M, v)
     except np.linalg.LinAlgError:
         raise SingularMatrixError(_SINGULAR) from None
-
-
-class MatrixNorms(NamedTuple):
-    one: float
-    inf: float
-    fro: float
-
-
-def matrix_norms(A) -> MatrixNorms:
-    """Induced 1-norm, induced infinity-norm, and Frobenius norm."""
-    M = as_complex_matrix(A)
-    return MatrixNorms(
-        one=float(np.max(np.sum(np.abs(M), axis=0))),
-        inf=float(np.max(np.sum(np.abs(M), axis=1))),
-        fro=float(np.sqrt(np.sum(np.abs(M) ** 2))),
-    )
 
 
 def cond2(A) -> float:

@@ -396,16 +396,18 @@ def _pem(c: np.ndarray, a: float, b: float, omega: float) -> complex:
 
     Dispatches between the boundary expansion (cheap, phase-independent)
     and Gauss-Legendre.  The boundary forms divide by omega^k and suffer
-    k!-type cancellation once the total phase drops below roughly half the
-    degree, hence the degree-aware switch; below the switch the phase is
-    small enough that a modest Gauss rule is exact to roundoff.
+    k!-type cancellation unless the phase outgrows the degree: each step
+    of the recurrence scales the error carried from the previous moment
+    by k/|omega*h| (h the half-width), so they are used only once the
+    total phase reaches twice the degree, where every step damps it.
+    Below that switch a modest Gauss rule is exact to roundoff.
     """
     c = _trim(c)
     deg = len(c) - 1
     if deg == 0 and c[0] == 0:
         return 0.0 + 0.0j
     phase = abs(omega * (b - a))
-    if phase < max(1.0, 0.5 * deg):
+    if phase < max(1.0, 2.0 * deg):
         return _pem_gauss(c, a, b, omega)
     if deg <= 12:
         return _pem_recurrence(c, a, b, omega)
@@ -416,14 +418,14 @@ def _unit_moments(w: np.ndarray, K: int) -> np.ndarray:
     """Moments M[e, k] = int_{-1}^{1} x^k e^{i w_e x} dx, k = 0..K, for an array of rates w.
 
     The batched form of :func:`_pem` on [-1, 1] at degree K, with its
-    switch: Gauss-Legendre below a total phase of max(1, K/2), where the
+    switch: Gauss-Legendre below a total phase of max(1, 2K), where the
     rule is split into panels as in :func:`_pem_gauss` if one would need
     more than ``MAX_GAUSS_NODES`` nodes, and the forward recurrence of
     :func:`_pem_recurrence` above it.  The cost does not depend on w.
     """
     w = np.asarray(w, dtype=float)
     M = np.empty((len(w), K + 1), dtype=complex)
-    small = 2.0 * np.abs(w) < max(1.0, 0.5 * K)
+    small = np.abs(w) < max(0.5, K)
     if np.any(small):
         ws = w[small]
         phase = 2.0 * float(np.max(np.abs(ws)))

@@ -222,8 +222,8 @@ def run_galerkin(
     splines = SplineSpace(make_uniform_knots(N, spline_order))
     space = TrialSpace(splines=splines, kappa=problem.kappa, multipliers=_METHOD_MULTIPLIERS[method])
     t0 = time.perf_counter()
-    system = galerkin.assemble_system(space, problem.kernel, problem.rhs)
-    coeffs = galerkin.solve_system(system)
+    A = galerkin.assemble_matrix(space, problem.kernel)
+    coeffs = linalg.solve(A, galerkin.assemble_rhs(space, problem.rhs))
     seconds = time.perf_counter() - t0
     run = GalerkinRun(
         method=method,
@@ -238,7 +238,7 @@ def run_galerkin(
     if problem.exact is not None:
         run.e_N = relative_error_eN(run.evaluate, problem.exact, problem.norm_y())
     if compute_cond:
-        run.cond = linalg.cond2(system.matrix)
+        run.cond = linalg.cond2(A)
     return run
 
 

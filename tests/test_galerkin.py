@@ -13,6 +13,7 @@ from oscfred.galerkin import (
     TrialSpace,
     apply_kernel_structured,
     assemble_mass,
+    assemble_matrix,
     assemble_operator,
     assemble_rhs,
     assemble_system,
@@ -148,6 +149,31 @@ def test_mass_vs_quadrature_oracle(knots, kappa):
     E = assemble_mass(opgm)
     for r, c in sampled_entries(opgm, 20, seed=8):
         assert abs(E[r, c] - mass_entry_quadrature(opgm, r, c)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# system matrix
+# ---------------------------------------------------------------------------
+
+MATRIX_KERNELS = {
+    "paper": [[1.0]],
+    "rank3": [[1.0, 0.0, 0.5], [0.0, 0.25, 0.0], [0.3, 0.0, 0.0]],
+    "smooth": lambda s, t: np.exp(0.3 * s * t) * np.cos(0.5 * (s + t)),
+}
+
+
+@pytest.mark.parametrize("mesh", ["uniform", "nonuniform"])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("kappa", [5.0, 50.0, 5e3, 5e4])
+def test_assemble_matrix_is_mass_minus_operator_exactly(kappa, m, mesh):
+    # built in the operator's buffer as (-K) + E, which IEEE makes equal to E - K
+    knots = make_uniform_knots(16, m) if mesh == "uniform" else make_knots([-0.7, -0.35, 0.1, 0.2, 0.6], m)
+    sp = SplineSpace(knots)
+    for space in (TrialSpace.cgm(sp, kappa), TrialSpace.opgm(sp, kappa)):
+        for name, data in MATRIX_KERNELS.items():
+            kern = OscKernel.smooth(data, kappa) if callable(data) else OscKernel.polynomial(data, kappa)
+            A = assemble_matrix(space, kern)
+            assert np.array_equal(A, assemble_mass(space) - assemble_operator(space, kern)), name
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Tests of the dense complex LU / norms / condition-number layer."""
+"""Tests of the dense complex LU / condition-number layer."""
 
 import numpy as np
 import numpy.testing as npt
@@ -12,7 +12,6 @@ from oscfred.linalg import (
     cond2,
     lu_factor,
     lu_solve,
-    matrix_norms,
     solve,
 )
 
@@ -127,27 +126,6 @@ def test_backward_stable_residuals_many_sizes():
         resid = np.linalg.norm(A @ x - b)
         bound = 100.0 * n * eps * np.linalg.norm(A, 2) * np.linalg.norm(x)
         assert resid <= bound
-
-
-# ---------------------------------------------------------------------------
-# norms
-# ---------------------------------------------------------------------------
-
-def test_norms_identity():
-    n = matrix_norms(np.eye(5))
-    assert n.one == 1.0 and n.inf == 1.0
-    assert n.fro == pytest.approx(np.sqrt(5.0))
-
-
-def test_norms_hand_values():
-    n = matrix_norms(np.array([[1.0, -2.0], [3.0, 4.0]]))
-    assert n.one == 6.0 and n.inf == 7.0
-    assert n.fro == pytest.approx(np.sqrt(30.0))
-
-
-def test_norms_zero_matrix():
-    n = matrix_norms(np.zeros((3, 2)))
-    assert n == (0.0, 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------

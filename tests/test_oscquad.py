@@ -1,5 +1,6 @@
 """Tests of the oscillatory quadrature engine."""
 
+import mpmath
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -191,9 +192,10 @@ def test_moment_branches_agree_near_switch(deg, seed, phase, sign):
 def test_moment_recurrence_matches_sigma_sum():
     # Both boundary forms divide by omega^k against k!-growing terms, so
     # they only carry full precision once the total phase clears about
-    # half the degree -- exactly the region the production dispatch uses
-    # them in.  (At phase ~ 1 and degree 12 either form loses ~8 digits to
-    # the same intrinsic cancellation, in any implementation.)
+    # half the degree, a region that contains the one the production
+    # dispatch uses them in (phase at least twice the degree).  (At phase
+    # ~ 1 and degree 12 either form loses ~8 digits to the same intrinsic
+    # cancellation, in any implementation.)
     rng = np.random.default_rng(12)
     for n in range(1, 13):
         c = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
@@ -213,6 +215,35 @@ def test_unit_moments_match_oracle(K, w):
         ref = osc_ref(np.eye(K + 1)[k], -1.0, 1.0, w)
         assert abs(M[0, k] - ref) <= 1e-13
         assert abs(M[1, k] - np.conj(ref)) <= 1e-13
+
+
+def mp_unit_moments(w, K):
+    """int_{-1}^{1} x^k e^{iwx} dx, k = 0..K, from the Maclaurin series of e^{iwx} at 60 digits."""
+    with mpmath.workdps(60):
+        t = [mpmath.mpc(1)]
+        while abs(t[-1]) > mpmath.mpf(10) ** -60 or len(t) < 2 * K:
+            t.append(t[-1] * mpmath.mpc(0, w) / len(t))
+        return np.array([complex(mpmath.fsum(t[j] * 2 / (k + j + 1) for j in range(k % 2, len(t), 2)))
+                         for k in range(K + 1)])
+
+
+@pytest.mark.parametrize("K", range(2, 41))
+def test_unit_moments_accurate_across_switch(K):
+    # rates on both sides of the Gauss/recurrence switch at |w| = max(1/2, K),
+    # and at K/4 and K/2, where the forward recurrence would lose up to 1e-4
+    scale = 2.0 / np.arange(1, K + 2)
+    for f in (0.25, 0.5, 0.999, 1.0, 1.25):
+        w = f * max(0.5, K)
+        ref = mp_unit_moments(w, K)
+        M = _unit_moments(np.array([w, -w]), K)
+        assert np.all(np.abs(M[0] - ref) <= 1e-12 * scale), w
+        assert np.all(np.abs(M[1] - ref.conj()) <= 1e-12 * scale), -w
+
+
+@pytest.mark.parametrize("k, w", [(20, 5.0), (30, 8.0), (12, 3.5), (90, 8.0)])
+def test_pem_accurate_past_switch(k, w):
+    ref = mp_unit_moments(w, k)[k]
+    assert abs(poly_exp_moment(np.eye(k + 1)[k], -1.0, 1.0, w) - ref) <= 1e-12 * 2.0 / (k + 1)
 
 
 def test_moment_conjugation_symmetry():

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -195,6 +196,21 @@ def test_solve_path_does_not_import_scipy():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("method, N, bound", [("opgm", 128, 1.5), ("cgm", 512, 2.5)])
+def test_run_galerkin_holds_the_system_matrix_once(method, N, bound):
+    # peak traced allocation in units of one n x n complex matrix: the system
+    # matrix plus the operator's transients (a cgm prefix table is nearly n x n)
+    prob = paper_benchmark(5e4)
+    run_galerkin(prob, method, 8, compute_cond=True)  # fill the caches first
+    tracemalloc.start()
+    try:
+        run = run_galerkin(prob, method, N, compute_cond=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (16.0 * run.matrix_order**2) <= bound
 
 
 def test_run_galerkin_method_validation():
