@@ -32,15 +32,15 @@ non-oscillatory -- oscillatory right-hand sides must be expressed as a
 :class:`StructuredFunction`.
 
 Assembly works on whole arrays of cells.  A cell enters the phase-dependent
-moments only through its width, so the unit moments (1-d, and the
-triangle moments of the shared-cell terms) are computed once per distinct
-cell width -- a few for a uniform mesh -- by one batched routine, then
-contracted with the stacked per-cell polynomial coefficients and scattered
-onto the banded cell structure of each block.  The mass matrix is kept as
-block diagonals, so the system matrix E - K takes one n x n buffer: the
-operator's, negated in place.  The quadrature oracles at the bottom of the
-module integrate the defining formulas numerically and exist to
-cross-check the closed forms.
+moments only through its width, so each family of cell integrals (operator
+tables, mass, load, shared-cell triangles) takes one batched moment call
+over its rates and distinct cell widths -- a few for a uniform mesh -- and
+one contraction.  Off the 2m - 1 central diagonals of each block, E - K is
+a rank-R product of generators (per-basis sums of the operator's cell
+tables, R the kernel factor's rank), written straight into the one n x n
+buffer; only the central diagonals take single cell pairs.  The quadrature
+oracles at the bottom of the module integrate the defining formulas
+numerically and exist to cross-check the closed forms.
 """
 
 from __future__ import annotations
@@ -103,7 +103,6 @@ _KERNEL_FIT_DEGREE = 16
 _RHS_FIT_DEGREE = 12
 _STRUCTURE_RANGE = 2  # carriers e^{i*tau*kappa*s} with |tau| <= 2
 _MAX_AMPLITUDE_DEGREE = 16
-_ROW_CHUNK = 64  # rows per update of the cell-pair products, bounding their temporaries
 
 
 # ---------------------------------------------------------------------------
@@ -349,59 +348,70 @@ def _cells(sp: SplineSpace):
     """Per-cell geometry: midpoints, half-widths, width groups and local pieces.
 
     Returns ``(s0, h2, widths, group, pieces)``: cell c is [s0 - h2, s0 + h2]
-    with h2 == widths[group[c]], and ``pieces`` is ``sp.pieces``.
-    Every phase-dependent moment depends on a cell only through its width,
-    so it is computed once per distinct (bitwise) half-width.
+    with h2 == widths[group[c]], and ``pieces[r, i, c]`` is the x^i
+    coefficient of B_{c+r} on cell c.  Per-cell arrays keep cells on their
+    last axis, so elementwise work runs along the long axis.
     """
     z = sp.knots.breakpoints
     s0 = 0.5 * (z[:-1] + z[1:])
     h2 = 0.5 * (z[1:] - z[:-1])
     widths, group = np.unique(h2, return_inverse=True)
-    return s0, h2, widths, group, sp.pieces
+    return s0, h2, widths, group, np.moveaxis(sp.pieces, 0, -1)
 
 
 def _shift_scale(deg: int, s0: np.ndarray, h2: np.ndarray) -> np.ndarray:
-    """T[c, k, a] = coefficient of x^k in (s0[c] + h2[c]*x)^a, so p(s0 + h2*x) = T @ p."""
+    """T[k, a, c] = coefficient of x^k in (s0[c] + h2[c]*x)^a: p(s0 + h2*x) = sum_k (p @ T[k]) x^k."""
     a = np.arange(deg + 1)
     binom = np.array([[math.comb(j, k) for j in a] for k in a], dtype=float)
-    return binom * s0[:, None, None] ** np.maximum(a - a[:, None], 0) * h2[:, None, None] ** a[:, None]
+    s0_powers = np.vander(s0, deg + 1, increasing=True).T[np.maximum(a - a[:, None], 0)]
+    return binom[:, :, None] * s0_powers * np.vander(h2, deg + 1, increasing=True).T[:, None]
 
 
-def _cell_table(cells, local: np.ndarray, omega: float) -> np.ndarray:
-    """V[c, r] = int_{cell c} amp(s) B_{c+r}(s) e^{i*omega*s} ds for every cell at once.
+def _cell_tables(cells, local: np.ndarray, rates: np.ndarray) -> np.ndarray:
+    """V[k, l, r, c] = int_{cell c} amp_l(s) B_{c+r}(s) e^{i*rates[k]*s} ds for all k, l, r, c.
 
-    ``local[c]`` holds the coefficients of amp in cell c's local coordinate
-    x (s = s0 + h2*x).  V is the band of the (d, ncells) moment table whose
-    entry [c + r, c] is V[c, r].
+    ``local[:, l, c]`` holds the coefficients of amp_l in cell c's local
+    coordinate x (s = s0 + h2*x).  One moment call covers every (rate,
+    cell width).
     """
     s0, h2, widths, group, pieces = cells
-    m, D = pieces.shape[1], local.shape[1]
-    mom = _unit_moments(omega * widths, m + D - 2)[group]
-    hankel = sliding_window_view(mom, D, axis=1)           # [c, i, j] = mom[c, i + j]
-    pre = h2 * np.exp(1j * omega * s0)
-    return pre[:, None] * np.einsum("cri,cij,cj->cr", pieces, hankel, local)
+    m, nc = pieces.shape[1:]
+    D, L = local.shape[:2]
+    prod = np.zeros((m + D - 1, m, L, nc), dtype=complex)  # [n, r, l, c]: x^n coefficient of B_{c+r} amp_l
+    for i in range(m):
+        prod[i:i + D] += pieces[None, :, i, None] * local[:, None]
+    mom = _unit_moments(np.multiply.outer(rates, widths).ravel(), m + D - 2)
+    mom = mom.reshape(len(rates), len(widths), m + D - 1).transpose(0, 2, 1)[..., group]   # [k, n, c]
+    V = sum(mom[:, n, None, None] * prod[n] for n in range(m + D - 1))
+    pre = h2 * np.exp(1j * np.multiply.outer(rates, s0))
+    return (pre[:, None, None] * V).swapaxes(1, 2)
 
 
-def _add_band(seg: np.ndarray, band: np.ndarray) -> None:
-    """seg[c + r] += band[c, r]: scatter a banded cell table onto its rows."""
-    c = np.arange(band.shape[0])
-    for r in range(band.shape[1]):
-        seg[c + r] += band[:, r]
-
-
-def _prefix(band: np.ndarray, low: bool, d: int) -> np.ndarray:
-    """cum[c, j] = sum of table entries [j, c'] over the cells c' < c (``low``) or c' > c."""
-    nc, m = band.shape
-    c = np.arange(nc)
-    buf = np.zeros((nc + 1, d), dtype=complex)
+def _fold(table: np.ndarray) -> np.ndarray:
+    """out[..., c + r] = sum over (r, c) of table[..., r, c]: a banded cell table summed onto its rows."""
+    m, nc = table.shape[-2:]
+    out = np.zeros(table.shape[:-2] + (nc + m - 1,), dtype=complex)
     for r in range(m):
-        buf[c + 1 if low else c, c + r] = band[:, r]
-    if low:
-        np.cumsum(buf, axis=0, out=buf)
-        return buf[:nc]
-    rev = buf[::-1]
-    np.cumsum(rev, axis=0, out=rev)
-    return buf[1:]
+        out[..., r:r + nc] += table[..., r, :]
+    return out
+
+
+def _band(pairs: np.ndarray) -> np.ndarray:
+    """Diagonals band[..., m-1+o, i] = entry (i, i+o), |o| < m, of a sum of cell-pair matrices.
+
+    ``pairs[..., x, a, b, c]`` couples B_{c+a} on cell c with B_{c+x-x0+b} on
+    cell c + x - x0, x0 >= m - 1 the middle index of x, so it lands on
+    diagonal o = x - x0 + b - a; entries off the central diagonals are dropped.
+    """
+    nx, m, nc = pairs.shape[-4], pairs.shape[-3], pairs.shape[-1]
+    x0 = (nx - 1) // 2
+    cols = np.zeros(pairs.shape[:-4] + (m, nx + m - 1, nc), dtype=complex)   # [..., a, x + b, c]
+    for b in range(m):
+        cols[..., b:b + nx, :] += np.swapaxes(pairs[..., b, :], -3, -2)
+    band = np.zeros(pairs.shape[:-4] + (2 * m - 1, nc + m - 1), dtype=complex)
+    for a in range(m):
+        band[..., a:a + nc] += cols[..., a, a + x0 - m + 1:a + x0 + m, :]
+    return band
 
 
 def _triangle_moments(ls: np.ndarray, lt: np.ndarray, A: int, B: int) -> np.ndarray:
@@ -443,13 +453,13 @@ def _triangle_moments(ls: np.ndarray, lt: np.ndarray, A: int, B: int) -> np.ndar
     const = -(G_small @ alt) - np.exp(-1j * lt)[:, None] * (G_large @ alt[:B])
     mom0 = _unit_moments(ls, A + B + J - 2)
     mom1 = _unit_moments(ls + lt, A + B - 2)
-    return (np.einsum("ean,ebn->eab", sliding_window_view(mom0, B + J, axis=1), G_small)
-            + np.einsum("ean,ebn->eab", sliding_window_view(mom1, B, axis=1), G_large)
+    return (sliding_window_view(mom0, B + J, axis=1) @ G_small.swapaxes(1, 2)
+            + sliding_window_view(mom1, B, axis=1) @ G_large.swapaxes(1, 2)
             + mom0[:, :A, None] * const[:, None, :])
 
 
 def _chebfit_cells(func: Callable, s0: np.ndarray, h2: np.ndarray, deg: int) -> np.ndarray:
-    """Local monomial coefficients (ncells, deg+1) of the degree-``deg`` Chebyshev interpolant per cell."""
+    """Local monomial coefficients (deg+1, ncells) of the degree-``deg`` Chebyshev interpolant per cell."""
     cheb = np.polynomial.chebyshev
     pts = cheb.chebpts1(deg + 1)
     s = (s0[:, None] + h2[:, None] * pts).ravel()
@@ -464,179 +474,172 @@ def _chebfit_cells(func: Callable, s0: np.ndarray, h2: np.ndarray, deg: int) -> 
     to_mono = np.zeros((deg + 1, deg + 1))
     for i in range(deg + 1):
         to_mono[: i + 1, i] = cheb.cheb2poly(np.eye(i + 1)[i])
-    return (to_mono @ coef).T
+    return to_mono @ coef
 
 
 # ---------------------------------------------------------------------------
 # Assembly
 # ---------------------------------------------------------------------------
 
+def _rate_range(mults: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The integers from the least to the largest of ``mults``, and each entry's index among them."""
+    lo = mults.min()
+    return np.arange(lo, mults.max() + 1), mults - lo
+
+
 def _check_kappa(space: TrialSpace, kappa: float) -> None:
     if not math.isclose(space.kappa, kappa, rel_tol=1e-12):
         raise ValueError(f"wavenumber mismatch: trial space has {space.kappa}, data has {kappa}")
 
 
-def _mass_bands(space: TrialSpace) -> np.ndarray:
-    """Diagonals of the banded mass blocks: bands[q, p, m-1+o, i] = E_qp[i, i+o].
+def _mass_band(space: TrialSpace, cells) -> np.ndarray:
+    """Diagonals of the mass blocks: band[q, p, m-1+o, i] = E_qp[i, i+o].
 
-    Each block E_qp (test multiplier q, trial multiplier p) is symmetric
-    with the 2*order - 1 diagonals o = 1-order .. order-1; entries whose
-    column i+o falls outside the block are zero.  The upper diagonals are
-    accumulated cell by cell, the lower ones mirror them, and the blocks
-    below the block diagonal are their conjugates (E is Hermitian).
+    Every block E_qp is symmetric and E_pq is its conjugate: the local cell
+    matrices are symmetrised and the blocks below the block diagonal
+    conjugated, so E comes out exactly Hermitian.
     """
-    sp = space.splines
+    eps = np.array(space.multipliers)
+    diff = eps - eps[:, None]                               # [q, p] = eps_p - eps_q
+    rates, at = _rate_range(diff)
+    pieces = cells[4]
+    m = pieces.shape[0]
+    tables = _cell_tables(cells, pieces.swapaxes(0, 1), rates * space.kappa)     # [k, b, a, c]
+    local = tables.swapaxes(1, 2)[at]                                           # [q, p, a, b, c]
+    pairs = np.zeros(local.shape[:2] + (2 * m - 1,) + local.shape[2:], dtype=complex)
+    pairs[:, :, m - 1] = 0.5 * (local + local.swapaxes(2, 3))
+    band = _band(pairs)
+    for q in range(len(eps)):
+        band[q + 1:, q] = band[q, q + 1:].conj()
+    return band
+
+
+def _operator_parts(space: TrialSpace, kernel: OscKernel, cells):
+    """K as generators plus diagonals: ``((x, S), band)``, or None for a zero kernel.
+
+    With K(s,t) = sum_r phi_r(s) psi_r(t) (SVD), the phase on t < s (side 0)
+    is kappa((1 - eps_q) s + (eps_p - 1) t) and on t > s (side 1)
+    kappa(-(1 + eps_q) s + (eps_p + 1) t), so each side of a cell pair
+    factorizes into per-cell tables of phi_r and psi_r; x[side, r, q, i] and
+    S[side, r, p, l] sum them over the cells of B_i and B_l.  When
+    l <= i - m every cell of B_l lies below every cell of B_i, so entry
+    (i, l) of block (q, p) is sum_r x[0, r, q, i] S[0, r, p, l]; likewise
+    side 1 when l >= i + m.  The 2m - 1 central diagonals take the cell
+    pairs less than 2m - 1 apart and the shared-cell triangles, which are
+    linear in each cell's coefficient tensor W.
+    """
+    C = kernel.coefficient_matrix()
+    if not np.any(C):
+        return None
+    s0, h2, widths, group, P = cells
+    m, nc = P.shape[1:]
     kappa = space.kappa
-    mult = space.multipliers
-    d = sp.dimension
-    m = sp.order
-    nb = len(mult)
-    s0, h2, widths, group, P = _cells(sp)
-    c = np.arange(len(h2))
-    bands = np.zeros((nb, nb, 2 * m - 1, d), dtype=complex)
-    for qi in range(nb):
-        for pi in range(qi, nb):
-            omega = (mult[pi] - mult[qi]) * kappa
-            mom = _unit_moments(omega * widths, 2 * m - 2)[group]
-            vals = np.einsum("cai,cbj,cij->cab", P, P, sliding_window_view(mom, m, axis=1))
-            vals *= (h2 * np.exp(1j * omega * s0))[:, None, None]
-            band = bands[qi, pi]
-            for r1 in range(m):
-                for r2 in range(r1, m):
-                    band[m - 1 + r2 - r1, c + r1] += vals[:, r1, r2]
-            for o in range(1, m):
-                band[m - 1 - o, o:] = band[m - 1 + o, :d - o]
-            if pi != qi:
-                np.conj(band, out=bands[pi, qi])
-    return bands
+    eps = np.array(space.multipliers)
+
+    U, sv, Vh = np.linalg.svd(C, full_matrices=False)
+    keep = sv > sv[0] * 1e-15
+    roots = np.sqrt(sv[keep])
+    R = len(roots)
+    A0, B0 = C.shape
+    T = _shift_scale(max(A0, B0) - 1, s0, h2)
+    local = np.zeros((max(A0, B0), 2 * R, nc), dtype=complex)
+    local[:A0, :R] = np.einsum("kac,ar->krc", T[:A0, :A0], U[:, keep] * roots)   # phi_r, local coordinates
+    local[:B0, R:] = np.einsum("kbc,br->krc", T[:B0, :B0], Vh[keep].T * roots)   # psi_r
+
+    srate = np.stack([1 - eps, -(1 + eps)])                 # [side, q]; the t side has -srate at eps_p
+    rates, at = _rate_range(np.stack([srate, -srate]))
+    tables = _cell_tables(cells, local, rates * kappa)      # [k, l, r, c]
+    X = tables[at[0], :R]                                   # [side, q, r, a, c]
+    Y = tables[at[1], R:]                                   # [side, p, r, b, c]
+    gens = (_fold(X).swapaxes(1, 2), _fold(Y).swapaxes(1, 2))
+
+    # cell pairs (c, c + x - (2m-2)) from side 0 below and side 1 above; the shared cells replace x = 2m-2
+    nx = 4 * m - 3
+    side = (np.arange(nx) > 2 * m - 2).astype(int)
+    Ypad = np.zeros(Y.shape[:-1] + (nc + nx - 1,), dtype=complex)
+    Ypad[..., 2 * m - 2:2 * m - 2 + nc] = Y
+    Yx = sliding_window_view(Ypad, nc, axis=-1)[side, :, :, :, np.arange(nx)]   # [x, p, r, b, c]
+    Xx = X[side]                                                                # [x, q, r, a, c]
+    pairs = np.moveaxis(sum(Xx[:, :, None, r, :, None] * Yx[:, None, :, r, None] for r in range(R)), 0, 2)
+
+    # shared cells: W[rj, rl, a, b, c] = local kernel factor times pieces rj (in u) and rl (in v)
+    Cc = np.einsum("kac,ab,lbc->klc", T[:A0, :A0], C, T[:B0, :B0])
+    W = np.zeros((m, m, A0 + m - 1, B0 + m - 1, nc), dtype=complex)
+    for i in range(m):
+        for j in range(m):
+            W[:, :, i:i + A0, j:j + B0] += P[:, None, i, None, None] * P[None, :, j, None, None] * Cc
+    A, B = W.shape[2:4]
+    # the upper triangle (t > s) at phases (ls, lt) is the lower one at (-ls, -lt)
+    # under (u, v) -> (-u, -v), with the sign (-1)^(a+b)
+    ls, ils = _rate_range(np.stack([1 - eps, 1 + eps])[:, :, None])      # [side, q, 1]
+    lt, ilt = _rate_range(np.stack([eps - 1, -(eps + 1)])[:, None, :])   # [side, 1, p]
+    mu = _triangle_moments(np.multiply.outer(np.repeat(ls, len(lt)) * kappa, widths).ravel(),
+                           np.multiply.outer(np.tile(lt, len(ls)) * kappa, widths).ravel(), A, B)
+    mu = np.moveaxis(mu.reshape(len(ls), len(lt), len(widths), A, B), 2, -1)
+    flip = (-1.0) ** np.add.outer(np.arange(A), np.arange(B))[..., None]
+    tri = (mu[ils[0], ilt[0]] + flip * mu[ils[1], ilt[1]])[..., group]   # [q, p, a, b, c]
+    pre = h2 * h2 * np.exp(1j * np.multiply.outer((eps - eps[:, None]) * kappa, s0))
+    pairs[:, :, 2 * m - 2] = np.einsum("jlabc,qpabc->qpjlc", W, tri) * pre[:, :, None, None]
+    return gens, _band(pairs)
 
 
-def _add_mass(target: np.ndarray, space: TrialSpace) -> None:
-    """target += E, scattering the diagonals of :func:`_mass_bands` in one update."""
-    bands = _mass_bands(space)
-    nb, _, width, d = bands.shape
+def _assemble(space: TrialSpace, kernel: OscKernel | None = None, mass: bool = False) -> np.ndarray:
+    """E (no kernel), K (``mass`` false) or E - K, written once into one n x n buffer.
+
+    The generators' products go straight into the buffer (negated for
+    E - K): side 0 over every block, then side 1 over l >= i + m through a
+    Toeplitz view of 2d - 1 flags.  No other n x n array is allocated,
+    except one product at a time for R > 1.  The central diagonals are
+    stored last, in one scatter.
+    """
+    d, m, nb = space.block_dim, space.splines.order, len(space.multipliers)
+    cells = _cells(space.splines)
+    parts = None if kernel is None else _operator_parts(space, kernel, cells)
+    band = _mass_band(space, cells) if mass else np.zeros((nb, nb, 2 * m - 1, d), dtype=complex)
+    A = (np.zeros if parts is None else np.empty)((nb * d, nb * d), dtype=complex)
+    blocks = A.reshape(nb, d, nb, d)
     i = np.arange(d)
-    j = i + np.arange(width)[:, None] - (width - 1) // 2    # j[k, i]: block column of bands[..., k, i]
-    inside = np.broadcast_to((j >= 0) & (j < d), bands.shape)
-    start = d * np.arange(nb)
-    rows = np.broadcast_to(start[:, None, None, None] + i, bands.shape)
-    cols = np.broadcast_to(start[None, :, None, None] + j, bands.shape)
-    target[rows[inside], cols[inside]] += bands[inside]
+    if parts is not None:
+        (x, S), op_band = parts
+        if mass:
+            x = -x
+        upper = sliding_window_view(np.arange(1 - d, d) >= m, d)[::-1, None]   # [i, 1, l] = l - i >= m
+        for side, where in enumerate((True, upper)):
+            xs, Ss = x[side, :, :, :, None, None], S[side, :, None, None]
+            np.multiply(xs[0], Ss[0], out=blocks, where=where)
+            for xr, Sr in zip(xs[1:], Ss[1:]):
+                np.add(blocks, xr * Sr, out=blocks, where=where)
+        band = band - op_band if mass else op_band
+    j = i + np.arange(1 - m, m)[:, None]                    # j[m-1+o, i] = i + o
+    inside = (j >= 0) & (j < d)
+    blocks[:, np.broadcast_to(i, j.shape)[inside], :, j[inside]] = np.moveaxis(band[:, :, inside], -1, 0)
+    return A
 
 
 def assemble_mass(space: TrialSpace) -> np.ndarray:
     """Block Gram matrix E of the trial basis (Hermitian, diagonal blocks real)."""
-    E = np.zeros((space.dimension, space.dimension), dtype=complex)
-    _add_mass(E, space)
-    return E
+    return _assemble(space, mass=True)
 
 
 def assemble_operator(space: TrialSpace, kernel: OscKernel) -> np.ndarray:
     """Block matrix of the integral operator against the trial basis.
 
-    The inner t-integral of each entry is split at t = s: on t <= s the
-    phase is kappa((1 - eps_q) s + (eps_p - 1) t), on t > s it is
-    kappa(-(1 + eps_q) s + (eps_p + 1) t).  All cells are handled at once:
-
-    * cell pairs away from the diagonal factorize through a separated (SVD)
-      form of the kernel coefficients into banded per-cell moment tables,
-      accumulated with prefix sums over the cells and added to each block
-      as ``order`` shifted row updates;
-    * the shared-cell triangles are linear in each cell's local coefficient
-      tensor W, so one moment tensor per (phase pair, cell width) is
-      contracted with the stacked W of all cells and scattered onto the
-      block's ``order**2`` shifted diagonals.
-
-    Moments come in closed form from a batched routine whose cost does not
-    depend on kappa; a uniform mesh has only a few distinct cell widths.
+    The inner t-integral of each entry is split at t = s, and every piece
+    comes in closed form from batched moments whose cost does not depend
+    on kappa (see :func:`_operator_parts`).
     """
     _check_kappa(space, kernel.kappa)
-    sp = space.splines
-    kappa = space.kappa
-    mult = space.multipliers
-    d = sp.dimension
-    m = sp.order
-    nb = len(mult)
-    n = nb * d
-
-    C = kernel.coefficient_matrix()
-    if not np.any(C):
-        return np.zeros((n, n), dtype=complex)
-    cells = _cells(sp)
-    s0, h2, widths, group, P = cells
-    nc = len(h2)
-    c = np.arange(nc)
-
-    U, sv, Vh = np.linalg.svd(C, full_matrices=False)
-    keep = sv > sv[0] * 1e-15
-    roots = np.sqrt(sv[keep])
-    A0, B0 = C.shape
-    T = _shift_scale(max(A0, B0) - 1, s0, h2)
-    Ts, Tt = T[:, :A0, :A0], T[:, :B0, :B0]
-    phis = Ts @ (U[:, keep] * roots)        # s-side factors, local coordinates: (nc, A0, rank)
-    psis = Tt @ (Vh[keep].T * roots)        # t-side factors: (nc, B0, rank)
-
-    K = np.zeros((n, n), dtype=complex)
-
-    # cell pairs: block += sum_r X_r cum_r^T, X_r[c + rr, c] nonzero only
-    xtabs: dict[tuple[int, int], np.ndarray] = {}
-    for pi, ep in enumerate(mult):
-        for low in (True, False):
-            ltm = ep - 1 if low else ep + 1
-            for r in range(len(roots)):
-                cum = _prefix(_cell_table(cells, psis[:, :, r], ltm * kappa), low, d)
-                for qi, eq in enumerate(mult):
-                    lsm = 1 - eq if low else -(1 + eq)
-                    X = xtabs.get((lsm, r))
-                    if X is None:
-                        X = xtabs[lsm, r] = _cell_table(cells, phis[:, :, r], lsm * kappa)
-                    block = K[qi * d:(qi + 1) * d, pi * d:(pi + 1) * d]
-                    for rr in range(m):
-                        for lo in range(0, nc, _ROW_CHUNK):
-                            hi = min(lo + _ROW_CHUNK, nc)
-                            block[rr + lo:rr + hi] += X[lo:hi, rr, None] * cum[lo:hi]
-                del cum  # a cgm prefix table is nearly as large as K; never hold two
-
-    # shared cells: W[c, rj, rl] = local kernel factor times pieces rj (in u) and rl (in v)
-    Cc = np.einsum("cka,ab,clb->ckl", Ts, C, Tt)
-    W = np.zeros((nc, m, m, A0 + m - 1, B0 + m - 1), dtype=complex)
-    for i in range(m):
-        for j in range(m):
-            W[:, :, :, i:i + A0, j:j + B0] += (
-                P[:, :, None, i, None, None] * P[:, None, :, j, None, None] * Cc[:, None, None])
-    A, B = W.shape[3:]
-    # the upper triangle (t > s) at phases (ls, lt) is the lower one at (-ls, -lt)
-    # under (u, v) -> (-u, -v), with the sign (-1)^(a+b)
-    pairs = sorted({(1 - eq, ep - 1) for eq in mult for ep in mult}
-                   | {(1 + eq, -(ep + 1)) for eq in mult for ep in mult})
-    lsm, ltm = np.array(pairs).T
-    mu = _triangle_moments((lsm[:, None] * kappa * widths).ravel(),
-                           (ltm[:, None] * kappa * widths).ravel(), A, B)
-    mu = mu.reshape(len(pairs), len(widths), A, B)
-    at = {p: i for i, p in enumerate(pairs)}
-    flip = (-1.0) ** np.add.outer(np.arange(A), np.arange(B))
-    for qi, eq in enumerate(mult):
-        for pi, ep in enumerate(mult):
-            tri = mu[at[1 - eq, ep - 1]] + flip * mu[at[1 + eq, -(ep + 1)]]
-            vals = np.einsum("cjlab,cab->cjl", W, tri[group])
-            vals *= (h2 * h2 * np.exp(1j * (ep - eq) * kappa * s0))[:, None, None]
-            for rj in range(m):
-                for rl in range(m):
-                    K[qi * d + rj + c, pi * d + rl + c] += vals[:, rj, rl]
-    return K
+    return _assemble(space, kernel)
 
 
 def assemble_matrix(space: TrialSpace, kernel: OscKernel) -> np.ndarray:
-    """System matrix E - K, built in the operator's buffer.
+    """System matrix E - K in one buffer, equal to ``assemble_mass - assemble_operator`` exactly.
 
-    The operator is negated in place and the mass diagonals are added to
-    it, so no other n x n array is alive; IEEE addition makes (-K) + E
-    equal E - K exactly.
+    The operator's generators are negated before they are written and its
+    diagonals are subtracted from the mass diagonals.
     """
-    A = assemble_operator(space, kernel)
-    np.negative(A, out=A)
-    _add_mass(A, space)
-    return A
+    _check_kappa(space, kernel.kappa)
+    return _assemble(space, kernel, mass=True)
 
 
 def assemble_rhs(space: TrialSpace, f) -> np.ndarray:
@@ -646,29 +649,26 @@ def assemble_rhs(space: TrialSpace, f) -> np.ndarray:
     non-oscillatory callable / :class:`SmoothAmplitude`, which is replaced
     per cell by its Chebyshev interpolant before exact integration.
     """
-    sp = space.splines
-    kappa = space.kappa
-    mult = space.multipliers
-    d = sp.dimension
-    cells = _cells(sp)
+    cells = _cells(space.splines)
     s0, h2 = cells[:2]
-    out = np.zeros(len(mult) * d, dtype=complex)
-
     if isinstance(f, StructuredFunction):
         _check_kappa(space, f.kappa)
-        for tau, w in f.terms:
-            local = _shift_scale(w.degree, s0, h2) @ w.coeffs
-            for qi, eq in enumerate(mult):
-                _add_band(out[qi * d:(qi + 1) * d], _cell_table(cells, local, (tau - eq) * kappa))
-        return out
-
-    func = f.func if isinstance(f, SmoothAmplitude) else f
-    if not callable(func):
-        raise TypeError("right-hand side must be a StructuredFunction or a callable")
-    local = _chebfit_cells(func, s0, h2, _RHS_FIT_DEGREE)
-    for qi, eq in enumerate(mult):
-        _add_band(out[qi * d:(qi + 1) * d], _cell_table(cells, local, -eq * kappa))
-    return out
+        if not f.terms:
+            return np.zeros(space.dimension, dtype=complex)
+        taus = np.array([tau for tau, _ in f.terms])
+        coeffs = np.zeros((f.max_degree + 1, len(taus)), dtype=complex)
+        for t, (_, w) in enumerate(f.terms):
+            coeffs[:w.degree + 1, t] = w.coeffs
+        local = np.einsum("kac,at->ktc", _shift_scale(f.max_degree, s0, h2), coeffs)
+    else:
+        func = f.func if isinstance(f, SmoothAmplitude) else f
+        if not callable(func):
+            raise TypeError("right-hand side must be a StructuredFunction or a callable")
+        taus = np.zeros(1, dtype=int)
+        local = _chebfit_cells(func, s0, h2, _RHS_FIT_DEGREE)[:, None]
+    rates, at = _rate_range(taus - np.array(space.multipliers)[:, None])   # [q, t]: tau_t - eps_q
+    tables = _cell_tables(cells, local, rates * space.kappa)
+    return _fold(tables[at, np.arange(len(taus))].sum(axis=1)).ravel()
 
 
 def assemble_system(space: TrialSpace, kernel: OscKernel, f) -> DiscreteSystem:

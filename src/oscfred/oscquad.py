@@ -414,29 +414,45 @@ def _pem(c: np.ndarray, a: float, b: float, omega: float) -> complex:
     return _pem_sigma(c, a, b, omega)
 
 
+@lru_cache(maxsize=None)
+def _moment_rule(K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes x, weights and powers x^k (k = 0..K) of :func:`_unit_moments`' Gauss rule at degree K.
+
+    The rule is the one for the largest total phase below the switch,
+    max(1, 2K), split into panels as in :func:`_pem_gauss` if one would
+    need more than ``MAX_GAUSS_NODES`` nodes.  Callers must not mutate
+    the returned arrays.
+    """
+    phase = max(1.0, 2.0 * K)
+    base = (K + 2) // 2 + 8
+    panels = 1
+    while base + math.ceil(0.4 * phase / panels) > MAX_GAUSS_NODES and base < MAX_GAUSS_NODES:
+        panels *= 2
+    x, wt = gauss_legendre_rule(base + math.ceil(0.4 * phase / panels))
+    x = ((x + np.arange(1 - panels, panels, 2)[:, None]) / panels).ravel()
+    rule = (x, np.tile(wt / panels, panels), x[:, None] ** np.arange(K + 1))
+    for a in rule:
+        a.setflags(write=False)
+    return rule
+
+
 def _unit_moments(w: np.ndarray, K: int) -> np.ndarray:
     """Moments M[e, k] = int_{-1}^{1} x^k e^{i w_e x} dx, k = 0..K, for an array of rates w.
 
     The batched form of :func:`_pem` on [-1, 1] at degree K, with its
-    switch: Gauss-Legendre below a total phase of max(1, 2K), where the
-    rule is split into panels as in :func:`_pem_gauss` if one would need
-    more than ``MAX_GAUSS_NODES`` nodes, and the forward recurrence of
-    :func:`_pem_recurrence` above it.  The cost does not depend on w.
+    switch: the Gauss rule of :func:`_moment_rule` below a total phase of
+    max(1, 2K), and the forward recurrence of :func:`_pem_recurrence`
+    above it.  The rule depends on K alone and each row is its own
+    product, so row e is bitwise the same whatever else is in the batch.
+    The cost does not depend on w.
     """
     w = np.asarray(w, dtype=float)
     M = np.empty((len(w), K + 1), dtype=complex)
     small = np.abs(w) < max(0.5, K)
     if np.any(small):
-        ws = w[small]
-        phase = 2.0 * float(np.max(np.abs(ws)))
-        base = (K + 2) // 2 + 8
-        panels = 1
-        while base + math.ceil(0.4 * phase / panels) > MAX_GAUSS_NODES and base < MAX_GAUSS_NODES:
-            panels *= 2
-        x, wt = gauss_legendre_rule(base + math.ceil(0.4 * phase / panels))
-        x = ((x + np.arange(1 - panels, panels, 2)[:, None]) / panels).ravel()
-        wt = np.tile(wt / panels, panels)
-        M[small] = (wt * np.exp(1j * ws[:, None] * x)) @ (x[:, None] ** np.arange(K + 1))
+        x, wt, powers = _moment_rule(K)
+        rows = wt * np.exp(1j * w[small, None] * x)
+        M[small] = np.matmul(rows[:, None, :], powers)[:, 0]
     if not np.all(small):
         iw = 1j * w[~small]
         ep, em = np.exp(iw), np.exp(-iw)

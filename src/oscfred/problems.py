@@ -81,18 +81,19 @@ def paper_benchmark(kappa: float) -> Problem:
     if not (math.isfinite(kappa) and kappa > 1.0):
         raise ValueError("wavenumber must be finite and exceed 1")
     k = float(kappa)
+    u = 1.0 / k                     # powers of 1/k, not of k, so no coefficient overflows
     eik = np.exp(1j * k)
     w_plus = Polynomial([
-        0.25 - 3.0 / (8.0 * k**4) + 1j * eik / k,
-        0.75j / k**3,
-        0.75 / k**2,
-        1.0 - 0.5j / k,
+        0.25 - 0.375 * u**4 + 1j * eik * u,
+        0.75j * u**3,
+        0.75 * u**2,
+        1.0 - 0.5j * u,
         -0.25,
     ])
     w_minus = Polynomial([
-        -(np.exp(2j * k) * (-3.0 + 6j * k + 6.0 * k**2 - 4j * k**3) / (8.0 * k**4) - 1j * eik / k)
+        -(np.exp(2j * k) * (-3.0 * u**4 + 6j * u**3 + 6.0 * u**2 - 4j * u) / 8.0 - 1j * eik * u)
     ])
-    w_zero = Polynomial([1.0 - 2j / k])
+    w_zero = Polynomial([1.0 - 2j * u])
     f = StructuredFunction(k, {1: w_plus, -1: w_minus, 0: w_zero})
     y = StructuredFunction(k, {0: Polynomial([1.0]), 1: Polynomial([0.0, 0.0, 0.0, 1.0])})
     return Problem(

@@ -1,6 +1,7 @@
 """Tests of the command-line experiment runner."""
 
 import json
+import math
 import warnings
 
 import pytest
@@ -118,6 +119,18 @@ def test_sweep_single_point(tmp_path):
     assert float(rows[0]["cond"]) > 1.0
 
 
+def test_sweep_huge_kappa(tmp_path):
+    # the benchmark's coefficients are built from 1/kappa: kappa**4 would overflow
+    out = tmp_path / "sweep.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["sweep", "--kappa", "1e300", "--out", str(out)]) == 0
+    _, rows = read_rows(out)
+    assert [r["method"] for r in rows] == ["cgm", "opgm"]
+    for r in rows:
+        assert math.isfinite(float(r["error"])) and math.isfinite(float(r["cond"])), r
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -129,8 +142,10 @@ def test_verify_passes_on_fresh_build(capsys):
 
 
 def test_verify_detects_injected_perturbation(capsys):
-    assert cli.main(["verify", "--perturb", "1e-3"]) == cli.EXIT_VERIFY_FAILED
-    assert "FAIL" in capsys.readouterr().out
+    # a NaN defect must fail too: max() over the differences would drop it
+    for perturb in ("1e-3", "nan"):
+        assert cli.main(["verify", "--perturb", perturb]) == cli.EXIT_VERIFY_FAILED, perturb
+        assert "FAIL" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +166,17 @@ def test_rejects_non_finite_kappa(capsys, command, kappa):
         warnings.simplefilter("error")
         assert cli.main([command, "--kappa", kappa, "--method", "opgm"]) == cli.EXIT_BAD_CONFIG
     assert_one_line_error(capsys, "finite")
+
+
+def test_convergence_rejects_kappa_with_problem_file(tmp_path, capsys):
+    pfile = tmp_path / "prob.json"
+    pfile.write_text(json.dumps(problem_to_dict(paper_benchmark(50.0))))
+    out = tmp_path / "never.csv"
+    code = cli.main(["convergence", "--kappa", "5000", "--method", "opgm", "--n-levels", "2",
+                     "--problem", str(pfile), "--out", str(out)])
+    assert code == cli.EXIT_BAD_CONFIG
+    assert not out.exists()
+    assert_one_line_error(capsys, "--kappa", "--problem")
 
 
 def test_sweep_rejects_problem_file(tmp_path, capsys):

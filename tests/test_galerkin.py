@@ -1,5 +1,7 @@
 """Tests of trial spaces, system assembly, solve, and error metrics."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -174,6 +176,23 @@ def test_assemble_matrix_is_mass_minus_operator_exactly(kappa, m, mesh):
             kern = OscKernel.smooth(data, kappa) if callable(data) else OscKernel.polynomial(data, kappa)
             A = assemble_matrix(space, kern)
             assert np.array_equal(A, assemble_mass(space) - assemble_operator(space, kern)), name
+
+
+@pytest.mark.parametrize("method, N", [("cgm", 512), ("opgm", 128)])
+def test_assemble_matrix_peak_memory(method, N):
+    # peak traced allocation in units of the n x n result: the generators
+    # are written straight into it, so only O(n) tables come on top
+    kern = OscKernel.polynomial([[1.0]], 5e4)
+    space = lambda n: getattr(TrialSpace, method)(SplineSpace(make_uniform_knots(n, 2)), 5e4)
+    assemble_matrix(space(8), kern)  # fill the caches first
+    big = space(N)
+    tracemalloc.start()
+    try:
+        A = assemble_matrix(big, kern)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / A.nbytes <= 1.25
 
 
 # ---------------------------------------------------------------------------

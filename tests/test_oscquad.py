@@ -240,6 +240,21 @@ def test_unit_moments_accurate_across_switch(K):
         assert np.all(np.abs(M[1] - ref.conj()) <= 1e-12 * scale), -w
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    K=st.integers(0, 60),
+    f=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=12),
+    sign=st.lists(st.booleans(), min_size=12, max_size=12),
+)
+def test_unit_moments_rows_do_not_depend_on_the_batch(K, f, sign):
+    # rates on both sides of the Gauss/recurrence switch at |w| = max(1/2, K):
+    # each row must be bitwise what a batch of one gives
+    w = np.array([(-x if s else x) * max(0.5, K) for x, s in zip(f, sign)])
+    M = _unit_moments(w, K)
+    for i in range(len(w)):
+        assert np.array_equal(M[i], _unit_moments(w[i:i + 1], K)[0]), (K, w[i])
+
+
 @pytest.mark.parametrize("k, w", [(20, 5.0), (30, 8.0), (12, 3.5), (90, 8.0)])
 def test_pem_accurate_past_switch(k, w):
     ref = mp_unit_moments(w, k)[k]

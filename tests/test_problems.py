@@ -201,7 +201,7 @@ def test_solve_path_does_not_import_scipy():
 @pytest.mark.parametrize("method, N, bound", [("opgm", 128, 1.5), ("cgm", 512, 2.5)])
 def test_run_galerkin_holds_the_system_matrix_once(method, N, bound):
     # peak traced allocation in units of one n x n complex matrix: the system
-    # matrix plus the operator's transients (a cgm prefix table is nearly n x n)
+    # matrix, held once, plus the transients tracemalloc sees
     prob = paper_benchmark(5e4)
     run_galerkin(prob, method, 8, compute_cond=True)  # fill the caches first
     tracemalloc.start()
