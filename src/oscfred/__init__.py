@@ -10,7 +10,7 @@ Modules
 -------
 bspline   knot vectors, B-spline bases, Gram matrices, linear interpolation
 oscquad   oscillatory quadrature: exact moments, Filon rules, reference rule
-linalg    dense complex LU solve, exact 2-norm condition number
+linalg    even/odd fold of symmetric systems, dense LU solve, exact 2-norm condition number
 galerkin  trial spaces, system assembly, solve, error metrics
 problems  benchmark problem, manufactured solutions, oscillation experiment
 cli       batch experiment runner (``oscfred`` command)

@@ -96,12 +96,17 @@ def make_knots(breakpoints: Sequence[float], m: int, interval: tuple[float, floa
 
 
 def make_uniform_knots(N: int, m: int, interval: tuple[float, float] = (-1.0, 1.0)) -> KnotVector:
-    """Uniform mesh with N interior breakpoints: h = (b - a)/(N + 1)."""
+    """Uniform mesh with N interior breakpoints: h = (b - a)/(N + 1).
+
+    Breakpoint k sits at mid + h*(k - (N + 1)/2); the offsets are exact
+    negatives of each other in mirror pairs, so on an interval symmetric
+    about 0 the mesh is mirror-symmetric bitwise.
+    """
     if N < 0:
         raise ValueError("N must be >= 0")
     a, b = interval
     h = (b - a) / (N + 1)
-    inner = a + h * np.arange(1, N + 1)
+    inner = 0.5 * (a + b) + h * (np.arange(1, N + 1) - 0.5 * (N + 1))
     return make_knots(inner, m, interval)
 
 

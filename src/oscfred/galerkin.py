@@ -86,6 +86,7 @@ __all__ = [
     "eval_solution",
     "mass_entry_quadrature",
     "operator_entry_quadrature",
+    "reflection_symmetric",
     "relative_error_eN",
     "relative_error_l2",
     "rhs_entry_quadrature",
@@ -348,15 +349,20 @@ def _cells(sp: SplineSpace):
     """Per-cell geometry: midpoints, half-widths, width groups and local pieces.
 
     Returns ``(s0, h2, widths, group, pieces)``: cell c is [s0 - h2, s0 + h2]
-    with h2 == widths[group[c]], and ``pieces[r, i, c]`` is the x^i
-    coefficient of B_{c+r} on cell c.  Per-cell arrays keep cells on their
-    last axis, so elementwise work runs along the long axis.
+    and the moments take widths[group[c]]: half-widths that step by at most
+    4 ulp of the breakpoints are merged into the least of them, so a uniform
+    mesh, whose rounded breakpoints give its cells a few bitwise-distinct
+    widths, runs on one width.
+    ``pieces[r, i, c]`` is the x^i coefficient of B_{c+r} on cell c.
+    Per-cell arrays keep cells on their last axis, so elementwise work runs
+    along the long axis.
     """
     z = sp.knots.breakpoints
     s0 = 0.5 * (z[:-1] + z[1:])
     h2 = 0.5 * (z[1:] - z[:-1])
     widths, group = np.unique(h2, return_inverse=True)
-    return s0, h2, widths, group, np.moveaxis(sp.pieces, 0, -1)
+    new = np.concatenate(([True], np.diff(widths) > 4 * np.spacing(np.max(np.abs(z)))))
+    return s0, h2, widths[new], (np.cumsum(new) - 1)[group], np.moveaxis(sp.pieces, 0, -1)
 
 
 def _shift_scale(deg: int, s0: np.ndarray, h2: np.ndarray) -> np.ndarray:
@@ -368,23 +374,24 @@ def _shift_scale(deg: int, s0: np.ndarray, h2: np.ndarray) -> np.ndarray:
 
 
 def _cell_tables(cells, local: np.ndarray, rates: np.ndarray) -> np.ndarray:
-    """V[k, l, r, c] = int_{cell c} amp_l(s) B_{c+r}(s) e^{i*rates[k]*s} ds for all k, l, r, c.
+    """V[k, l, r, c] = int_{cell c} amp_l(s) B_{c+r}(s) e^{i*rates[k, l]*s} ds for all k, l, r, c.
 
     ``local[:, l, c]`` holds the coefficients of amp_l in cell c's local
-    coordinate x (s = s0 + h2*x).  One moment call covers every (rate,
-    cell width).
+    coordinate x (s = s0 + h2*x).  ``rates`` is (K, L), pairing each rate
+    with its amplitude, or (K, 1) for every rate against every amplitude.
+    One moment call covers every (rate, cell width).
     """
     s0, h2, widths, group, pieces = cells
     m, nc = pieces.shape[1:]
     D, L = local.shape[:2]
-    prod = np.zeros((m + D - 1, m, L, nc), dtype=complex)  # [n, r, l, c]: x^n coefficient of B_{c+r} amp_l
+    prod = np.zeros((m + D - 1, L, m, nc), dtype=complex)  # [n, l, r, c]: x^n coefficient of amp_l B_{c+r}
     for i in range(m):
-        prod[i:i + D] += pieces[None, :, i, None] * local[:, None]
+        prod[i:i + D] += local[:, :, None] * pieces[:, i]
     mom = _unit_moments(np.multiply.outer(rates, widths).ravel(), m + D - 2)
-    mom = mom.reshape(len(rates), len(widths), m + D - 1).transpose(0, 2, 1)[..., group]   # [k, n, c]
-    V = sum(mom[:, n, None, None] * prod[n] for n in range(m + D - 1))
-    pre = h2 * np.exp(1j * np.multiply.outer(rates, s0))
-    return (pre[:, None, None] * V).swapaxes(1, 2)
+    mom = np.moveaxis(mom.reshape(rates.shape + (len(widths), m + D - 1)), -1, 2)[..., group]   # [k, l, n, c]
+    V = sum(mom[:, :, n, None] * prod[n] for n in range(m + D - 1))
+    pre = h2 * np.exp(1j * rates[..., None] * s0)
+    return pre[:, :, None] * V
 
 
 def _fold(table: np.ndarray) -> np.ndarray:
@@ -504,7 +511,7 @@ def _mass_band(space: TrialSpace, cells) -> np.ndarray:
     rates, at = _rate_range(diff)
     pieces = cells[4]
     m = pieces.shape[0]
-    tables = _cell_tables(cells, pieces.swapaxes(0, 1), rates * space.kappa)     # [k, b, a, c]
+    tables = _cell_tables(cells, pieces.swapaxes(0, 1), rates[:, None] * space.kappa)     # [k, b, a, c]
     local = tables.swapaxes(1, 2)[at]                                           # [q, p, a, b, c]
     pairs = np.zeros(local.shape[:2] + (2 * m - 1,) + local.shape[2:], dtype=complex)
     pairs[:, :, m - 1] = 0.5 * (local + local.swapaxes(2, 3))
@@ -548,7 +555,7 @@ def _operator_parts(space: TrialSpace, kernel: OscKernel, cells):
 
     srate = np.stack([1 - eps, -(1 + eps)])                 # [side, q]; the t side has -srate at eps_p
     rates, at = _rate_range(np.stack([srate, -srate]))
-    tables = _cell_tables(cells, local, rates * kappa)      # [k, l, r, c]
+    tables = _cell_tables(cells, local, rates[:, None] * kappa)      # [k, l, r, c]
     X = tables[at[0], :R]                                   # [side, q, r, a, c]
     Y = tables[at[1], R:]                                   # [side, p, r, b, c]
     gens = (_fold(X).swapaxes(1, 2), _fold(Y).swapaxes(1, 2))
@@ -642,6 +649,23 @@ def assemble_matrix(space: TrialSpace, kernel: OscKernel) -> np.ndarray:
     return _assemble(space, kernel, mass=True)
 
 
+def reflection_symmetric(space: TrialSpace, kernel: OscKernel) -> bool:
+    """Whether E - K commutes with the index reversal J, decided from the data.
+
+    The reflection s -> -s takes B_j e^{i*eps*kappa*s} to B_{d-1-j}
+    e^{-i*eps*kappa*s}, the basis function at the reversed index, when the
+    breakpoints mirror about 0 bitwise and the multipliers read backwards
+    are their negatives; it leaves |s - t| alone and fixes the kernel factor
+    when K(-s, -t) = K(s, t), that is when its coefficients at odd a + b are
+    exactly zero.  Then J (E - K) J = E - K up to roundoff.
+    """
+    z = space.splines.knots.breakpoints
+    eps = np.array(space.multipliers)
+    C = kernel.coefficient_matrix()
+    odd = np.add.outer(np.arange(C.shape[0]), np.arange(C.shape[1])) % 2 == 1
+    return bool(np.array_equal(z, -z[::-1]) and np.array_equal(eps, -eps[::-1]) and not np.any(C[odd]))
+
+
 def assemble_rhs(space: TrialSpace, f) -> np.ndarray:
     """Load vector of f against the trial basis.
 
@@ -666,9 +690,8 @@ def assemble_rhs(space: TrialSpace, f) -> np.ndarray:
             raise TypeError("right-hand side must be a StructuredFunction or a callable")
         taus = np.zeros(1, dtype=int)
         local = _chebfit_cells(func, s0, h2, _RHS_FIT_DEGREE)[:, None]
-    rates, at = _rate_range(taus - np.array(space.multipliers)[:, None])   # [q, t]: tau_t - eps_q
-    tables = _cell_tables(cells, local, rates * space.kappa)
-    return _fold(tables[at, np.arange(len(taus))].sum(axis=1)).ravel()
+    rates = taus - np.array(space.multipliers)[:, None]     # [q, t]: tau_t - eps_q
+    return _fold(_cell_tables(cells, local, rates * space.kappa).sum(axis=1)).ravel()
 
 
 def assemble_system(space: TrialSpace, kernel: OscKernel, f) -> DiscreteSystem:

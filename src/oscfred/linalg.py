@@ -2,11 +2,21 @@
 
 The solve path runs on numpy's LAPACK bindings alone:
 
+* :func:`fold` / :func:`unfold` -- the orthogonal even/odd transform that
+  splits a centrosymmetric system (J A J = A, J the index reversal) into
+  two independent halves of orders ceil(n/2) and floor(n/2), written into
+  A's own buffer, and maps the halves' solutions back;
 * :func:`solve` -- one-shot partial-pivoted LU solve, ``np.linalg.solve``
-  (LAPACK ``gesv``);
+  (LAPACK ``gesv``), applied to each half;
 * :func:`cond2` -- exact 2-norm condition number sigma_max/sigma_min from
   the singular values, ``np.linalg.svd(compute_uv=False)`` (LAPACK
-  ``gesdd`` without vectors).
+  ``gesdd`` without vectors), of one matrix or of the block-diagonal
+  matrix of the halves.
+
+A half costs an eighth of the whole in LU and SVD flops, so a folded solve
+with its condition number costs about a quarter of the unfolded one.  A
+system without the symmetry runs through the same calls as the single
+block ``(A,)``.
 
 :func:`lu_factor` / :func:`lu_solve` keep a factorization for reuse
 (including solves with A^H) through ``scipy.linalg`` (LAPACK ``getrf`` /
@@ -19,8 +29,10 @@ entry points.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
+
 import numpy as np
 
 __all__ = [
@@ -29,9 +41,11 @@ __all__ = [
     "as_complex_matrix",
     "as_complex_vector",
     "cond2",
+    "fold",
     "lu_factor",
     "lu_solve",
     "solve",
+    "unfold",
 ]
 
 class SingularMatrixError(np.linalg.LinAlgError):
@@ -123,12 +137,64 @@ def solve(A, b) -> np.ndarray:
         raise SingularMatrixError(_SINGULAR) from None
 
 
-def cond2(A) -> float:
+def cond2(A, *more) -> float:
     """2-norm condition number sigma_max/sigma_min from the singular values.
 
-    Returns +inf when the smallest singular value is exactly zero.
+    With further square matrices, the condition number of the
+    block-diagonal matrix diag(A, *more): the largest sigma_max over the
+    least sigma_min.  Returns +inf when the smallest singular value is
+    exactly zero.
     """
-    sv = np.linalg.svd(_square(A), compute_uv=False)
-    if sv[-1] == 0.0:
+    sv = [np.linalg.svd(_square(M), compute_uv=False) for M in (A, *more)]
+    smin = min(s[-1] for s in sv)
+    if smin == 0.0:
         return float("inf")
-    return float(sv[0] / sv[-1])
+    return float(max(s[0] for s in sv) / smin)
+
+
+_ROOT2 = math.sqrt(2.0)
+
+
+def fold(A, b) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """Halves of A x = b for a centrosymmetric A, the even one first.
+
+    With n = 2k or 2k + 1, A's leading k rows read [B, c, C] (the column c
+    for odd n only) and, for odd n, row k reads [r, alpha, .].  The
+    orthogonal transform to the vectors (e_i +- e_{n-1-i})/sqrt(2), i < k,
+    and the middle unit vector takes A to diag(even, odd) with
+
+        even = [[B + CJ, sqrt(2) c], [sqrt(2) r, alpha]]   (order n - k)
+        odd  = B - CJ                                       (order k)
+
+    Only those leading rows are read; A's trailing rows are taken to mirror
+    them.  The halves are written into A's own buffer, even over its leading
+    block and odd over its trailing one, and returned as views, so A is
+    overwritten; b is not.  A of order 1 comes back as ``((A,), (b,))``.
+    """
+    M = _square(A)
+    n = M.shape[0]
+    v = _matching_vector(n, b)
+    k = n // 2
+    if k == 0:
+        return (M,), (v,)
+    h = n - k
+    B, CJ, odd = M[:k, :k], M[:k, h:][:, ::-1], M[h:, h:]
+    np.subtract(B, CJ, out=odd)
+    np.add(B, CJ, out=B)
+    M[:k, k:h] *= _ROOT2
+    M[k:h, :k] *= _ROOT2
+    top, bottom = v[:k], v[h:][::-1]
+    return (M[:h, :h], odd), (np.concatenate(((top + bottom) / _ROOT2, v[k:h])), (top - bottom) / _ROOT2)
+
+
+def unfold(xs) -> np.ndarray:
+    """Solution of A x = b from the solutions of :func:`fold`'s halves; a single block's as it is."""
+    if len(xs) == 1:
+        return xs[0]
+    even, odd = xs
+    k, h = len(odd), len(even)
+    x = np.empty(h + k, dtype=complex)
+    x[:k] = (even[:k] + odd) / _ROOT2
+    x[h:] = ((even[:k] - odd) / _ROOT2)[::-1]
+    x[k:h] = even[k:]
+    return x

@@ -41,6 +41,14 @@ def test_uniform_knots_degenerate_mesh():
     assert sp.eval_basis(0, 0.0) == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_uniform_knots_mirror_symmetric_bitwise(m):
+    # breakpoint N - 1 - i is exactly the negative of breakpoint i
+    for N in range(65):
+        z = make_uniform_knots(N, m).breakpoints
+        assert np.array_equal(z, -z[::-1]), N
+
+
 def test_uniform_knots_table_sizes():
     # N=16, m=2: dimension 18, so the enriched system has order 3*(N+2) = 54
     kv = make_uniform_knots(16, 2)

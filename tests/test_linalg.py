@@ -10,9 +10,11 @@ from oscfred.linalg import (
     as_complex_matrix,
     as_complex_vector,
     cond2,
+    fold,
     lu_factor,
     lu_solve,
     solve,
+    unfold,
 )
 
 
@@ -170,3 +172,49 @@ def test_cond2_deterministic():
     rng = np.random.default_rng(7)
     A = rng.standard_normal((30, 30)) + 1j * rng.standard_normal((30, 30))
     assert cond2(A) == cond2(A.copy())
+
+
+# ---------------------------------------------------------------------------
+# even/odd fold of centrosymmetric systems
+# ---------------------------------------------------------------------------
+
+def centrosymmetric(n, seed):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return A + A[::-1, ::-1], rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 30, 31])
+def test_fold_solves_and_conditions_like_the_whole(n):
+    A, b = centrosymmetric(n, n)
+    x, c = np.linalg.solve(A, b), cond2(A)
+    blocks, loads = fold(A.copy(), b)
+    assert [M.shape[0] for M in blocks] == ([1] if n == 1 else [(n + 1) // 2, n // 2])
+    y = unfold([solve(M, v) for M, v in zip(blocks, loads)])
+    assert np.linalg.norm(A @ y - b) <= 1e-13 * np.linalg.norm(A, 2) * np.linalg.norm(y)
+    npt.assert_allclose(y, x, rtol=1e-12 * c)
+    assert cond2(*blocks) == pytest.approx(c, rel=1e-12)
+
+
+def test_fold_writes_the_halves_into_the_buffer_and_keeps_the_load():
+    A, b = centrosymmetric(7, 1)
+    b0 = b.copy()
+    blocks, _ = fold(A, b)
+    assert all(np.shares_memory(M, A) for M in blocks)
+    assert np.array_equal(b, b0)
+
+
+def test_cond2_of_blocks_is_the_block_diagonal_condition():
+    rng = np.random.default_rng(3)
+    P, Q = rng.standard_normal((4, 4)), rng.standard_normal((3, 3))
+    assert cond2(P, Q) == pytest.approx(cond2(scipy.linalg.block_diag(P, Q)), rel=1e-12)
+    assert cond2(P, np.zeros((2, 2))) == np.inf
+
+
+def test_singular_half_raises():
+    # J A J = A with the invertible even half [[2, sqrt(2)], [sqrt(2), 3]] and the odd half B - CJ = 0
+    A = np.array([[1.0, 1.0, 1.0], [1.0, 3.0, 1.0], [1.0, 1.0, 1.0]])
+    blocks, loads = fold(A, np.ones(3))
+    assert cond2(*blocks) == np.inf
+    with pytest.raises(SingularMatrixError):
+        [solve(M, v) for M, v in zip(blocks, loads)]

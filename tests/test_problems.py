@@ -10,11 +10,21 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from oscfred.bspline import SplineSpace, make_uniform_knots
-from oscfred.galerkin import OscKernel, Polynomial, StructuredFunction, TrialSpace
+from oscfred.bspline import SplineSpace, make_knots, make_uniform_knots
+from oscfred.galerkin import (
+    OscKernel,
+    Polynomial,
+    StructuredFunction,
+    TrialSpace,
+    assemble_matrix,
+    assemble_rhs,
+    reflection_symmetric,
+)
+from oscfred.linalg import cond2
 from oscfred.oscquad import oscillatory_quad
 from oscfred.problems import (
     OscProbeFunction,
+    Problem,
     manufactured,
     paper_benchmark,
     problem_from_dict,
@@ -196,6 +206,66 @@ def test_solve_path_does_not_import_scipy():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def with_kernel(kappa, C):
+    """The reference benchmark's load and exact solution against kernel factor C."""
+    prob = paper_benchmark(kappa)
+    return Problem(kernel=OscKernel.polynomial(C, kappa), rhs=prob.rhs, exact=prob.exact,
+                   norm_exact=prob.norm_exact)
+
+
+@pytest.mark.parametrize("kappa", [5.0, 50.0, 5e3, 5e4])
+@pytest.mark.parametrize("C", [[[1.0]], [[1.0, 0.0, 0.5], [0.0, 0.25, 0.0], [0.3, 0.0, 0.0]]],
+                         ids=["paper", "rank3"])
+def test_folded_solve_matches_the_whole_system(C, kappa):
+    # both kernels are even, so run_galerkin solves on the two halves;
+    # N = 15 and 16 give both parities of the order n
+    prob = with_kernel(kappa, C)
+    eps = np.finfo(float).eps
+    for m in (1, 2, 3, 4):
+        for method in ("cgm", "opgm"):
+            for N in (15, 16):
+                run = run_galerkin(prob, method, N, m, compute_cond=True)
+                assert reflection_symmetric(run.space, prob.kernel)
+                A = assemble_matrix(run.space, prob.kernel)
+                f = assemble_rhs(run.space, prob.rhs)
+                assert np.linalg.norm(A @ run.coeffs - f) <= 1e-13 * np.linalg.norm(f)
+                c = cond2(A)
+                assert abs(run.cond - c) <= (1e-12 + 4 * eps * c) * c, (m, method, N)
+
+
+def test_asymmetric_kernel_runs_the_whole_system_bitwise():
+    prob = with_kernel(50.0, [[1.0], [1.0]])   # K = 1 + s
+    for method in ("cgm", "opgm"):
+        run = run_galerkin(prob, method, 16, compute_cond=True)
+        assert not reflection_symmetric(run.space, prob.kernel)
+        A = assemble_matrix(run.space, prob.kernel)
+        assert np.array_equal(run.coeffs, np.linalg.solve(A, assemble_rhs(run.space, prob.rhs)))
+        assert run.cond == cond2(A)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_reflection_symmetry_truth_table(m):
+    mirror, skew = SplineSpace(make_knots([-0.6, 0.0, 0.6], m)), SplineSpace(make_knots([-0.6, 0.1, 0.6], m))
+    even = OscKernel.polynomial([[1.0, 0.0, 0.5], [0.0, 0.25, 0.0]], 50.0)
+    smooth_even = OscKernel.smooth(lambda s, t: np.cos(s - t) + s * t, 50.0)
+    odd = OscKernel.polynomial([[0.0], [1.0]], 50.0)            # K = s
+    mixed = OscKernel.polynomial([[1.0, 1e-300]], 50.0)         # K = 1 + 1e-300 t
+    cases = [
+        (mirror, (-1, 0, 1), even, True),
+        (mirror, (0,), even, True),
+        (mirror, (1, 0, -1), even, True),
+        (mirror, (-1, 0, 1), smooth_even, True),
+        (mirror, (-1, 0, 1), odd, False),
+        (mirror, (0,), mixed, False),
+        (skew, (-1, 0, 1), even, False),
+        (SplineSpace(make_knots([-0.6, 0.0, 0.6], m, (-1.0, 2.0))), (0,), even, False),
+        (mirror, (-1, 1, 0), even, False),
+        (mirror, (0, 1), even, False),
+    ]
+    for sp, mults, kern, expected in cases:
+        assert reflection_symmetric(TrialSpace(sp, 50.0, mults), kern) is expected, (mults, expected)
 
 
 @pytest.mark.parametrize("method, N, bound", [("opgm", 128, 1.5), ("cgm", 512, 2.5)])
