@@ -349,10 +349,12 @@ def _cells(sp: SplineSpace):
     """Per-cell geometry: midpoints, half-widths, width groups and local pieces.
 
     Returns ``(s0, h2, widths, group, pieces)``: cell c is [s0 - h2, s0 + h2]
-    and the moments take widths[group[c]]: half-widths that step by at most
-    4 ulp of the breakpoints are merged into the least of them, so a uniform
-    mesh, whose rounded breakpoints give its cells a few bitwise-distinct
-    widths, runs on one width.
+    and the moments take widths[group[c]].  The distinct half-widths are
+    grouped in increasing order, a new group starting at the first one more
+    than 4 ulp of the breakpoints above the least of the current group, and
+    each group takes its least width.  So no cell's width moves by more
+    than 4 ulp, and a uniform mesh, whose rounded breakpoints give its cells
+    a few bitwise-distinct widths, runs on one width.
     ``pieces[r, i, c]`` is the x^i coefficient of B_{c+r} on cell c.
     Per-cell arrays keep cells on their last axis, so elementwise work runs
     along the long axis.
@@ -361,8 +363,15 @@ def _cells(sp: SplineSpace):
     s0 = 0.5 * (z[:-1] + z[1:])
     h2 = 0.5 * (z[1:] - z[:-1])
     widths, group = np.unique(h2, return_inverse=True)
-    new = np.concatenate(([True], np.diff(widths) > 4 * np.spacing(np.max(np.abs(z)))))
-    return s0, h2, widths[new], (np.cumsum(new) - 1)[group], np.moveaxis(sp.pieces, 0, -1)
+    tol = 4 * np.spacing(np.max(np.abs(z)))
+    least = np.empty(len(widths), dtype=int)         # index of each width's group's least width
+    lead = 0
+    for i, w in enumerate(widths):
+        if w - widths[lead] > tol:
+            lead = i
+        least[i] = lead
+    leads, merged = np.unique(least, return_inverse=True)
+    return s0, h2, widths[leads], merged[group], np.moveaxis(sp.pieces, 0, -1)
 
 
 def _shift_scale(deg: int, s0: np.ndarray, h2: np.ndarray) -> np.ndarray:
@@ -504,7 +513,10 @@ def _mass_band(space: TrialSpace, cells) -> np.ndarray:
 
     Every block E_qp is symmetric and E_pq is its conjugate: the local cell
     matrices are symmetrised and the blocks below the block diagonal
-    conjugated, so E comes out exactly Hermitian.
+    conjugated, so E comes out exactly Hermitian.  When the mesh and the
+    multipliers mirror (:func:`_mirrors`), reversing every axis of the band
+    is J E J; the band is averaged with its reversal, so E is exactly
+    centrosymmetric as well.
     """
     eps = np.array(space.multipliers)
     diff = eps - eps[:, None]                               # [q, p] = eps_p - eps_q
@@ -518,6 +530,8 @@ def _mass_band(space: TrialSpace, cells) -> np.ndarray:
     band = _band(pairs)
     for q in range(len(eps)):
         band[q + 1:, q] = band[q, q + 1:].conj()
+    if _mirrors(space):
+        band = 0.5 * (band + band[::-1, ::-1, ::-1, ::-1])
     return band
 
 
@@ -597,7 +611,8 @@ def _assemble(space: TrialSpace, kernel: OscKernel | None = None, mass: bool = F
     E - K): side 0 over every block, then side 1 over l >= i + m through a
     Toeplitz view of 2d - 1 flags.  No other n x n array is allocated,
     except one product at a time for R > 1.  The central diagonals are
-    stored last, in one scatter.
+    stored last, in one scatter.  On reflection-symmetric data the trailing
+    rows are then copied from the leading ones (:func:`_mirror`).
     """
     d, m, nb = space.block_dim, space.splines.order, len(space.multipliers)
     cells = _cells(space.splines)
@@ -620,7 +635,23 @@ def _assemble(space: TrialSpace, kernel: OscKernel | None = None, mass: bool = F
     j = i + np.arange(1 - m, m)[:, None]                    # j[m-1+o, i] = i + o
     inside = (j >= 0) & (j < d)
     blocks[:, np.broadcast_to(i, j.shape)[inside], :, j[inside]] = np.moveaxis(band[:, :, inside], -1, 0)
+    if kernel is not None and reflection_symmetric(space, kernel):
+        _mirror(A)
     return A
+
+
+def _mirror(A: np.ndarray) -> None:
+    """Overwrite A's trailing rows with its leading rows reversed, so J A J = A exactly.
+
+    With E exactly centrosymmetric (see :func:`_mass_band`), this commutes
+    with forming E - K: the trailing rows of E - K are those of E minus
+    the mirrored ones of K, bit for bit.
+    """
+    n = A.shape[0]
+    k, h = n // 2, n - n // 2
+    A[h:] = A[:k][::-1, ::-1]
+    if h > k:
+        A[k, h:] = A[k, :k][::-1]
 
 
 def assemble_mass(space: TrialSpace) -> np.ndarray:
@@ -649,21 +680,34 @@ def assemble_matrix(space: TrialSpace, kernel: OscKernel) -> np.ndarray:
     return _assemble(space, kernel, mass=True)
 
 
-def reflection_symmetric(space: TrialSpace, kernel: OscKernel) -> bool:
-    """Whether E - K commutes with the index reversal J, decided from the data.
+def _mirrors(space: TrialSpace) -> bool:
+    """Whether s -> -s maps the trial basis onto itself in reversed order.
 
-    The reflection s -> -s takes B_j e^{i*eps*kappa*s} to B_{d-1-j}
+    The reflection takes B_j e^{i*eps*kappa*s} to B_{d-1-j}
     e^{-i*eps*kappa*s}, the basis function at the reversed index, when the
     breakpoints mirror about 0 bitwise and the multipliers read backwards
-    are their negatives; it leaves |s - t| alone and fixes the kernel factor
-    when K(-s, -t) = K(s, t), that is when its coefficients at odd a + b are
-    exactly zero.  Then J (E - K) J = E - K up to roundoff.
+    are their negatives.  Then J E J = E.
     """
     z = space.splines.knots.breakpoints
     eps = np.array(space.multipliers)
+    return bool(np.array_equal(z, -z[::-1]) and np.array_equal(eps, -eps[::-1]))
+
+
+def reflection_symmetric(space: TrialSpace, kernel: OscKernel) -> bool:
+    """Whether E - K commutes with the index reversal J, decided from the data.
+
+    The trial basis must mirror (mirror-symmetric breakpoints, multipliers
+    closed under negation); the reflection leaves |s - t| alone and fixes
+    the kernel factor when K(-s, -t) = K(s, t), that is when its
+    coefficients at odd a + b are exactly zero.  Then J (E - K) J = E - K
+    up to roundoff, and assembly makes it exact: the mass band is averaged
+    with its mirror image and the operator's trailing rows are copied from
+    its leading ones, so :mod:`oscfred.linalg` solves and conditions the
+    system on its two halves.
+    """
     C = kernel.coefficient_matrix()
     odd = np.add.outer(np.arange(C.shape[0]), np.arange(C.shape[1])) % 2 == 1
-    return bool(np.array_equal(z, -z[::-1]) and np.array_equal(eps, -eps[::-1]) and not np.any(C[odd]))
+    return _mirrors(space) and not np.any(C[odd])
 
 
 def assemble_rhs(space: TrialSpace, f) -> np.ndarray:

@@ -1,26 +1,24 @@
 """Dense complex linear algebra for the discrete Galerkin systems.
 
-The solve path runs on numpy's LAPACK bindings alone:
+Every entry point works on the halves of an exactly centrosymmetric matrix
+(J A J = A bitwise, J the index reversal): the orthogonal even/odd
+transform splits such a system into two independent halves of orders
+ceil(n/2) and floor(n/2).  A half costs an eighth of the whole in LU and
+SVD flops, so a folded solve with its condition number costs about a
+quarter of the unfolded one.  Any other matrix is the single block
+``(A,)`` and runs through the same calls.
 
-* :func:`fold` / :func:`unfold` -- the orthogonal even/odd transform that
-  splits a centrosymmetric system (J A J = A, J the index reversal) into
-  two independent halves of orders ceil(n/2) and floor(n/2), written into
-  A's own buffer, and maps the halves' solutions back;
+* :func:`fold` / :func:`unfold` -- the halves of A x = b, written into
+  A's own buffer, and the map of the halves' solutions back to x;
 * :func:`solve` -- one-shot partial-pivoted LU solve, ``np.linalg.solve``
-  (LAPACK ``gesv``), applied to each half;
+  (LAPACK ``gesv``), on each block;
 * :func:`cond2` -- exact 2-norm condition number sigma_max/sigma_min from
   the singular values, ``np.linalg.svd(compute_uv=False)`` (LAPACK
-  ``gesdd`` without vectors), of one matrix or of the block-diagonal
-  matrix of the halves.
-
-A half costs an eighth of the whole in LU and SVD flops, so a folded solve
-with its condition number costs about a quarter of the unfolded one.  A
-system without the symmetry runs through the same calls as the single
-block ``(A,)``.
-
-:func:`lu_factor` / :func:`lu_solve` keep a factorization for reuse
-(including solves with A^H) through ``scipy.linalg`` (LAPACK ``getrf`` /
-``getrs``); they import scipy on first call, so nothing else pays for it.
+  ``gesdd`` without vectors), over the blocks of one matrix or of several;
+* :func:`lu_factor` / :func:`lu_solve` -- a factorization of the blocks
+  kept for reuse (including solves with A^H) through ``scipy.linalg``
+  (LAPACK ``getrf`` / ``getrs``); they import scipy on first call, so
+  nothing else pays for it.
 
 Matrices and vectors are plain complex ndarrays; the validators below
 enforce the construction invariants (shape, finiteness) at the public
@@ -91,48 +89,99 @@ def _matching_vector(n: int, b) -> np.ndarray:
     return v
 
 
+_ROOT2 = math.sqrt(2.0)
+
+
+def _centrosymmetric(M: np.ndarray) -> bool:
+    """Whether J M J = M holds bitwise, J the index reversal."""
+    return bool(np.array_equal(M, M[::-1, ::-1]))
+
+
+def _halves(M: np.ndarray) -> tuple[np.ndarray, ...]:
+    """:func:`fold`'s halves of a centrosymmetric M, written into M's buffer."""
+    n = M.shape[0]
+    k = n // 2
+    if k == 0:
+        return (M,)
+    h = n - k
+    B, CJ, odd = M[:k, :k], M[:k, h:][:, ::-1], M[h:, h:]
+    np.subtract(B, CJ, out=odd)
+    np.add(B, CJ, out=B)
+    M[:k, k:h] *= _ROOT2
+    M[k:h, :k] *= _ROOT2
+    return M[:h, :h], odd
+
+
+def _blocks(M: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The halves of a copy of M when M is centrosymmetric, else ``(M,)``; M is left alone."""
+    return _halves(M.copy()) if _centrosymmetric(M) else (M,)
+
+
+def _split(v: np.ndarray, blocks: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+    """The load of each block: the even and odd halves of v, or v itself for one block."""
+    if len(blocks) == 1:
+        return (v,)
+    k = len(v) // 2
+    top, bottom = v[:k], v[len(v) - k:][::-1]
+    return np.concatenate(((top + bottom) / _ROOT2, v[k:len(v) - k])), (top - bottom) / _ROOT2
+
+
 @dataclass(frozen=True)
 class LUFactorization:
-    """Packed LU factors (unit lower / upper in one array) plus pivot rows."""
+    """Packed LU factors (unit lower / upper in one array) plus pivot rows, one pair per block.
 
-    lu: np.ndarray
-    piv: np.ndarray
+    A centrosymmetric matrix has two blocks, its even and odd halves (see
+    :func:`fold`); any other matrix has one, itself.
+    """
+
+    lu: tuple[np.ndarray, ...]
+    piv: tuple[np.ndarray, ...]
 
     @property
     def n(self) -> int:
-        return self.lu.shape[0]
+        return sum(lu.shape[0] for lu in self.lu)
 
 
 def lu_factor(A) -> LUFactorization:
-    """Partial-pivoted LU of a square matrix; raises SingularMatrixError on a zero pivot."""
+    """Partial-pivoted LU of each block of a square matrix; raises SingularMatrixError on a zero pivot."""
     import scipy.linalg
 
-    M = _square(A)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(M, check_finite=False)
-    if np.any(np.diag(lu) == 0):
-        raise SingularMatrixError(_SINGULAR)
-    return LUFactorization(lu=lu, piv=piv)
+    lus, pivs = [], []
+    for M in _blocks(_square(A)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+            lu, piv = scipy.linalg.lu_factor(M, check_finite=False)
+        if np.any(np.diag(lu) == 0):
+            raise SingularMatrixError(_SINGULAR)
+        lus.append(lu)
+        pivs.append(piv)
+    return LUFactorization(lu=tuple(lus), piv=tuple(pivs))
 
 
 def lu_solve(fact: LUFactorization, b, conj_transpose: bool = False) -> np.ndarray:
-    """Solve A x = b (or A^H x = b) from a factorization of A."""
+    """Solve A x = b (or A^H x = b) from a factorization of A.
+
+    The fold is a real orthogonal similarity, so A^H folds to the halves'
+    conjugate transposes and both modes solve block by block.
+    """
     import scipy.linalg
 
     v = _matching_vector(fact.n, b)
-    return scipy.linalg.lu_solve((fact.lu, fact.piv), v, trans=2 if conj_transpose else 0, check_finite=False)
+    trans = 2 if conj_transpose else 0
+    return unfold([scipy.linalg.lu_solve(f, w, trans=trans, check_finite=False)
+                   for f, w in zip(zip(fact.lu, fact.piv), _split(v, fact.lu))])
 
 
 def solve(A, b) -> np.ndarray:
-    """One-shot solve A x = b with partial-pivoted LU (LAPACK gesv).
+    """One-shot solve A x = b with partial-pivoted LU (LAPACK gesv) on each block.
 
     Raises SingularMatrixError on a zero pivot, the condition lu_factor checks.
     """
     M = _square(A)
     v = _matching_vector(M.shape[0], b)
+    blocks = _blocks(M)
     try:
-        return np.linalg.solve(M, v)
+        return unfold([np.linalg.solve(H, w) for H, w in zip(blocks, _split(v, blocks))])
     except np.linalg.LinAlgError:
         raise SingularMatrixError(_SINGULAR) from None
 
@@ -142,21 +191,19 @@ def cond2(A, *more) -> float:
 
     With further square matrices, the condition number of the
     block-diagonal matrix diag(A, *more): the largest sigma_max over the
-    least sigma_min.  Returns +inf when the smallest singular value is
-    exactly zero.
+    least sigma_min.  A centrosymmetric matrix is taken over its halves,
+    whose singular values together are its own.  Returns +inf when the
+    smallest singular value is exactly zero.
     """
-    sv = [np.linalg.svd(_square(M), compute_uv=False) for M in (A, *more)]
+    sv = [np.linalg.svd(H, compute_uv=False) for M in (A, *more) for H in _blocks(_square(M))]
     smin = min(s[-1] for s in sv)
     if smin == 0.0:
         return float("inf")
     return float(max(s[0] for s in sv) / smin)
 
 
-_ROOT2 = math.sqrt(2.0)
-
-
 def fold(A, b) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """Halves of A x = b for a centrosymmetric A, the even one first.
+    """Blocks of A x = b and their loads: for an exactly centrosymmetric A its two halves.
 
     With n = 2k or 2k + 1, A's leading k rows read [B, c, C] (the column c
     for odd n only) and, for odd n, row k reads [r, alpha, .].  The
@@ -166,25 +213,17 @@ def fold(A, b) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
         even = [[B + CJ, sqrt(2) c], [sqrt(2) r, alpha]]   (order n - k)
         odd  = B - CJ                                       (order k)
 
-    Only those leading rows are read; A's trailing rows are taken to mirror
-    them.  The halves are written into A's own buffer, even over its leading
-    block and odd over its trailing one, and returned as views, so A is
-    overwritten; b is not.  A of order 1 comes back as ``((A,), (b,))``.
+    The halves are written over the leading and trailing diagonal blocks of
+    A's complex128 buffer and returned as views; b is not modified.  So a
+    complex128 A is overwritten, while any other A is converted first and
+    the halves live in the converted copy, A itself left unchanged.  A
+    matrix that is not centrosymmetric, or of order 1, comes back as the
+    single block ``((A,), (b,))``, converted to complex.
     """
     M = _square(A)
-    n = M.shape[0]
-    v = _matching_vector(n, b)
-    k = n // 2
-    if k == 0:
-        return (M,), (v,)
-    h = n - k
-    B, CJ, odd = M[:k, :k], M[:k, h:][:, ::-1], M[h:, h:]
-    np.subtract(B, CJ, out=odd)
-    np.add(B, CJ, out=B)
-    M[:k, k:h] *= _ROOT2
-    M[k:h, :k] *= _ROOT2
-    top, bottom = v[:k], v[h:][::-1]
-    return (M[:h, :h], odd), (np.concatenate(((top + bottom) / _ROOT2, v[k:h])), (top - bottom) / _ROOT2)
+    v = _matching_vector(M.shape[0], b)
+    blocks = _halves(M) if _centrosymmetric(M) else (M,)
+    return blocks, _split(v, blocks)
 
 
 def unfold(xs) -> np.ndarray:

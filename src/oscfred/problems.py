@@ -213,11 +213,13 @@ def run_galerkin(
 
     When the discrete problem is invariant under s -> -s
     (:func:`oscfred.galerkin.reflection_symmetric`: mirror-symmetric mesh,
-    multipliers closed under negation, even kernel factor), E - K commutes
-    with index reversal and :func:`oscfred.linalg.fold` splits it and the
-    load into an even and an odd half in E - K's own buffer; each half is
-    solved on its own and the coefficients are unfolded.  Any other input
-    runs the same calls on the single block E - K.
+    multipliers closed under negation, even kernel factor), assembly
+    makes E - K exactly centrosymmetric and :func:`oscfred.linalg.fold`
+    splits it and the load into an even and an odd half in E - K's own
+    buffer; each half is solved on its own and the coefficients are
+    unfolded.  Any other input runs the same calls on the single block
+    E - K.  ``lu_factor`` / ``lu_solve`` and ``cond2`` on E - K take the
+    same halves.
 
     ``seconds`` measures assembly plus solve; the optional condition
     number (the exact 2-norm condition number of E - K, taken over the
@@ -233,8 +235,7 @@ def run_galerkin(
     t0 = time.perf_counter()
     A = galerkin.assemble_matrix(space, problem.kernel)
     f = galerkin.assemble_rhs(space, problem.rhs)
-    blocks, loads = (linalg.fold(A, f) if galerkin.reflection_symmetric(space, problem.kernel)
-                     else ((A,), (f,)))
+    blocks, loads = linalg.fold(A, f)
     coeffs = linalg.unfold([linalg.solve(M, v) for M, v in zip(blocks, loads)])
     seconds = time.perf_counter() - t0
     run = GalerkinRun(

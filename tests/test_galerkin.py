@@ -28,6 +28,7 @@ from oscfred.galerkin import (
     rhs_entry_quadrature,
     solve_system,
 )
+from oscfred import galerkin
 from oscfred.linalg import lu_factor, lu_solve
 from oscfred.oscquad import oscillatory_quad
 
@@ -176,6 +177,45 @@ def test_assemble_matrix_is_mass_minus_operator_exactly(kappa, m, mesh):
             kern = OscKernel.smooth(data, kappa) if callable(data) else OscKernel.polynomial(data, kappa)
             A = assemble_matrix(space, kern)
             assert np.array_equal(A, assemble_mass(space) - assemble_operator(space, kern)), name
+
+
+def is_centrosymmetric(A):
+    return np.array_equal(A, A[::-1, ::-1])
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_mirrored_data_assemble_exactly_centrosymmetric(m):
+    # the mass band is averaged with its mirror image and the operator's
+    # trailing rows copied from its leading ones; the copies must match
+    # the oracle, so the mirroring stays a roundoff-level change
+    kappa = 6.0
+    even = OscKernel.polynomial([[1.0, 0.0, 0.5], [0.0, 0.25, 0.0]], kappa)
+    odd = OscKernel.polynomial([[1.0], [1.0]], kappa)           # K = 1 + s
+    for space in spaces(5, m, kappa):
+        K = assemble_operator(space, even)
+        assert is_centrosymmetric(assemble_mass(space)) and is_centrosymmetric(K)
+        assert is_centrosymmetric(assemble_matrix(space, even))
+        assert not is_centrosymmetric(assemble_matrix(space, odd))
+        n = space.dimension
+        for r, c in [(n - 1, n - 1), (n - 1, 0), (n - 2, n - 1 - m), (n // 2 + 1, 1)]:
+            assert abs(K[r, c] - operator_entry_quadrature(space, even, r, c)) <= 1e-10, (r, c)
+    skew = TrialSpace.opgm(SplineSpace(make_knots([-0.6, 0.1, 0.6], m)), kappa)
+    assert not is_centrosymmetric(assemble_mass(skew))
+
+
+def test_cells_merge_widths_within_4_ulp_of_their_groups_least_width():
+    ulp = np.spacing(1.0)
+    for N in range(0, 65):
+        for m in (1, 2, 3, 4):
+            assert len(galerkin._cells(SplineSpace(make_uniform_knots(N, m)))[2]) == 1, (N, m)
+    # half-widths stepping by about 3 ulp over 64 cells: merging each width
+    # into its predecessor's group would chain across all of them
+    n = 64
+    h = 2.0 / n + 6 * ulp * (np.arange(n) - (n - 1) / 2)
+    z = -1.0 + np.cumsum(h)[:-1]
+    _, h2, widths, group, _ = galerkin._cells(SplineSpace(make_knots(z, 2)))
+    assert np.max(np.abs(widths[group] - h2)) <= 4 * ulp
+    assert len(widths) > 1
 
 
 @pytest.mark.parametrize("method, N", [("cgm", 512), ("opgm", 128)])

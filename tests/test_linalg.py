@@ -19,13 +19,22 @@ from oscfred.linalg import (
 
 
 def unpack(fact):
-    n = fact.n
-    L = np.tril(fact.lu, -1) + np.eye(n)
-    U = np.triu(fact.lu)
-    P = np.eye(n)
-    for k, p in enumerate(fact.piv):
-        P[[k, p]] = P[[p, k]]
-    return P, L, U
+    """Block-diagonal P, L, U with P F = L U, F the block-diagonal matrix of the blocks factored."""
+    Ps, Ls, Us = [], [], []
+    for lu, piv in zip(fact.lu, fact.piv):
+        n = len(lu)
+        P = np.eye(n)
+        for k, p in enumerate(piv):
+            P[[k, p]] = P[[p, k]]
+        Ps.append(P)
+        Ls.append(np.tril(lu, -1) + np.eye(n))
+        Us.append(np.triu(lu))
+    return tuple(scipy.linalg.block_diag(*X) for X in (Ps, Ls, Us))
+
+
+def factored(A):
+    """The block-diagonal matrix lu_factor factors: A's two halves if J A J = A, else A."""
+    return scipy.linalg.block_diag(*fold(np.array(A, dtype=complex), np.zeros(len(A)))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -56,10 +65,26 @@ def test_lu_identity():
 
 
 def test_lu_permutation_matrix_pivots():
-    A = np.array([[0.0, 1.0], [1.0, 0.0]])
+    A = np.array([[0.0, 1.0], [2.0, 0.0]])
     fact = lu_factor(A)  # must pivot, not fail
+    assert len(fact.lu) == 1 and list(fact.piv[0]) == [1, 1]
     P, L, U = unpack(fact)
     npt.assert_allclose(P @ A, L @ U)
+
+
+def test_lu_of_a_centrosymmetric_matrix_factors_its_halves():
+    # J itself folds to diag(1, -1); a random J A J = A of odd order to halves of orders 4 and 3
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
+    for A in (np.array([[0.0, 1.0], [1.0, 0.0]]), X + X[::-1, ::-1]):
+        fact = lu_factor(A)
+        assert [len(lu) for lu in fact.lu] == [(len(A) + 1) // 2, len(A) // 2]
+        P, L, U = unpack(fact)
+        npt.assert_allclose(P @ factored(A), L @ U, atol=1e-13 * np.max(np.abs(A)))
+        b = rng.standard_normal(len(A)) + 1j * rng.standard_normal(len(A))
+        npt.assert_allclose(A @ lu_solve(fact, b), b, atol=1e-12)
+        npt.assert_allclose(A.conj().T @ lu_solve(fact, b, conj_transpose=True), b, atol=1e-12)
+        npt.assert_allclose(lu_solve(fact, b), solve(A, b), rtol=1e-12)
 
 
 def test_lu_random_reconstruction():
