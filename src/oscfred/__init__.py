@@ -8,8 +8,8 @@ polynomial data, so its cost does not grow with the wavenumber.
 
 Modules
 -------
-bspline   knot vectors, B-spline bases, Gram matrices, linear interpolation
-oscquad   oscillatory quadrature: exact moments, Filon rules, reference rule
+bspline   knot vectors, B-spline bases, Gram matrices, grid error measure
+oscquad   oscillatory quadrature: exact unit moments, reference rule
 linalg    even/odd fold of symmetric systems, dense LU solve, exact 2-norm condition number
 galerkin  trial spaces, system assembly, solve, error metrics
 problems  benchmark problem, manufactured solutions, oscillation experiment
@@ -18,10 +18,8 @@ cli       batch experiment runner (``oscfred`` command)
 
 from .bspline import (
     KnotVector,
-    PiecewiseLinearInterpolant,
     SplineSpace,
     gram_matrix,
-    interp_linear,
     make_knots,
     make_uniform_knots,
     max_error_on_grid,
@@ -55,13 +53,7 @@ from .linalg import (
 )
 from .oscquad import (
     Polynomial,
-    SmoothAmplitude,
-    filon_integral,
-    gauss_legendre,
     oscillatory_quad,
-    poly_exp_moment,
-    sigma_n,
-    sigma_polynomial,
 )
 from .problems import (
     GalerkinRun,

@@ -9,8 +9,8 @@ every basis function on every mesh cell, expressed in the normalized local
 coordinate x in [-1, 1] of the cell.  Those local pieces are what the
 Galerkin assembly integrates in closed form.
 
-Also here: piecewise-linear interpolation and the max-on-grid error
-measure used by the oscillation-order experiment.
+Also here: the max-on-grid error measure used by the oscillation-order
+experiment.
 """
 
 from __future__ import annotations
@@ -24,10 +24,8 @@ from .oscquad import gauss_legendre_rule
 
 __all__ = [
     "KnotVector",
-    "PiecewiseLinearInterpolant",
     "SplineSpace",
     "gram_matrix",
-    "interp_linear",
     "make_knots",
     "make_uniform_knots",
     "max_error_on_grid",
@@ -287,28 +285,6 @@ def gram_matrix(space: SplineSpace) -> np.ndarray:
                 if r2 != r1:
                     G[c + r2, c + r1] += v
     return G
-
-
-@dataclass(frozen=True)
-class PiecewiseLinearInterpolant:
-    """Broken-line interpolant of samples on a uniform grid (real or complex)."""
-
-    xs: np.ndarray
-    ys: np.ndarray
-
-    def __call__(self, t):
-        if np.iscomplexobj(self.ys):
-            return np.interp(t, self.xs, self.ys.real) + 1j * np.interp(t, self.xs, self.ys.imag)
-        return np.interp(t, self.xs, self.ys)
-
-
-def interp_linear(values: Sequence[complex], interval: tuple[float, float] = (-1.0, 1.0)) -> PiecewiseLinearInterpolant:
-    """Piecewise-linear interpolant of ``values`` on the uniform closed grid of the interval."""
-    ys = np.asarray(values)
-    if ys.ndim != 1 or len(ys) < 2:
-        raise ValueError("interp_linear needs at least two samples")
-    xs = np.linspace(interval[0], interval[1], len(ys))
-    return PiecewiseLinearInterpolant(xs=xs, ys=ys)
 
 
 def max_error_on_grid(f: Callable, approx: Callable, n: int, interval: tuple[float, float] = (-1.0, 1.0)) -> float:

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -56,9 +57,9 @@ from . import linalg
 from .bspline import SplineSpace
 from .oscquad import (
     Polynomial,
-    SmoothAmplitude,
     _as_coeffs,
     _eval_on,
+    _phase_rule,
     _polyint,
     _polyval,
     _sigma_coeffs,
@@ -430,48 +431,68 @@ def _band(pairs: np.ndarray) -> np.ndarray:
     return band
 
 
+@lru_cache(maxsize=None)
+def _collapsed_rule(D: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The collapsed (Duffy) tensor Gauss rule of :func:`_triangle_moments` at degree D - 1 per variable.
+
+    With v = -1 + (u + 1)(y + 1)/2 the triangle -1 <= v <= u <= 1 is the
+    square in (u, y), and dv = (u + 1)/2 dy.  Below the switch both phases
+    are under T = max(1, D - 1), so the u-integrand has degree 2D - 1 and
+    total phase under 4T, and the y-integrand degree D - 1 and total phase
+    under 2T.  Returns u[i], v[i, j], Up[a, i] = weight_i (u_i + 1)/2 u_i^a
+    and Vp[i, j, b] = weight_j v_ij^b.  Callers must not mutate them.
+    """
+    T = max(1.0, D - 1.0)
+    u, wu = _phase_rule(2 * D - 1, 4.0 * T)
+    y, wy = _phase_rule(D - 1, 2.0 * T)
+    v = -1.0 + np.outer(u + 1.0, y + 1.0) / 2.0
+    rule = (u, v, (wu * (u + 1.0) / 2.0) * u ** np.arange(D)[:, None],
+            (wy[:, None] * v[..., None] ** np.arange(D)).astype(complex))
+    for a in rule:
+        a.setflags(write=False)
+    return rule
+
+
 def _triangle_moments(ls: np.ndarray, lt: np.ndarray, A: int, B: int) -> np.ndarray:
     """mu[e, a, b] = int_{-1}^{1} du int_{-1}^{u} u^a v^b e^{i(ls[e]*u + lt[e]*v)} dv.
 
-    Column b is linear in the inner integral g_b(u) = int_{-1}^{u} v^b
-    e^{i*lt*v} dv, written as sum_n G[b, n] u^n e^{i*w*u} + const with
-    polynomial coefficients G, so mu follows from the 1-d moments of
-    :func:`_unit_moments` at ls + w.  Per column, as the phase |2*lt| of
-    the inner integral reaches max(1, b/2), g_b is the boundary (sigma)
-    expansion (w = lt); below that it integrates the Maclaurin series of
-    e^{i*lt*v} summed until its terms drop under 1e-18 (w = 0; one term
-    when lt == 0).  The cost does not depend on the phases.
+    Two regimes, each at a cost fixed by D = max(A, B), so it does not
+    depend on the phases.  Once |lt| reaches T = max(1, D - 1), the inner
+    integral g_b(u) = int_{-1}^{u} v^b e^{i*lt*v} dv is its boundary (sigma)
+    expansion e^{i*lt*u} s_b(u) - e^{-i*lt} s_b(-1), with
+    s_b[n] = (-1)^(b-n) (i*lt)^-(b-n+1) b!/n! at most 1/|lt| in size, so mu
+    follows from the 1-d moments of :func:`_unit_moments` at ls + lt and ls.
+    When |ls| reaches T instead, the reflection (u, v) -> (-v, -u) gives
+    mu(ls, lt)[a, b] = (-1)^(a+b) mu(-lt, -ls)[b, a], the same expansion
+    with the phases swapped.  Below T in both, the collapsed Gauss rule of
+    :func:`_collapsed_rule`.  Each row is its own product, so row e does
+    not depend on the rest of the batch.
     """
-    b = np.arange(B)
-    sigma = 2.0 * np.abs(lt)[:, None] >= np.maximum(1.0, 0.5 * b)
-
-    # small phase: g_b(u) = sum_j t_j (u^(b+j+1) - (-1)^(b+j+1)) / (b+j+1), t_j = (i*lt)^j / j!
-    lt_small = np.where(np.all(sigma, axis=1), 0.0, lt)
-    x = float(np.max(np.abs(lt_small), initial=0.0))
-    J = 1
-    while x**J / math.factorial(J) >= 1e-18:
-        J += 1
-    j = np.arange(J)
-    n = b[:, None] + j + 1
-    t = (1j * lt_small[:, None]) ** j / np.array([math.factorial(i) for i in j], dtype=float)
-    G_small = np.zeros((len(lt), B, B + J), dtype=complex)
-    G_small[:, b[:, None], n] = np.where(sigma[:, :, None], 0.0, t[:, None, :] / n)
-
-    # large phase: g_b(u) = e^{i*lt*u} s_b(u) - e^{-i*lt} s_b(-1) with
-    # s_b[n] = (-1)^(b-n) (i*lt)^-(b-n+1) b!/n!, so (e^{i*lt*v} s_b)' = v^b e^{i*lt*v}
-    inv = np.divide(1.0, 1j * lt, out=np.zeros(len(lt), dtype=complex), where=lt != 0)
-    k = b[:, None] - b
-    fact = np.array([math.factorial(i) for i in b], dtype=float)
-    ratio = np.where(k >= 0, (-1.0) ** k * fact[:, None] / fact, 0.0)
-    G_large = np.where(sigma[:, :, None], ratio * inv[:, None, None] ** (np.maximum(k, 0) + 1), 0.0)
-
-    alt = (-1.0) ** np.arange(B + J)                        # x^n at x = -1
-    const = -(G_small @ alt) - np.exp(-1j * lt)[:, None] * (G_large @ alt[:B])
-    mom0 = _unit_moments(ls, A + B + J - 2)
-    mom1 = _unit_moments(ls + lt, A + B - 2)
-    return (sliding_window_view(mom0, B + J, axis=1) @ G_small.swapaxes(1, 2)
-            + sliding_window_view(mom1, B, axis=1) @ G_large.swapaxes(1, 2)
-            + mom0[:, :A, None] * const[:, None, :])
+    D = max(A, B)
+    T = max(1.0, D - 1.0)
+    swap = np.abs(lt) < T
+    sigma = ~swap | (np.abs(ls) >= T)
+    mu = np.empty((len(ls), D, D), dtype=complex)
+    if np.any(sigma):
+        rev = swap[sigma]
+        lu = np.where(rev, -lt[sigma], ls[sigma])
+        lv = np.where(rev, -ls[sigma], lt[sigma])
+        b = np.arange(D)
+        k = b[:, None] - b                                  # [b, n] = b - n
+        fact = np.array([math.factorial(i) for i in b], dtype=float)
+        ratio = np.where(k >= 0, (-1.0) ** k * fact[:, None] / fact, 0.0)
+        s = ratio * (1.0 / (1j * lv))[:, None, None] ** (np.maximum(k, 0) + 1)   # [e, b, n] = s_b[n]
+        const = -np.exp(-1j * lv)[:, None] * (s @ (-1.0) ** b)
+        mom = _unit_moments(np.concatenate([lu + lv, lu]), 2 * D - 2)
+        out = (sliding_window_view(mom[:len(lu)], D, axis=1) @ s.swapaxes(1, 2)
+               + mom[len(lu):, :D, None] * const[:, None, :])
+        out[rev] = (-1.0) ** np.add.outer(b, b) * out[rev].swapaxes(1, 2)
+        mu[sigma] = out
+    if not np.all(sigma):
+        u, v, Up, Vp = _collapsed_rule(D)
+        G = np.matmul(np.exp(1j * np.multiply.outer(lt[~sigma], v))[:, :, None, :], Vp)[:, :, 0]   # [e, i, b]
+        mu[~sigma] = (Up * np.exp(1j * np.multiply.outer(ls[~sigma], u))[:, None, :]) @ G
+    return mu[:, :A, :B]
 
 
 def _chebfit_cells(func: Callable, s0: np.ndarray, h2: np.ndarray, deg: int) -> np.ndarray:
@@ -714,8 +735,8 @@ def assemble_rhs(space: TrialSpace, f) -> np.ndarray:
     """Load vector of f against the trial basis.
 
     ``f`` may be a :class:`StructuredFunction` (closed form), or a smooth
-    non-oscillatory callable / :class:`SmoothAmplitude`, which is replaced
-    per cell by its Chebyshev interpolant before exact integration.
+    non-oscillatory callable, which is replaced per cell by its Chebyshev
+    interpolant before exact integration.
     """
     cells = _cells(space.splines)
     s0, h2 = cells[:2]
@@ -729,11 +750,10 @@ def assemble_rhs(space: TrialSpace, f) -> np.ndarray:
             coeffs[:w.degree + 1, t] = w.coeffs
         local = np.einsum("kac,at->ktc", _shift_scale(f.max_degree, s0, h2), coeffs)
     else:
-        func = f.func if isinstance(f, SmoothAmplitude) else f
-        if not callable(func):
+        if not callable(f):
             raise TypeError("right-hand side must be a StructuredFunction or a callable")
         taus = np.zeros(1, dtype=int)
-        local = _chebfit_cells(func, s0, h2, _RHS_FIT_DEGREE)[:, None]
+        local = _chebfit_cells(f, s0, h2, _RHS_FIT_DEGREE)[:, None]
     rates = taus - np.array(space.multipliers)[:, None]     # [q, t]: tau_t - eps_q
     return _fold(_cell_tables(cells, local, rates * space.kappa).sum(axis=1)).ravel()
 
@@ -846,6 +866,12 @@ def apply_kernel_structured(kernel: OscKernel, y: StructuredFunction,
     into boundary-expansion polynomials, so the image is again structured.
     Raises if the kernel is not polynomial or an amplitude degree would
     exceed ``max_degree``.
+
+    The expansion divides by ((tau -/+ 1) kappa)^(k+1) against k!-sized
+    factors, so it loses digits where |tau -/+ 1| kappa is below the
+    amplitude degree: for y = (1 + s + ... + s^12) + e^{i*kappa*s} and a
+    unit kernel factor the relative error is 1.8e-10 at kappa = 1.5,
+    1.5e-13 at kappa = 3 and 1e-15 at kappa = 10.
     """
     if not kernel.is_polynomial:
         raise ValueError("closed-form operator application needs a polynomial kernel factor")

@@ -4,25 +4,22 @@ Everything in this module revolves around integrals of the form
 
     I(omega) = int_a^b u(t) exp(i*omega*t) dt
 
-with a real phase rate ``omega``.  Three complementary tools are provided:
+with a real phase rate ``omega``.  Two tools are provided:
 
-* exact moments of polynomial amplitudes (:func:`poly_exp_moment`), whose
-  cost is independent of ``omega`` -- the workhorse of Galerkin assembly;
-* boundary (integration-by-parts) expansions and a Filon-type rule for
-  smooth non-polynomial amplitudes (:func:`sigma_n`, :func:`filon_integral`);
+* batched exact moments int_{-1}^{1} x^k e^{i*w*x} dx (:func:`_unit_moments`),
+  whose cost is independent of ``w`` -- the workhorse of Galerkin assembly;
 * a brute-force panelized Gauss-Legendre integrator
   (:func:`oscillatory_quad`) that resolves the oscillation node-by-node and
   serves as the independent reference for everything else.
 
-The boundary expansion divides by powers of ``omega`` and therefore loses
-accuracy as the total phase ``|omega*(b-a)|`` shrinks; all closed-form
-paths switch to plain Gauss-Legendre in that regime.
+The boundary (integration-by-parts) form of a moment divides by powers of
+the phase and therefore loses accuracy as the phase falls below the degree;
+the moments switch to plain Gauss-Legendre in that regime.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -31,14 +28,8 @@ import numpy as np
 __all__ = [
     "MAX_GAUSS_NODES",
     "Polynomial",
-    "SmoothAmplitude",
-    "filon_integral",
-    "gauss_legendre",
     "gauss_legendre_rule",
     "oscillatory_quad",
-    "poly_exp_moment",
-    "sigma_n",
-    "sigma_polynomial",
 ]
 
 MAX_GAUSS_NODES = 64
@@ -72,17 +63,6 @@ def _eval_on(fn: Callable, t: np.ndarray) -> np.ndarray:
     except (TypeError, ValueError):
         pass
     return np.asarray([fn(ti) for ti in t])
-
-
-def gauss_legendre(u: Callable, a: float, b: float, q: int) -> complex:
-    """q-point Gauss-Legendre approximation of int_a^b u(t) dt.
-
-    Exact for polynomials of degree <= 2q - 1.
-    """
-    x, w = gauss_legendre_rule(q)
-    half = 0.5 * (b - a)
-    t = 0.5 * (a + b) + half * x
-    return complex(half * np.sum(w * _eval_on(u, t)))
 
 
 def _composite_gauss(f: Callable, a: float, b: float, panels: int, q: int) -> complex:
@@ -248,91 +228,16 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    # -- calculus ------------------------------------------------------------
-    def derivative(self, k: int = 1) -> "Polynomial":
-        c = self.coeffs
-        for _ in range(k):
-            c = _polyder(c)
-        return Polynomial(c)
-
-    def antiderivative(self) -> "Polynomial":
-        return Polynomial(_polyint(self.coeffs))
-
-    def shifted_scaled(self, s0: float, h: float) -> "Polynomial":
-        """Return q with q(x) = p(s0 + h*x) (Horner composition)."""
-        return Polynomial(_compose_affine(self.coeffs, s0, h))
-
-
-def _compose_affine(c: np.ndarray, s0: float, h: float) -> np.ndarray:
-    """Coefficients of p(s0 + h*x) from the coefficients of p(s)."""
-    acc = np.zeros(1, dtype=complex)
-    lin = np.array([s0, h], dtype=complex)
-    for ck in c[::-1]:
-        acc = np.convolve(acc, lin)
-        acc[0] += ck
-    return _trim(acc)
-
 
 # ---------------------------------------------------------------------------
 # Boundary (integration-by-parts) expansions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SmoothAmplitude:
-    """A smooth amplitude given by a callable plus derivative callables.
-
-    ``derivatives[k-1]`` must evaluate the k-th derivative.  The number of
-    supplied derivatives bounds the expansion orders available to
-    :func:`sigma_n` and :func:`filon_integral`.
-    """
-
-    func: Callable[[float], complex]
-    derivatives: tuple = field(default_factory=tuple)
-
-    @property
-    def order(self) -> int:
-        return len(self.derivatives)
-
-    def deriv(self, k: int) -> Callable:
-        if k == 0:
-            return self.func
-        if k <= len(self.derivatives):
-            return self.derivatives[k - 1]
-        raise ValueError(f"amplitude provides derivatives up to order {len(self.derivatives)}, need {k}")
-
-    @staticmethod
-    def from_polynomial(p: Polynomial | Sequence[complex], order: int) -> "SmoothAmplitude":
-        c = _as_coeffs(p)
-        chain = []
-        cur = c
-        for _ in range(order):
-            cur = _polyder(cur)
-            chain.append((lambda cc: (lambda t: _polyval(cc, t)))(cur))
-        return SmoothAmplitude(lambda t, cc=c: _polyval(cc, t), tuple(chain))
-
-
-def sigma_n(u: SmoothAmplitude, t: float, omega: float, n: int) -> complex:
-    """Boundary-expansion kernel: sum_{j<n} (-1)^j (i*omega)^-(j+1) u^(j)(t)."""
-    if omega == 0:
-        raise ValueError("sigma_n is undefined for omega = 0; use a non-oscillatory rule")
-    if n < 1:
-        raise ValueError("expansion order n must be >= 1")
-    if u.order < n - 1:
-        raise ValueError(f"amplitude provides {u.order} derivatives, sigma_n needs {n - 1}")
-    inv = 1.0 / (1j * omega)
-    coef = inv
-    acc = 0.0 + 0.0j
-    for j in range(n):
-        acc += coef * u.deriv(j)(t)
-        coef *= -inv
-    return acc
-
-
 def _sigma_coeffs(c: np.ndarray, omega: float) -> np.ndarray:
-    """Coefficients of sigma[p] for polynomial p, with n = deg(p) + 1.
+    """Coefficients of sigma[p](t) = sum_j (-1)^j (i*omega)^-(j+1) p^(j)(t) for polynomial p.
 
-    sigma[p](t) = sum_j (-1)^j (i*omega)^-(j+1) p^(j)(t); with the full
-    order the boundary expansion of the moment integral is exact.
+    Summed over every derivative of p, so that
+    d/dt [e^{i*omega*t} sigma[p](t)] = p(t) e^{i*omega*t} exactly.
     """
     inv = 1.0 / (1j * omega)
     out = np.zeros(len(c), dtype=complex)
@@ -345,106 +250,51 @@ def _sigma_coeffs(c: np.ndarray, omega: float) -> np.ndarray:
     return out
 
 
-def sigma_polynomial(p: Polynomial | Sequence[complex], omega: float) -> Polynomial:
-    """Polynomial sigma[p] such that d/dt [e^{i omega t} sigma[p](t)] = p(t) e^{i omega t}."""
-    if omega == 0:
-        raise ValueError("sigma_polynomial is undefined for omega = 0")
-    return Polynomial(_sigma_coeffs(_as_coeffs(p), omega))
-
-
 # ---------------------------------------------------------------------------
-# Exact polynomial-times-exponential moments
+# Exact unit moments
 # ---------------------------------------------------------------------------
 
-def _pem_gauss(c: np.ndarray, a: float, b: float, omega: float) -> complex:
-    deg = len(c) - 1
-    phase = abs(omega * (b - a))
-    q = (deg + 2) // 2 + 8 + math.ceil(0.4 * phase)
-    if q > MAX_GAUSS_NODES:
-        mid = 0.5 * (a + b)
-        return _pem_gauss(c, a, mid, omega) + _pem_gauss(c, mid, b, omega)
-    x, w = gauss_legendre_rule(q)
-    half = 0.5 * (b - a)
-    t = 0.5 * (a + b) + half * x
-    vals = _polyval(c, t) * np.exp(1j * omega * t)
-    return complex(half * np.sum(w * vals))
+@lru_cache(maxsize=None)
+def _phase_rule(K: int, phase: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1] for x^k e^{i*w*x}, k <= K, 2|w| <= ``phase``.
 
-
-def _pem_recurrence(c: np.ndarray, a: float, b: float, omega: float) -> complex:
-    iw = 1j * omega
-    eb = np.exp(iw * b)
-    ea = np.exp(iw * a)
-    mom = (eb - ea) / iw
-    acc = c[0] * mom
-    bp = 1.0
-    ap = 1.0
-    for k in range(1, len(c)):
-        bp *= b
-        ap *= a
-        mom = (bp * eb - ap * ea - k * mom) / iw
-        acc += c[k] * mom
-    return complex(acc)
-
-
-def _pem_sigma(c: np.ndarray, a: float, b: float, omega: float) -> complex:
-    s = _sigma_coeffs(c, omega)
-    return complex(np.exp(1j * omega * b) * _polyval(s, b) - np.exp(1j * omega * a) * _polyval(s, a))
-
-
-def _pem(c: np.ndarray, a: float, b: float, omega: float) -> complex:
-    """Exact int_a^b p(t) e^{i omega t} dt for coefficient array ``c``.
-
-    Dispatches between the boundary expansion (cheap, phase-independent)
-    and Gauss-Legendre.  The boundary forms divide by omega^k and suffer
-    k!-type cancellation unless the phase outgrows the degree: each step
-    of the recurrence scales the error carried from the previous moment
-    by k/|omega*h| (h the half-width), so they are used only once the
-    total phase reaches twice the degree, where every step damps it.
-    Below that switch a modest Gauss rule is exact to roundoff.
+    Each panel takes (K + 2) // 2 + 8 + ceil(0.4 * phase / panels) nodes,
+    and the panel count doubles while that exceeds ``MAX_GAUSS_NODES``.
+    Callers must not mutate the returned arrays.
     """
-    c = _trim(c)
-    deg = len(c) - 1
-    if deg == 0 and c[0] == 0:
-        return 0.0 + 0.0j
-    phase = abs(omega * (b - a))
-    if phase < max(1.0, 2.0 * deg):
-        return _pem_gauss(c, a, b, omega)
-    if deg <= 12:
-        return _pem_recurrence(c, a, b, omega)
-    return _pem_sigma(c, a, b, omega)
+    base = (K + 2) // 2 + 8
+    panels = 1
+    while base + math.ceil(0.4 * phase / panels) > MAX_GAUSS_NODES and base < MAX_GAUSS_NODES:
+        panels *= 2
+    x, wt = gauss_legendre_rule(base + math.ceil(0.4 * phase / panels))
+    rule = (((x + np.arange(1 - panels, panels, 2)[:, None]) / panels).ravel(), np.tile(wt / panels, panels))
+    for a in rule:
+        a.setflags(write=False)
+    return rule
 
 
 @lru_cache(maxsize=None)
 def _moment_rule(K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nodes x, weights and powers x^k (k = 0..K) of :func:`_unit_moments`' Gauss rule at degree K.
 
-    The rule is the one for the largest total phase below the switch,
-    max(1, 2K), split into panels as in :func:`_pem_gauss` if one would
-    need more than ``MAX_GAUSS_NODES`` nodes.  Callers must not mutate
-    the returned arrays.
+    The rule is :func:`_phase_rule` for the largest total phase below the
+    switch, max(1, 2K).  Callers must not mutate the returned arrays.
     """
-    phase = max(1.0, 2.0 * K)
-    base = (K + 2) // 2 + 8
-    panels = 1
-    while base + math.ceil(0.4 * phase / panels) > MAX_GAUSS_NODES and base < MAX_GAUSS_NODES:
-        panels *= 2
-    x, wt = gauss_legendre_rule(base + math.ceil(0.4 * phase / panels))
-    x = ((x + np.arange(1 - panels, panels, 2)[:, None]) / panels).ravel()
-    rule = (x, np.tile(wt / panels, panels), x[:, None] ** np.arange(K + 1))
-    for a in rule:
-        a.setflags(write=False)
-    return rule
+    x, wt = _phase_rule(K, max(1.0, 2.0 * K))
+    powers = x[:, None] ** np.arange(K + 1)
+    powers.setflags(write=False)
+    return x, wt, powers
 
 
 def _unit_moments(w: np.ndarray, K: int) -> np.ndarray:
     """Moments M[e, k] = int_{-1}^{1} x^k e^{i w_e x} dx, k = 0..K, for an array of rates w.
 
-    The batched form of :func:`_pem` on [-1, 1] at degree K, with its
-    switch: the Gauss rule of :func:`_moment_rule` below a total phase of
-    max(1, 2K), and the forward recurrence of :func:`_pem_recurrence`
-    above it.  The rule depends on K alone and each row is its own
-    product, so row e is bitwise the same whatever else is in the batch.
-    The cost does not depend on w.
+    The Gauss rule of :func:`_moment_rule` runs below a total phase of
+    max(1, 2K); above it, the forward recurrence
+    M[k] = (e^{iw} - (-1)^k e^{-iw} - k M[k-1]) / (iw), whose every step
+    scales the error carried from M[k-1] by k/|w| <= 1.  The rule depends
+    on K alone and each row is its own product, so row e is bitwise the
+    same whatever else is in the batch.  The cost does not depend on w.
     """
     w = np.asarray(w, dtype=float)
     M = np.empty((len(w), K + 1), dtype=complex)
@@ -464,43 +314,3 @@ def _unit_moments(w: np.ndarray, K: int) -> np.ndarray:
             big[:, k] = mom
         M[~small] = big
     return M
-
-
-def poly_exp_moment(p: Polynomial | Sequence[complex], a: float, b: float, omega: float) -> complex:
-    """Exact value (up to roundoff) of int_a^b p(t) exp(i*omega*t) dt.
-
-    The cost is O(deg p), independent of ``omega``.
-    """
-    if b < a:
-        raise ValueError("poly_exp_moment requires a <= b")
-    return _pem(_as_coeffs(p), float(a), float(b), float(omega))
-
-
-# ---------------------------------------------------------------------------
-# Filon-type rule for smooth amplitudes
-# ---------------------------------------------------------------------------
-
-def filon_integral(u: SmoothAmplitude, a: float, b: float, omega: float, n: int) -> complex:
-    """Filon-type value of int_a^b u(t) exp(i*omega*t) dt.
-
-    Integrates by parts ``n`` times (the sigma_n boundary terms, exact and
-    phase-independent) and evaluates the remaining integral of
-    u^(n)(t) e^{i omega t}, whose magnitude is O(omega^-n), by panelized
-    Gauss-Legendre with at least 20 nodes per wavelength.  Requires
-    derivative callables up to order ``n``; intended for
-    |omega*(b-a)| >= 1.
-    """
-    if omega == 0:
-        raise ValueError("filon_integral requires omega != 0")
-    if n < 1:
-        raise ValueError("expansion order n must be >= 1")
-    if u.order < n:
-        raise ValueError(f"amplitude provides {u.order} derivatives, filon_integral needs {n}")
-    iw = 1j * omega
-    boundary = np.exp(iw * b) * sigma_n(u, b, omega, n) - np.exp(iw * a) * sigma_n(u, a, omega, n)
-    un = u.deriv(n)
-    q = 24
-    wavelengths = abs(omega) * (b - a) / (2.0 * math.pi)
-    panels = max(2, math.ceil(wavelengths * 20.0 / q))
-    rem = _composite_gauss(lambda t: un(t) * np.exp(iw * t), a, b, panels, q)
-    return complex(boundary + (-1) ** n / iw ** n * rem)

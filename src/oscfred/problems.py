@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import galerkin, linalg
-from .bspline import SplineSpace, interp_linear, make_uniform_knots, max_error_on_grid
+from .bspline import SplineSpace, make_uniform_knots, max_error_on_grid
 from .galerkin import (
     EN_GRID,
     OscKernel,
@@ -162,8 +162,8 @@ def table1_experiment(
             raise ValueError("wavenumbers must be positive and finite")
         for j in (1, 2, 3):
             g = OscProbeFunction(index=j, kappa=float(kappa))
-            approx = interp_linear(g(xs), interval)
-            out[i, j - 1] = max_error_on_grid(g, approx, check_points, interval)
+            ys = g(xs)
+            out[i, j - 1] = max_error_on_grid(g, lambda s: np.interp(s, xs, ys), check_points, interval)
     return out
 
 

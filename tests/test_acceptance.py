@@ -334,7 +334,7 @@ def test_criterion_7_gram_condition_bound():
 def test_criterion_8_assembly_cost_kappa_independent():
     # Two pairs: both wavenumbers of the first take the large-phase moment
     # branch; at kappa = 10 the second has kappa*h/2 ~ 0.15, so its
-    # shared-cell triangles take the small-phase (Taylor) branch instead.
+    # shared-cell triangles take the collapsed Gauss rule instead.
     sp = SplineSpace(make_uniform_knots(64, 2))
 
     def best_time(kappa):

@@ -1,4 +1,4 @@
-"""Tests of knot vectors, B-spline bases, Gram matrices, interpolation."""
+"""Tests of knot vectors, B-spline bases, Gram matrices, the grid error measure."""
 
 import numpy as np
 import numpy.testing as npt
@@ -9,7 +9,6 @@ from oscfred.bspline import (
     KnotVector,
     SplineSpace,
     gram_matrix,
-    interp_linear,
     make_knots,
     make_uniform_knots,
     max_error_on_grid,
@@ -225,37 +224,8 @@ def test_gram_condition_mesh_independent():
 
 
 # ---------------------------------------------------------------------------
-# piecewise-linear interpolation and the grid error measure
+# the grid error measure
 # ---------------------------------------------------------------------------
-
-def test_interp_reproduces_affine():
-    xs = np.linspace(-1, 1, 3)
-    itp = interp_linear(xs)  # f(t) = t sampled on 3 points
-    s = np.linspace(-1, 1, 50)
-    npt.assert_allclose(itp(s), s, atol=1e-15)
-
-
-def test_interp_square_error_bound():
-    # classical bound h^2 ||f''|| / 8 with f'' = 2, attained at cell midpoints
-    n = 1281
-    h = 2.0 / (n - 1)
-    xs = np.linspace(-1, 1, n)
-    itp = interp_linear(xs**2)
-    err = max_error_on_grid(lambda t: t**2, itp, 2049)
-    assert err <= h**2 / 4 + 1e-15
-    assert err >= 0.99 * h**2 / 4
-
-
-def test_interp_complex_samples():
-    xs = np.linspace(-1, 1, 9)
-    itp = interp_linear(np.exp(1j * xs))
-    assert itp(xs[3]) == pytest.approx(np.exp(1j * xs[3]))
-
-
-def test_interp_needs_two_samples():
-    with pytest.raises(ValueError):
-        interp_linear([1.0])
-
 
 def test_max_error_identity_and_constant_gap():
     f = lambda s: np.ones_like(s)

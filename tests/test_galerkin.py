@@ -1,5 +1,6 @@
 """Tests of trial spaces, system assembly, solve, and error metrics."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -38,11 +39,13 @@ def spaces(N, m, kappa):
     return TrialSpace.cgm(sp, kappa), TrialSpace.opgm(sp, kappa)
 
 
-# Meshes that steer the closed-form moments through every branch they switch
-# on, beside each oracle test's original m = 2 case: at kappa*h/2 ~ 0.15 every
-# shared-cell triangle takes the small-phase (Taylor) or lt == 0 path; orders
-# 3 and 4 hit lt == 0 with more pieces per cell; the non-uniform mesh has six
-# cell widths, one of them (kappa*h/2 = 0.3) small-phase beside large-phase ones.
+# Meshes that steer the closed-form moments through their branches, beside
+# each oracle test's original m = 2 case: at kappa*h/2 ~ 0.15 every shared-cell
+# triangle takes the collapsed Gauss rule; orders 3 and 4 take it with more
+# pieces per cell; the non-uniform mesh has six cell widths, one of them
+# (kappa*h/2 = 0.3) small-phase beside large-phase ones.  The operator test's
+# m = 2 case takes both boundary expansions of the triangles as well, and
+# test_triangle_moments_match_collapsed_gauss_reference sweeps every switch.
 REGIME_MESHES = [
     pytest.param(make_uniform_knots(32, 2), 5.0, id="m2-small-phase"),
     pytest.param(make_uniform_knots(5, 3), 6.0, id="m3"),
@@ -177,6 +180,43 @@ def test_assemble_matrix_is_mass_minus_operator_exactly(kappa, m, mesh):
             kern = OscKernel.smooth(data, kappa) if callable(data) else OscKernel.polynomial(data, kappa)
             A = assemble_matrix(space, kern)
             assert np.array_equal(A, assemble_mass(space) - assemble_operator(space, kern)), name
+
+
+def collapsed_gauss_reference(ls, lt, A, B):
+    """mu[a, b] of galerkin._triangle_moments by a composite 20-point Gauss rule in (u, y).
+
+    With v = -1 + (u + 1)(y + 1)/2 the triangle -1 <= v <= u <= 1 is the
+    square; each axis takes at least 60 + 2(|ls| + |lt|) nodes.
+    """
+    panels = math.ceil((60 + 2 * (abs(ls) + abs(lt))) / 20)
+    x, w = np.polynomial.legendre.leggauss(20)
+    x = ((x + np.arange(1 - panels, panels, 2)[:, None]) / panels).ravel()
+    w = np.tile(w / panels, panels)
+    v = -1 + np.outer(x + 1, x + 1) / 2
+    f = np.outer((x + 1) / 2, w) * np.exp(1j * lt * v)
+    inner = np.empty((len(x), B), dtype=complex)       # [u, b] = int_{-1}^{u} v^b e^{i*lt*v} dv
+    for b in range(B):
+        inner[:, b] = f.sum(axis=1)
+        f *= v
+    return ((w * np.exp(1j * ls * x))[:, None] * x[:, None] ** np.arange(A)).T @ inner
+
+
+@pytest.mark.parametrize("A, B", [(1, 1), (2, 2), (3, 5), (6, 3), (10, 10), (20, 20)])
+def test_triangle_moments_match_collapsed_gauss_reference(A, B):
+    # phases on both sides of each switch at T = max(1, max(A, B) - 1): lt = 0,
+    # ls = 0, |ls| = |lt|, both signs, and |ls| >> |lt| (the reflected expansion)
+    T = max(1.0, max(A, B) - 1.0)
+    grid = T * np.array([0.0, 0.25, 0.999, 1.0, 1.5])
+    grid = np.concatenate([-grid[:0:-1], grid])
+    ls, lt = (a.ravel() for a in np.meshgrid(grid, grid))
+    ls = np.append(ls, T * np.array([10.0, -10.0, 0.3]))
+    lt = np.append(lt, T * np.array([0.0, 0.3, -10.0]))
+    mu = galerkin._triangle_moments(ls, lt, A, B)
+    scale = 2.0 / (np.add.outer(np.arange(A), np.arange(B)) + 1)
+    for e in range(len(ls)):
+        err = np.abs(mu[e] - collapsed_gauss_reference(ls[e], lt[e], A, B)) / scale
+        assert np.max(err) <= 1e-12, (ls[e], lt[e])
+        assert np.array_equal(mu[e], galerkin._triangle_moments(ls[e:e + 1], lt[e:e + 1], A, B)[0])
 
 
 def is_centrosymmetric(A):
