@@ -37,8 +37,9 @@ tables, mass, load, shared-cell triangles) takes one batched moment call
 over its rates and distinct cell widths -- a few for a uniform mesh -- and
 one contraction.  Off the 2m - 1 central diagonals of each block, E - K is
 a rank-R product of generators (per-basis sums of the operator's cell
-tables, R the kernel factor's rank), written straight into the one n x n
-buffer; only the central diagonals take single cell pairs.  The quadrature
+tables, R the kernel factor's rank), written straight into the one
+buffer, which holds only the leading ceil(n/2) rows on reflection-symmetric
+data; only the central diagonals take single cell pairs.  The quadrature
 oracles at the bottom of the module integrate the defining formulas
 numerically and exist to cross-check the closed forms.
 """
@@ -78,6 +79,7 @@ __all__ = [
     "StructuredFunction",
     "TrialSpace",
     "apply_kernel_structured",
+    "assemble_leading_rows",
     "assemble_mass",
     "assemble_matrix",
     "assemble_operator",
@@ -625,38 +627,44 @@ def _operator_parts(space: TrialSpace, kernel: OscKernel, cells):
     return gens, _band(pairs)
 
 
-def _assemble(space: TrialSpace, kernel: OscKernel | None = None, mass: bool = False) -> np.ndarray:
-    """E (no kernel), K (``mass`` false) or E - K, written once into one n x n buffer.
+def _assemble(space: TrialSpace, kernel: OscKernel | None = None, mass: bool = False,
+              strip: bool = False) -> np.ndarray:
+    """E (no kernel), K (``mass`` false) or E - K, written once into one buffer.
 
     The generators' products go straight into the buffer (negated for
-    E - K): side 0 over every block, then side 1 over l >= i + m through a
-    Toeplitz view of 2d - 1 flags.  No other n x n array is allocated,
-    except one product at a time for R > 1.  The central diagonals are
-    stored last, in one scatter.  On reflection-symmetric data the trailing
-    rows are then copied from the leading ones (:func:`_mirror`).
+    E - K), block row by block row: side 0 over every block, then side 1
+    over l >= i + m through a Toeplitz view of 2d - 1 flags; the central
+    diagonals last.  On reflection-symmetric data only the leading
+    ceil(n/2) rows are computed, and returned alone with ``strip``, else
+    mirrored into the n x n result's trailing rows (:func:`_mirror`).
     """
     d, m, nb = space.block_dim, space.splines.order, len(space.multipliers)
+    n = nb * d
+    h = n - n // 2 if strip or (kernel is not None and reflection_symmetric(space, kernel)) else n
     cells = _cells(space.splines)
     parts = None if kernel is None else _operator_parts(space, kernel, cells)
     band = _mass_band(space, cells) if mass else np.zeros((nb, nb, 2 * m - 1, d), dtype=complex)
-    A = (np.zeros if parts is None else np.empty)((nb * d, nb * d), dtype=complex)
-    blocks = A.reshape(nb, d, nb, d)
+    A = (np.zeros if parts is None else np.empty)((h if strip else n, n), dtype=complex)
     i = np.arange(d)
+    j = i + np.arange(1 - m, m)[:, None]                    # j[m-1+o, i] = i + o
     if parts is not None:
         (x, S), op_band = parts
         if mass:
             x = -x
         upper = sliding_window_view(np.arange(1 - d, d) >= m, d)[::-1, None]   # [i, 1, l] = l - i >= m
-        for side, where in enumerate((True, upper)):
-            xs, Ss = x[side, :, :, :, None, None], S[side, :, None, None]
-            np.multiply(xs[0], Ss[0], out=blocks, where=where)
-            for xr, Sr in zip(xs[1:], Ss[1:]):
-                np.add(blocks, xr * Sr, out=blocks, where=where)
         band = band - op_band if mass else op_band
-    j = i + np.arange(1 - m, m)[:, None]                    # j[m-1+o, i] = i + o
-    inside = (j >= 0) & (j < d)
-    blocks[:, np.broadcast_to(i, j.shape)[inside], :, j[inside]] = np.moveaxis(band[:, :, inside], -1, 0)
-    if kernel is not None and reflection_symmetric(space, kernel):
+    for q in range(-(-h // d)):
+        r = min(h - q * d, d)                               # rows of block row q that are computed
+        rows = A[q * d:q * d + r].reshape(r, nb, d)
+        if parts is not None:
+            for side, where in enumerate((True, upper[:r])):
+                xs, Ss = x[side, :, q, :r, None, None], S[side, :, None]
+                np.multiply(xs[0], Ss[0], out=rows, where=where)
+                for xr, Sr in zip(xs[1:], Ss[1:]):
+                    np.add(rows, xr * Sr, out=rows, where=where)
+        inside = (j >= 0) & (j < d) & (i < r)
+        rows[np.broadcast_to(i, j.shape)[inside], :, j[inside]] = band[q][:, inside].T
+    if h < len(A):
         _mirror(A)
     return A
 
@@ -701,6 +709,17 @@ def assemble_matrix(space: TrialSpace, kernel: OscKernel) -> np.ndarray:
     return _assemble(space, kernel, mass=True)
 
 
+def assemble_leading_rows(space: TrialSpace, kernel: OscKernel) -> np.ndarray:
+    """The leading ceil(n/2) rows of :func:`assemble_matrix`, which determine it on reflection-symmetric data.
+
+    J (E - K) J = E - K then; :func:`oscfred.linalg.fold_rows` folds them.
+    """
+    _check_kappa(space, kernel.kappa)
+    if not reflection_symmetric(space, kernel):
+        raise ValueError("the leading rows determine E - K only on reflection-symmetric data")
+    return _assemble(space, kernel, mass=True, strip=True)
+
+
 def _mirrors(space: TrialSpace) -> bool:
     """Whether s -> -s maps the trial basis onto itself in reversed order.
 
@@ -722,9 +741,9 @@ def reflection_symmetric(space: TrialSpace, kernel: OscKernel) -> bool:
     the kernel factor when K(-s, -t) = K(s, t), that is when its
     coefficients at odd a + b are exactly zero.  Then J (E - K) J = E - K
     up to roundoff, and assembly makes it exact: the mass band is averaged
-    with its mirror image and the operator's trailing rows are copied from
-    its leading ones, so :mod:`oscfred.linalg` solves and conditions the
-    system on its two halves.
+    with its mirror image and only the leading rows are computed (the
+    trailing ones copied from them), so :mod:`oscfred.linalg` solves and
+    conditions the system on its two halves.
     """
     C = kernel.coefficient_matrix()
     odd = np.add.outer(np.arange(C.shape[0]), np.arange(C.shape[1])) % 2 == 1

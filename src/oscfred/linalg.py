@@ -8,13 +8,15 @@ SVD flops, so a folded solve with its condition number costs about a
 quarter of the unfolded one.  Any other matrix is the single block
 ``(A,)`` and runs through the same calls.
 
-* :func:`fold` / :func:`unfold` -- the halves of A x = b, written into
-  A's own buffer, and the map of the halves' solutions back to x;
+* :func:`fold` / :func:`fold_rows` / :func:`unfold` -- the halves of
+  A x = b, written into A's leading ceil(n/2) rows, the only ones read, or
+  into those rows alone; and the map of the halves' solutions back to x;
 * :func:`solve` -- one-shot partial-pivoted LU solve, ``np.linalg.solve``
-  (LAPACK ``gesv``), on each block;
+  (LAPACK ``gesv``), on each block; :func:`solve_blocks` on a fold's;
 * :func:`cond2` -- exact 2-norm condition number sigma_max/sigma_min from
   the singular values, ``np.linalg.svd(compute_uv=False)`` (LAPACK
   ``gesdd`` without vectors), over the blocks of one matrix or of several;
+  :func:`cond2_blocks` over a fold's;
 * :func:`lu_factor` / :func:`lu_solve` -- a factorization of the blocks
   kept for reuse (including solves with A^H) through ``scipy.linalg``
   (LAPACK ``getrf`` / ``getrs``); they import scipy on first call, so
@@ -39,10 +41,13 @@ __all__ = [
     "as_complex_matrix",
     "as_complex_vector",
     "cond2",
+    "cond2_blocks",
     "fold",
+    "fold_rows",
     "lu_factor",
     "lu_solve",
     "solve",
+    "solve_blocks",
     "unfold",
 ]
 
@@ -98,23 +103,23 @@ def _centrosymmetric(M: np.ndarray) -> bool:
 
 
 def _halves(M: np.ndarray) -> tuple[np.ndarray, ...]:
-    """:func:`fold`'s halves of a centrosymmetric M, written into M's buffer."""
-    n = M.shape[0]
-    k = n // 2
-    if k == 0:
-        return (M,)
-    h = n - k
-    B, CJ, odd = M[:k, :k], M[:k, h:][:, ::-1], M[h:, h:]
-    np.subtract(B, CJ, out=odd)
-    np.add(B, CJ, out=B)
+    """:func:`fold`'s halves, made in place in M[:ceil(n/2)], n = M.shape[1]; later rows are not read."""
+    k = M.shape[1] // 2
+    h = M.shape[1] - k
+    for a in range(0, k, 64):                       # 64 rows at a time: no temporary of a half's size
+        rows = slice(a, min(a + 64, k))
+        B, CJ = M[rows, :k], M[rows, h:][:, ::-1]
+        odd = B - CJ
+        np.add(B, CJ, out=B)
+        CJ[:, ::-1] = odd
     M[:k, k:h] *= _ROOT2
     M[k:h, :k] *= _ROOT2
-    return M[:h, :h], odd
+    return (M[:h, :h], M[:k, h:]) if k else (M[:h, :h],)
 
 
 def _blocks(M: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The halves of a copy of M when M is centrosymmetric, else ``(M,)``; M is left alone."""
-    return _halves(M.copy()) if _centrosymmetric(M) else (M,)
+    """The halves of a copy of M's leading rows when M is centrosymmetric, else ``(M,)``; M is left alone."""
+    return _halves(M[:len(M) - len(M) // 2].copy()) if _centrosymmetric(M) else (M,)
 
 
 def _split(v: np.ndarray, blocks: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
@@ -172,34 +177,37 @@ def lu_solve(fact: LUFactorization, b, conj_transpose: bool = False) -> np.ndarr
                    for f, w in zip(zip(fact.lu, fact.piv), _split(v, fact.lu))])
 
 
-def solve(A, b) -> np.ndarray:
-    """One-shot solve A x = b with partial-pivoted LU (LAPACK gesv) on each block.
-
-    Raises SingularMatrixError on a zero pivot, the condition lu_factor checks.
-    """
-    M = _square(A)
-    v = _matching_vector(M.shape[0], b)
-    blocks = _blocks(M)
+def solve_blocks(blocks, loads) -> np.ndarray:
+    """x from :func:`fold`'s checked blocks, solved as they are (gesv); SingularMatrixError on a zero pivot."""
     try:
-        return unfold([np.linalg.solve(H, w) for H, w in zip(blocks, _split(v, blocks))])
+        return unfold([np.linalg.solve(H, w) for H, w in zip(blocks, loads)])
     except np.linalg.LinAlgError:
         raise SingularMatrixError(_SINGULAR) from None
+
+
+def cond2_blocks(blocks) -> float:
+    """cond2 of diag(*blocks), the blocks as they are; +inf when the least singular value is exactly 0."""
+    sv = [np.linalg.svd(H, compute_uv=False) for H in blocks]
+    smin = min(s[-1] for s in sv)
+    if smin == 0.0:
+        return float("inf")
+    return float(max(s[0] for s in sv) / smin)
+
+
+def solve(A, b) -> np.ndarray:
+    """One-shot solve A x = b with partial-pivoted LU (LAPACK gesv) on each block."""
+    blocks = _blocks(M := _square(A))
+    return solve_blocks(blocks, _split(_matching_vector(len(M), b), blocks))
 
 
 def cond2(A, *more) -> float:
     """2-norm condition number sigma_max/sigma_min from the singular values.
 
     With further square matrices, the condition number of the
-    block-diagonal matrix diag(A, *more): the largest sigma_max over the
-    least sigma_min.  A centrosymmetric matrix is taken over its halves,
-    whose singular values together are its own.  Returns +inf when the
-    smallest singular value is exactly zero.
+    block-diagonal matrix diag(A, *more).  A centrosymmetric matrix is
+    taken over its halves, whose singular values together are its own.
     """
-    sv = [np.linalg.svd(H, compute_uv=False) for M in (A, *more) for H in _blocks(_square(M))]
-    smin = min(s[-1] for s in sv)
-    if smin == 0.0:
-        return float("inf")
-    return float(max(s[0] for s in sv) / smin)
+    return cond2_blocks([H for M in (A, *more) for H in _blocks(_square(M))])
 
 
 def fold(A, b) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
@@ -213,16 +221,28 @@ def fold(A, b) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
         even = [[B + CJ, sqrt(2) c], [sqrt(2) r, alpha]]   (order n - k)
         odd  = B - CJ                                       (order k)
 
-    The halves are written over the leading and trailing diagonal blocks of
-    A's complex128 buffer and returned as views; b is not modified.  So a
-    complex128 A is overwritten, while any other A is converted first and
-    the halves live in the converted copy, A itself left unchanged.  A
-    matrix that is not centrosymmetric, or of order 1, comes back as the
-    single block ``((A,), (b,))``, converted to complex.
+    The halves are written over A's leading n - k rows, even over [B, c]
+    and odd over C, and returned as views; no later row is read, and b is
+    not modified.  So a complex128 A is overwritten, while any other A is
+    converted first, A itself left unchanged.  A matrix that is not
+    centrosymmetric, or of order 1, is the single block ``((A,), (b,))``.
     """
     M = _square(A)
     v = _matching_vector(M.shape[0], b)
     blocks = _halves(M) if _centrosymmetric(M) else (M,)
+    return blocks, _split(v, blocks)
+
+
+def fold_rows(S, b) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """:func:`fold` of an n x n matrix, n = len(b), from its leading ceil(n/2) rows S alone.
+
+    The matrix must be centrosymmetric by construction, as from
+    :func:`oscfred.galerkin.assemble_leading_rows`; each half is checked to be finite.
+    """
+    v, M, n = as_complex_vector(b), np.asarray(S, dtype=complex), len(b)
+    if M.shape != (n - n // 2, n):
+        raise ValueError(f"expected the leading {n - n // 2} rows of an order-{n} matrix, got shape {M.shape}")
+    blocks = tuple(as_complex_matrix(H) for H in _halves(M))
     return blocks, _split(v, blocks)
 
 

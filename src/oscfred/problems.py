@@ -212,14 +212,11 @@ def run_galerkin(
     """Assemble and solve one discretization of ``problem``.
 
     When the discrete problem is invariant under s -> -s
-    (:func:`oscfred.galerkin.reflection_symmetric`: mirror-symmetric mesh,
-    multipliers closed under negation, even kernel factor), assembly
-    makes E - K exactly centrosymmetric and :func:`oscfred.linalg.fold`
-    splits it and the load into an even and an odd half in E - K's own
-    buffer; each half is solved on its own and the coefficients are
-    unfolded.  Any other input runs the same calls on the single block
-    E - K.  ``lu_factor`` / ``lu_solve`` and ``cond2`` on E - K take the
-    same halves.
+    (:func:`oscfred.galerkin.reflection_symmetric`), E - K is exactly
+    centrosymmetric: only its leading ceil(n/2) rows are assembled, and
+    :func:`oscfred.linalg.fold_rows` turns them in place into an even and
+    an odd half, each solved on its own, so no n x n array is allocated.
+    Any other input solves the whole E - K as one block.
 
     ``seconds`` measures assembly plus solve; the optional condition
     number (the exact 2-norm condition number of E - K, taken over the
@@ -233,10 +230,12 @@ def run_galerkin(
     splines = SplineSpace(make_uniform_knots(N, spline_order))
     space = TrialSpace(splines=splines, kappa=problem.kappa, multipliers=_METHOD_MULTIPLIERS[method])
     t0 = time.perf_counter()
-    A = galerkin.assemble_matrix(space, problem.kernel)
     f = galerkin.assemble_rhs(space, problem.rhs)
-    blocks, loads = linalg.fold(A, f)
-    coeffs = linalg.unfold([linalg.solve(M, v) for M, v in zip(blocks, loads)])
+    if galerkin.reflection_symmetric(space, problem.kernel):
+        blocks, loads = linalg.fold_rows(galerkin.assemble_leading_rows(space, problem.kernel), f)
+    else:
+        blocks, loads = linalg.fold(galerkin.assemble_matrix(space, problem.kernel), f)
+    coeffs = linalg.solve_blocks(blocks, loads)
     seconds = time.perf_counter() - t0
     run = GalerkinRun(
         method=method,
@@ -251,7 +250,7 @@ def run_galerkin(
     if problem.exact is not None:
         run.e_N = relative_error_eN(run.evaluate, problem.exact, problem.norm_y())
     if compute_cond:
-        run.cond = linalg.cond2(*blocks)
+        run.cond = linalg.cond2_blocks(blocks)
     return run
 
 

@@ -5,12 +5,14 @@ import numpy.testing as npt
 import pytest
 import scipy.linalg
 
+from oscfred import linalg
 from oscfred.linalg import (
     SingularMatrixError,
     as_complex_matrix,
     as_complex_vector,
     cond2,
     fold,
+    fold_rows,
     lu_factor,
     lu_solve,
     solve,
@@ -227,6 +229,45 @@ def test_fold_writes_the_halves_into_the_buffer_and_keeps_the_load():
     blocks, _ = fold(A, b)
     assert all(np.shares_memory(M, A) for M in blocks)
     assert np.array_equal(b, b0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 30, 31])
+def test_fold_reads_only_the_leading_rows(n):
+    # the halves come from rows [0, ceil(n/2)) alone: garbage below them
+    # changes nothing, and fold_rows on those rows gives fold's halves and loads
+    A, b = centrosymmetric(n, n + 100)
+    h = n - n // 2
+    blocks, loads = fold(A.copy(), b)
+    M = A.copy()
+    M[h:] = np.nan
+    halves = linalg._halves(M)
+    assert len(halves) == len(blocks)
+    assert all(np.array_equal(H, B) for H, B in zip(halves, blocks))
+    assert np.all(np.isnan(M[h:]))
+    k = n // 2                                  # the defining formulas, as one whole-array step
+    CJ = A[:k, h:][:, ::-1]
+    assert np.array_equal(blocks[0][:k, :k], A[:k, :k] + CJ)
+    assert n == 1 or np.array_equal(blocks[1], A[:k, :k] - CJ)
+    rows = A[:h].copy()
+    blocks2, loads2 = fold_rows(rows, b)
+    assert all(np.array_equal(X, Y) for X, Y in zip(blocks2 + loads2, blocks + loads))
+    assert all(np.shares_memory(H, rows) for H in blocks2)
+
+
+def test_fold_rows_validates_shape_and_finiteness():
+    A, b = centrosymmetric(6, 5)
+    with pytest.raises(ValueError):
+        fold_rows(A, b)                         # all n rows, not the leading ceil(n/2)
+    with pytest.raises(ValueError):
+        fold_rows(A[:3], b[:5])
+    S = A[:3].copy()
+    S[0, 0] = np.inf
+    with pytest.raises(ValueError):
+        fold_rows(S, b)
+    S = A[:3].copy()
+    S[0, 0], S[0, -1] = 1e308, 1e308            # finite rows whose even half overflows
+    with np.errstate(over="ignore"), pytest.raises(ValueError):
+        fold_rows(S, b)
 
 
 def test_cond2_of_blocks_is_the_block_diagonal_condition():
