@@ -47,15 +47,16 @@ numerically and exist to cross-check the closed forms.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from . import linalg
-from .bspline import SplineSpace
+from .bspline import KnotVector, SplineSpace
 from .oscquad import (
     Polynomial,
     _as_coeffs,
@@ -88,6 +89,7 @@ __all__ = [
     "convergence_order",
     "eval_solution",
     "mass_entry_quadrature",
+    "mesh_plan",
     "operator_entry_quadrature",
     "reflection_symmetric",
     "relative_error_eN",
@@ -107,6 +109,8 @@ _KERNEL_FIT_DEGREE = 16
 _RHS_FIT_DEGREE = 12
 _STRUCTURE_RANGE = 2  # carriers e^{i*tau*kappa*s} with |tau| <= 2
 _MAX_AMPLITUDE_DEGREE = 16
+_PLANS = 2          # meshes whose kappa-independent tables stay cached (see mesh_plan)
+_PLAN_ENTRIES = 2   # kernel factors and multiplier sets whose tables each plan keeps
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +156,7 @@ class StructuredFunction:
         s = np.asarray(s, dtype=float)
         out = np.zeros(s.shape, dtype=complex) if s.ndim else 0.0 + 0.0j
         for tau, p in self.terms:
-            out = out + p(s) * np.exp(1j * tau * self.kappa * s)
+            out = out + (p(s) * np.exp(1j * tau * self.kappa * s) if tau else p(s))
         return out
 
     def __add__(self, other: "StructuredFunction") -> "StructuredFunction":
@@ -288,8 +292,9 @@ class DiscreteSystem:
     operator: np.ndarray
     load: np.ndarray
 
-    @property
+    @cached_property
     def matrix(self) -> np.ndarray:
+        """E - K, formed on first access and kept."""
         return self.mass - self.operator
 
     @property
@@ -358,7 +363,8 @@ def _cells(sp: SplineSpace):
     each group takes its least width.  So no cell's width moves by more
     than 4 ulp, and a uniform mesh, whose rounded breakpoints give its cells
     a few bitwise-distinct widths, runs on one width.
-    ``pieces[r, i, c]`` is the x^i coefficient of B_{c+r} on cell c.
+    ``pieces[r, i, c]`` is the x^i coefficient of B_{c+r} on cell c, a
+    contiguous copy (numpy copies a strided operand at every product).
     Per-cell arrays keep cells on their last axis, so elementwise work runs
     along the long axis.
     """
@@ -374,34 +380,152 @@ def _cells(sp: SplineSpace):
             lead = i
         least[i] = lead
     leads, merged = np.unique(least, return_inverse=True)
-    return s0, h2, widths[leads], merged[group], np.moveaxis(sp.pieces, 0, -1)
+    return s0, h2, widths[leads], merged[group], np.ascontiguousarray(np.moveaxis(sp.pieces, 0, -1))
 
 
 def _shift_scale(deg: int, s0: np.ndarray, h2: np.ndarray) -> np.ndarray:
     """T[k, a, c] = coefficient of x^k in (s0[c] + h2[c]*x)^a: p(s0 + h2*x) = sum_k (p @ T[k]) x^k."""
+    binom, powers = _binomials(deg)
+    s0_powers = np.vander(s0, deg + 1, increasing=True).T[powers]
+    return binom * s0_powers * np.vander(h2, deg + 1, increasing=True).T[:, None]
+
+
+@lru_cache(maxsize=None)
+def _binomials(deg: int) -> tuple[np.ndarray, np.ndarray]:
+    """binom[k, a, 0] = C(a, k) and powers[k, a] = max(a - k, 0) for :func:`_shift_scale`; read-only."""
     a = np.arange(deg + 1)
-    binom = np.array([[math.comb(j, k) for j in a] for k in a], dtype=float)
-    s0_powers = np.vander(s0, deg + 1, increasing=True).T[np.maximum(a - a[:, None], 0)]
-    return binom[:, :, None] * s0_powers * np.vander(h2, deg + 1, increasing=True).T[:, None]
+    return _frozen(np.array([[math.comb(j, k) for j in a] for k in a], dtype=float)[:, :, None],
+                   np.maximum(a - a[:, None], 0))
 
 
-def _cell_tables(cells, local: np.ndarray, rates: np.ndarray) -> np.ndarray:
-    """V[k, l, r, c] = int_{cell c} amp_l(s) B_{c+r}(s) e^{i*rates[k, l]*s} ds for all k, l, r, c.
+class MeshPlan:
+    """What a solve on one mesh uses that depends on neither kappa nor the load.
+
+    Built by :func:`mesh_plan`: the spline space, its cell geometry
+    (:func:`_cells`) and mirror test, the B-spline values on
+    :data:`EN_GRID`, the index arrays of the cell pairs and of the central
+    diagonals, and the tables of the last few kernel factors
+    (:func:`_factor_tables`, keyed by coefficient values) and multiplier
+    sets (:class:`_Layout`).  Each table is a read-only array, built on
+    first use from the mesh and those keys alone, so a solve gives the same
+    bits on a fresh plan as on a reused one.
+    """
+
+    def __init__(self, splines: SplineSpace):
+        self.splines = splines
+        self.cells = _frozen(*_cells(splines))
+        z = splines.knots.breakpoints
+        self.mirrored = bool(np.array_equal(z, -z[::-1]))
+        self._lock = threading.RLock()
+        self._band_index: dict[int, tuple] = {}
+        self._factors: dict[tuple, _Factor] = {}
+        self._layouts: dict[tuple, _Layout] = {}
+
+    def _memo(self, cache: dict, key, build: Callable, bound: int | None = None):
+        """cache[key], built on a miss; past ``bound`` entries the least recently used one is dropped."""
+        with self._lock:
+            value = cache.pop(key, None)
+            cache[key] = value = build() if value is None else value
+            if bound is not None and len(cache) > bound:
+                del cache[next(iter(cache))]
+            return value
+
+    @cached_property
+    def en_values(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(idx, vals)``: the indices and values of the B-splines alive at each point of EN_GRID.
+
+        The values are stored complex, the type :func:`eval_solution`'s
+        product with the coefficients would cast them to on every call.
+        """
+        j0, vals = self.splines.eval_nonzero_array(EN_GRID)
+        return _frozen(j0[:, None] + np.arange(self.splines.order), vals.astype(complex))
+
+    @cached_property
+    def pair_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(side, shift)`` of the cell pairs x = 0..4m-4 apart by x - (2m-2) (:func:`_operator_parts`).
+
+        side[x, 0] is 0 below the shared cells and 1 above; shift[x, c] = x + c.
+        """
+        m, nc = self.splines.order, self.cells[4].shape[-1]
+        x = np.arange(4 * m - 3)[:, None]
+        return _frozen((x > 2 * m - 2).astype(int), x + np.arange(nc))
+
+    @cached_property
+    def upper(self) -> np.ndarray:
+        """upper[i, 0, l] = l - i >= m: where side 1's generators hold within a block (:func:`_assemble`)."""
+        d, m = self.splines.dimension, self.splines.order
+        return sliding_window_view(np.arange(1 - d, d) >= m, d)[::-1, None]
+
+    def band_index(self, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(inside, i, j)``: the central-diagonal entries (i, j) of a block's first r rows.
+
+        inside[m-1+o, i] flags the entries (i, i+o) that lie in the block and in its first r rows.
+        """
+        def build():
+            d, m = self.splines.dimension, self.splines.order
+            i = np.arange(d)
+            j = i + np.arange(1 - m, m)[:, None]                    # j[m-1+o, i] = i + o
+            inside = (j >= 0) & (j < d) & (i < r)
+            return _frozen(inside, np.broadcast_to(i, j.shape)[inside], j[inside])
+        return self._memo(self._band_index, r, build)
+
+    def factor(self, C: np.ndarray) -> "_Factor":
+        """:func:`_factor_tables` of the kernel factor with coefficient matrix C."""
+        return self._memo(self._factors, (C.shape, C.tobytes()), lambda: _factor_tables(C, self), _PLAN_ENTRIES)
+
+    def layout(self, multipliers: tuple[int, ...]) -> "_Layout":
+        """The rates and index arrays of a multiplier set on this mesh."""
+        return self._memo(self._layouts, tuple(multipliers), lambda: _Layout(multipliers, self), _PLAN_ENTRIES)
+
+
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, made read-only: a cache hands them to every caller."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+@lru_cache(maxsize=_PLANS)
+def _plan(order: int, knots: bytes) -> MeshPlan:
+    return MeshPlan(SplineSpace(KnotVector(order, np.frombuffer(knots))))
+
+
+def mesh_plan(knots: KnotVector) -> MeshPlan:
+    """The plan of the mesh with these knots, shared by every space on it.
+
+    The plans of the last two meshes stay cached, so solves at many
+    wavenumbers on one mesh build its tables once.
+    """
+    return _plan(knots.order, knots.knots.tobytes())
+
+
+def _products(local: np.ndarray, pieces: np.ndarray) -> np.ndarray:
+    """prod[n, l, r, c] = x^n coefficient of amp_l B_{c+r} on cell c, for :func:`_cell_tables`.
 
     ``local[:, l, c]`` holds the coefficients of amp_l in cell c's local
-    coordinate x (s = s0 + h2*x).  ``rates`` is (K, L), pairing each rate
-    with its amplitude, or (K, 1) for every rate against every amplitude.
-    One moment call covers every (rate, cell width).
+    coordinate x (s = s0 + h2*x); ``pieces`` is :func:`_cells`' last entry.
     """
-    s0, h2, widths, group, pieces = cells
     m, nc = pieces.shape[1:]
     D, L = local.shape[:2]
-    prod = np.zeros((m + D - 1, L, m, nc), dtype=complex)  # [n, l, r, c]: x^n coefficient of amp_l B_{c+r}
+    prod = np.zeros((m + D - 1, L, m, nc), dtype=complex)
     for i in range(m):
         prod[i:i + D] += local[:, :, None] * pieces[:, i]
-    mom = _unit_moments(np.multiply.outer(rates, widths).ravel(), m + D - 2)
-    mom = np.moveaxis(mom.reshape(rates.shape + (len(widths), m + D - 1)), -1, 2)[..., group]   # [k, l, n, c]
-    V = sum(mom[:, :, n, None] * prod[n] for n in range(m + D - 1))
+    return prod
+
+
+def _cell_tables(cells, prod: np.ndarray, rates: np.ndarray) -> np.ndarray:
+    """V[k, l, r, c] = int_{cell c} amp_l(s) B_{c+r}(s) e^{i*rates[k, l]*s} ds for all k, l, r, c.
+
+    ``prod`` is :func:`_products` of the amplitudes.  ``rates`` is (K, L),
+    pairing each rate with its amplitude, or (K, 1) for every rate against
+    every amplitude.  One moment call covers every (rate, cell width).
+    """
+    s0, h2, widths, group = cells[:4]
+    mom = _unit_moments(np.multiply.outer(rates, widths).ravel(), len(prod) - 1)
+    mom = mom.T.reshape((len(prod),) + rates.shape + (len(widths),))   # [n, k, l, width]
+    if len(widths) > 1:
+        mom = mom[..., group]                               # [n, k, l, c]; one width broadcasts
+    V = sum(mom[n][:, :, None] * prod[n] for n in range(len(prod)))
     pre = h2 * np.exp(1j * rates[..., None] * s0)
     return pre[:, :, None] * V
 
@@ -455,6 +579,21 @@ def _collapsed_rule(D: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
     return rule
 
 
+@lru_cache(maxsize=None)
+def _sigma_rule(D: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The phase-independent factors of :func:`_triangle_moments`' boundary expansion at D = max(A, B).
+
+    With k = b - n: ratio[b, n] = (-1)^k b!/n! for k >= 0 (else 0), the
+    powers max(k, 0) + 1 of 1/(i*lv), (-1)^b and (-1)^(a+b).  Callers must
+    not mutate them.
+    """
+    b = np.arange(D)
+    k = b[:, None] - b                                  # [b, n] = b - n
+    fact = np.array([math.factorial(i) for i in b], dtype=float)
+    return _frozen(np.where(k >= 0, (-1.0) ** k * fact[:, None] / fact, 0.0), np.maximum(k, 0) + 1,
+                   (-1.0) ** b, (-1.0) ** np.add.outer(b, b))
+
+
 def _triangle_moments(ls: np.ndarray, lt: np.ndarray, A: int, B: int) -> np.ndarray:
     """mu[e, a, b] = int_{-1}^{1} du int_{-1}^{u} u^a v^b e^{i(ls[e]*u + lt[e]*v)} dv.
 
@@ -475,22 +614,20 @@ def _triangle_moments(ls: np.ndarray, lt: np.ndarray, A: int, B: int) -> np.ndar
     swap = np.abs(lt) < T
     sigma = ~swap | (np.abs(ls) >= T)
     mu = np.empty((len(ls), D, D), dtype=complex)
-    if np.any(sigma):
+    if sigma.any():
         rev = swap[sigma]
         lu = np.where(rev, -lt[sigma], ls[sigma])
         lv = np.where(rev, -ls[sigma], lt[sigma])
-        b = np.arange(D)
-        k = b[:, None] - b                                  # [b, n] = b - n
-        fact = np.array([math.factorial(i) for i in b], dtype=float)
-        ratio = np.where(k >= 0, (-1.0) ** k * fact[:, None] / fact, 0.0)
-        s = ratio * (1.0 / (1j * lv))[:, None, None] ** (np.maximum(k, 0) + 1)   # [e, b, n] = s_b[n]
-        const = -np.exp(-1j * lv)[:, None] * (s @ (-1.0) ** b)
+        ratio, powers, sign, signs = _sigma_rule(D)
+        s = ratio * (1.0 / (1j * lv))[:, None, None] ** powers   # [e, b, n] = s_b[n]
+        const = -np.exp(-1j * lv)[:, None] * (s @ sign)
         mom = _unit_moments(np.concatenate([lu + lv, lu]), 2 * D - 2)
-        out = (sliding_window_view(mom[:len(lu)], D, axis=1) @ s.swapaxes(1, 2)
-               + mom[len(lu):, :D, None] * const[:, None, :])
-        out[rev] = (-1.0) ** np.add.outer(b, b) * out[rev].swapaxes(1, 2)
+        low = mom[:len(lu)]                                 # the windows low[e, i + j] of sliding_window_view
+        out = (as_strided(low, (len(lu), D, D), low.strides[:1] + low.strides[1:] * 2, writeable=False)
+               @ s.swapaxes(1, 2) + mom[len(lu):, :D, None] * const[:, None, :])
+        out[rev] = signs * out[rev].swapaxes(1, 2)
         mu[sigma] = out
-    if not np.all(sigma):
+    if not sigma.all():
         u, v, Up, Vp = _collapsed_rule(D)
         G = np.matmul(np.exp(1j * np.multiply.outer(lt[~sigma], v))[:, :, None, :], Vp)[:, :, 0]   # [e, i, b]
         mu[~sigma] = (Up * np.exp(1j * np.multiply.outer(ls[~sigma], u))[:, None, :]) @ G
@@ -520,45 +657,110 @@ def _chebfit_cells(func: Callable, s0: np.ndarray, h2: np.ndarray, deg: int) -> 
 # Assembly
 # ---------------------------------------------------------------------------
 
-def _rate_range(mults: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The integers from the least to the largest of ``mults``, and each entry's index among them."""
-    lo = mults.min()
-    return np.arange(lo, mults.max() + 1), mults - lo
-
-
 def _check_kappa(space: TrialSpace, kappa: float) -> None:
     if not math.isclose(space.kappa, kappa, rel_tol=1e-12):
         raise ValueError(f"wavenumber mismatch: trial space has {space.kappa}, data has {kappa}")
 
 
-def _mass_band(space: TrialSpace, cells) -> np.ndarray:
+class _Layout:
+    """The rates and index arrays of one multiplier set on one mesh.
+
+    ``mass`` and ``sides`` pair the distinct rates of the mass tables and
+    of the operator's cell tables with each entry's index among them
+    (``np.unique``), ``ls``/``lt`` those of the shared-cell triangles
+    (:func:`_operator_parts`).  ``mirrors`` tells whether s -> -s maps the
+    trial basis onto itself in reversed order: it takes
+    B_j e^{i*eps*kappa*s} to B_{d-1-j} e^{-i*eps*kappa*s}, the basis
+    function at the reversed index, when the breakpoints mirror about 0
+    bitwise and the multipliers read backwards are their negatives.  Then
+    J E J = E.
+    """
+
+    def __init__(self, multipliers: tuple[int, ...], plan: MeshPlan):
+        eps = self.eps = np.array(multipliers)
+        self.diff = eps - eps[:, None]                      # [q, p] = eps_p - eps_q
+        self.mass = np.unique(self.diff, return_inverse=True)
+        srate = np.stack([1 - eps, -(1 + eps)])             # [side, q]; the t side has -srate at eps_p
+        self.sides = np.unique(np.stack([srate, -srate]), return_inverse=True)
+        self.ls = np.unique(np.stack([1 - eps, 1 + eps])[:, :, None], return_inverse=True)      # [side, q, 1]
+        self.lt = np.unique(np.stack([eps - 1, -(eps + 1)])[:, None, :], return_inverse=True)   # [side, 1, p]
+        self.pairs = np.repeat(self.ls[0], len(self.lt[0])), np.tile(self.lt[0], len(self.ls[0]))
+        self.mirrors = plan.mirrored and bool(np.array_equal(eps, -eps[::-1]))
+        self.gram = None            # :func:`_mass_band` of a single multiplier
+        _frozen(eps, self.diff, *self.mass, *self.sides, *self.ls, *self.lt, *self.pairs)
+
+
+def _mass_band(space: TrialSpace, plan: MeshPlan) -> np.ndarray:
     """Diagonals of the mass blocks: band[q, p, m-1+o, i] = E_qp[i, i+o].
 
     Every block E_qp is symmetric and E_pq is its conjugate: the local cell
     matrices are symmetrised and the blocks below the block diagonal
     conjugated, so E comes out exactly Hermitian.  When the mesh and the
-    multipliers mirror (:func:`_mirrors`), reversing every axis of the band
+    multipliers mirror (``_Layout.mirrors``), reversing every axis of the band
     is J E J; the band is averaged with its reversal, so E is exactly
-    centrosymmetric as well.
+    centrosymmetric as well.  With a single multiplier every rate is 0, so
+    the band (then the Gram matrix of the splines) is kept in the layout.
+    Callers must not mutate the result.
     """
-    eps = np.array(space.multipliers)
-    diff = eps - eps[:, None]                               # [q, p] = eps_p - eps_q
-    rates, at = _rate_range(diff)
-    pieces = cells[4]
-    m = pieces.shape[0]
-    tables = _cell_tables(cells, pieces.swapaxes(0, 1), rates[:, None] * space.kappa)     # [k, b, a, c]
+    lay = plan.layout(space.multipliers)
+    if lay.gram is not None:
+        return lay.gram
+    rates, at = lay.mass
+    m = space.splines.order
+    pieces = plan.cells[4]
+    tables = _cell_tables(plan.cells, _products(pieces.swapaxes(0, 1), pieces), rates[:, None] * space.kappa)   # [k, b, a, c]
     local = tables.swapaxes(1, 2)[at]                                           # [q, p, a, b, c]
     pairs = np.zeros(local.shape[:2] + (2 * m - 1,) + local.shape[2:], dtype=complex)
     pairs[:, :, m - 1] = 0.5 * (local + local.swapaxes(2, 3))
     band = _band(pairs)
-    for q in range(len(eps)):
+    for q in range(len(lay.eps)):
         band[q + 1:, q] = band[q, q + 1:].conj()
-    if _mirrors(space):
+    if lay.mirrors:
         band = 0.5 * (band + band[::-1, ::-1, ::-1, ::-1])
+    if len(lay.eps) == 1:
+        lay.gram, = _frozen(band)
     return band
 
 
-def _operator_parts(space: TrialSpace, kernel: OscKernel, cells):
+@dataclass(frozen=True)
+class _Factor:
+    """A kernel factor's tables on one mesh (:func:`_factor_tables`); None tables for a zero factor."""
+
+    even: bool                  # K(-s, -t) = K(s, t): the coefficients at odd a + b are exactly zero
+    rank: int
+    prod: np.ndarray | None     # :func:`_products` of the local phi_r (first R) and psi_r (last R)
+    Cc: np.ndarray | None       # the kernel factor in each cell's local coordinates, Cc[a, b, c]
+    flip: np.ndarray | None     # (-1)^(a+b) over the shared-cell tensor's a, b
+
+
+def _factor_tables(C: np.ndarray, plan: MeshPlan) -> _Factor:
+    """The kappa-independent tables :func:`_operator_parts` takes from the kernel factor C on one mesh.
+
+    With the SVD K(s,t) = sum_r phi_r(s) psi_r(t), the cell products of
+    phi_r and psi_r in each cell's local coordinates, and the kernel factor
+    itself in those coordinates.
+    """
+    odd = np.add.outer(np.arange(C.shape[0]), np.arange(C.shape[1])) % 2 == 1
+    even = not np.any(C[odd])
+    if not np.any(C):
+        return _Factor(even, 0, None, None, None)
+    P = plan.cells[4]
+    m, nc = P.shape[1:]
+    U, sv, Vh = np.linalg.svd(C, full_matrices=False)
+    keep = sv > sv[0] * 1e-15
+    roots = np.sqrt(sv[keep])
+    R = len(roots)
+    A0, B0 = C.shape
+    T = _shift_scale(max(A0, B0) - 1, *plan.cells[:2])
+    local = np.zeros((max(A0, B0), 2 * R, nc), dtype=complex)
+    local[:A0, :R] = np.einsum("kac,ar->krc", T[:A0, :A0], U[:, keep] * roots)   # phi_r, local coordinates
+    local[:B0, R:] = np.einsum("kbc,br->krc", T[:B0, :B0], Vh[keep].T * roots)   # psi_r
+    Cc = np.einsum("kac,ab,lbc->klc", T[:A0, :A0], C, T[:B0, :B0])
+    flip = (-1.0) ** np.add.outer(np.arange(A0 + m - 1), np.arange(B0 + m - 1))[..., None]
+    return _Factor(even, R, *_frozen(_products(local, P), Cc, flip))
+
+
+def _operator_parts(space: TrialSpace, factor: _Factor, plan: MeshPlan):
     """K as generators plus diagonals: ``((x, S), band)``, or None for a zero kernel.
 
     With K(s,t) = sum_r phi_r(s) psi_r(t) (SVD), the phase on t < s (side 0)
@@ -572,98 +774,82 @@ def _operator_parts(space: TrialSpace, kernel: OscKernel, cells):
     pairs less than 2m - 1 apart and the shared-cell triangles, which are
     linear in each cell's coefficient tensor W.
     """
-    C = kernel.coefficient_matrix()
-    if not np.any(C):
+    if factor.prod is None:
         return None
-    s0, h2, widths, group, P = cells
+    s0, h2, widths, group, P = plan.cells
     m, nc = P.shape[1:]
+    R = factor.rank
     kappa = space.kappa
-    eps = np.array(space.multipliers)
+    lay = plan.layout(space.multipliers)
 
-    U, sv, Vh = np.linalg.svd(C, full_matrices=False)
-    keep = sv > sv[0] * 1e-15
-    roots = np.sqrt(sv[keep])
-    R = len(roots)
-    A0, B0 = C.shape
-    T = _shift_scale(max(A0, B0) - 1, s0, h2)
-    local = np.zeros((max(A0, B0), 2 * R, nc), dtype=complex)
-    local[:A0, :R] = np.einsum("kac,ar->krc", T[:A0, :A0], U[:, keep] * roots)   # phi_r, local coordinates
-    local[:B0, R:] = np.einsum("kbc,br->krc", T[:B0, :B0], Vh[keep].T * roots)   # psi_r
-
-    srate = np.stack([1 - eps, -(1 + eps)])                 # [side, q]; the t side has -srate at eps_p
-    rates, at = _rate_range(np.stack([srate, -srate]))
-    tables = _cell_tables(cells, local, rates[:, None] * kappa)      # [k, l, r, c]
+    rates, at = lay.sides
+    tables = _cell_tables(plan.cells, factor.prod, rates[:, None] * kappa)      # [k, l, r, c]
     X = tables[at[0], :R]                                   # [side, q, r, a, c]
     Y = tables[at[1], R:]                                   # [side, p, r, b, c]
     gens = (_fold(X).swapaxes(1, 2), _fold(Y).swapaxes(1, 2))
 
     # cell pairs (c, c + x - (2m-2)) from side 0 below and side 1 above; the shared cells replace x = 2m-2
-    nx = 4 * m - 3
-    side = (np.arange(nx) > 2 * m - 2).astype(int)
-    Ypad = np.zeros(Y.shape[:-1] + (nc + nx - 1,), dtype=complex)
+    side, shift = plan.pair_index
+    Ypad = np.zeros(Y.shape[:-1] + (nc + 4 * m - 4,), dtype=complex)
     Ypad[..., 2 * m - 2:2 * m - 2 + nc] = Y
-    Yx = sliding_window_view(Ypad, nc, axis=-1)[side, :, :, :, np.arange(nx)]   # [x, p, r, b, c]
-    Xx = X[side]                                                                # [x, q, r, a, c]
-    pairs = np.moveaxis(sum(Xx[:, :, None, r, :, None] * Yx[:, None, :, r, None] for r in range(R)), 0, 2)
+    Yx = Ypad[side, :, :, :, shift].transpose(0, 2, 3, 4, 1)                   # [x, p, r, b, c]
+    Xx = X[side[:, 0]]                                                          # [x, q, r, a, c]
+    pairs = sum(Xx[:, :, None, r, :, None] * Yx[:, None, :, r, None] for r in range(R)).transpose(1, 2, 0, 3, 4, 5)
 
     # shared cells: W[rj, rl, a, b, c] = local kernel factor times pieces rj (in u) and rl (in v)
-    Cc = np.einsum("kac,ab,lbc->klc", T[:A0, :A0], C, T[:B0, :B0])
+    A0, B0 = factor.Cc.shape[:2]
     W = np.zeros((m, m, A0 + m - 1, B0 + m - 1, nc), dtype=complex)
     for i in range(m):
         for j in range(m):
-            W[:, :, i:i + A0, j:j + B0] += P[:, None, i, None, None] * P[None, :, j, None, None] * Cc
+            W[:, :, i:i + A0, j:j + B0] += P[:, None, i, None, None] * P[None, :, j, None, None] * factor.Cc
     A, B = W.shape[2:4]
     # the upper triangle (t > s) at phases (ls, lt) is the lower one at (-ls, -lt)
     # under (u, v) -> (-u, -v), with the sign (-1)^(a+b)
-    ls, ils = _rate_range(np.stack([1 - eps, 1 + eps])[:, :, None])      # [side, q, 1]
-    lt, ilt = _rate_range(np.stack([eps - 1, -(eps + 1)])[:, None, :])   # [side, 1, p]
-    mu = _triangle_moments(np.multiply.outer(np.repeat(ls, len(lt)) * kappa, widths).ravel(),
-                           np.multiply.outer(np.tile(lt, len(ls)) * kappa, widths).ravel(), A, B)
-    mu = np.moveaxis(mu.reshape(len(ls), len(lt), len(widths), A, B), 2, -1)
-    flip = (-1.0) ** np.add.outer(np.arange(A), np.arange(B))[..., None]
-    tri = (mu[ils[0], ilt[0]] + flip * mu[ils[1], ilt[1]])[..., group]   # [q, p, a, b, c]
-    pre = h2 * h2 * np.exp(1j * np.multiply.outer((eps - eps[:, None]) * kappa, s0))
+    (ls, ils), (lt, ilt) = lay.ls, lay.lt
+    mu = _triangle_moments(np.multiply.outer(lay.pairs[0] * kappa, widths).ravel(),
+                           np.multiply.outer(lay.pairs[1] * kappa, widths).ravel(), A, B)
+    mu = mu.reshape(len(ls), len(lt), len(widths), A, B).transpose(0, 1, 3, 4, 2)
+    tri = (mu[ils[0], ilt[0]] + factor.flip * mu[ils[1], ilt[1]])[..., group]   # [q, p, a, b, c]
+    pre = h2 * h2 * np.exp(1j * np.multiply.outer(lay.diff * kappa, s0))
     pairs[:, :, 2 * m - 2] = np.einsum("jlabc,qpabc->qpjlc", W, tri) * pre[:, :, None, None]
     return gens, _band(pairs)
 
 
 def _assemble(space: TrialSpace, kernel: OscKernel | None = None, mass: bool = False,
-              strip: bool = False) -> np.ndarray:
+              leading: bool = False) -> np.ndarray:
     """E (no kernel), K (``mass`` false) or E - K, written once into one buffer.
 
     The generators' products go straight into the buffer (negated for
     E - K), block row by block row: side 0 over every block, then side 1
     over l >= i + m through a Toeplitz view of 2d - 1 flags; the central
     diagonals last.  On reflection-symmetric data only the leading
-    ceil(n/2) rows are computed, and returned alone with ``strip``, else
+    ceil(n/2) rows are computed, and returned alone with ``leading``, else
     mirrored into the n x n result's trailing rows (:func:`_mirror`).
     """
     d, m, nb = space.block_dim, space.splines.order, len(space.multipliers)
     n = nb * d
-    h = n - n // 2 if strip or (kernel is not None and reflection_symmetric(space, kernel)) else n
-    cells = _cells(space.splines)
-    parts = None if kernel is None else _operator_parts(space, kernel, cells)
-    band = _mass_band(space, cells) if mass else np.zeros((nb, nb, 2 * m - 1, d), dtype=complex)
-    A = (np.zeros if parts is None else np.empty)((h if strip else n, n), dtype=complex)
-    i = np.arange(d)
-    j = i + np.arange(1 - m, m)[:, None]                    # j[m-1+o, i] = i + o
+    plan = mesh_plan(space.splines.knots)
+    factor = None if kernel is None else plan.factor(kernel.coefficient_matrix())
+    h = n - n // 2 if factor is not None and factor.even and plan.layout(space.multipliers).mirrors else n
+    parts = None if factor is None else _operator_parts(space, factor, plan)
+    band = _mass_band(space, plan) if mass else np.zeros((nb, nb, 2 * m - 1, d), dtype=complex)
+    A = (np.zeros if parts is None else np.empty)((h if leading else n, n), dtype=complex)
     if parts is not None:
         (x, S), op_band = parts
         if mass:
             x = -x
-        upper = sliding_window_view(np.arange(1 - d, d) >= m, d)[::-1, None]   # [i, 1, l] = l - i >= m
         band = band - op_band if mass else op_band
     for q in range(-(-h // d)):
         r = min(h - q * d, d)                               # rows of block row q that are computed
         rows = A[q * d:q * d + r].reshape(r, nb, d)
         if parts is not None:
-            for side, where in enumerate((True, upper[:r])):
+            for side, where in enumerate((True, plan.upper[:r])):
                 xs, Ss = x[side, :, q, :r, None, None], S[side, :, None]
                 np.multiply(xs[0], Ss[0], out=rows, where=where)
                 for xr, Sr in zip(xs[1:], Ss[1:]):
                     np.add(rows, xr * Sr, out=rows, where=where)
-        inside = (j >= 0) & (j < d) & (i < r)
-        rows[np.broadcast_to(i, j.shape)[inside], :, j[inside]] = band[q][:, inside].T
+        inside, i, j = plan.band_index(r)
+        rows[i, :, j] = band[q][:, inside].T
     if h < len(A):
         _mirror(A)
     return A
@@ -699,14 +885,16 @@ def assemble_operator(space: TrialSpace, kernel: OscKernel) -> np.ndarray:
     return _assemble(space, kernel)
 
 
-def assemble_matrix(space: TrialSpace, kernel: OscKernel) -> np.ndarray:
+def assemble_matrix(space: TrialSpace, kernel: OscKernel, *, leading: bool = False) -> np.ndarray:
     """System matrix E - K in one buffer, equal to ``assemble_mass - assemble_operator`` exactly.
 
     The operator's generators are negated before they are written and its
-    diagonals are subtracted from the mass diagonals.
+    diagonals are subtracted from the mass diagonals.  With ``leading``, on
+    reflection-symmetric data only the leading ceil(n/2) rows, as from
+    :func:`assemble_leading_rows`; on any other data the whole matrix.
     """
     _check_kappa(space, kernel.kappa)
-    return _assemble(space, kernel, mass=True)
+    return _assemble(space, kernel, mass=True, leading=leading)
 
 
 def assemble_leading_rows(space: TrialSpace, kernel: OscKernel) -> np.ndarray:
@@ -717,20 +905,7 @@ def assemble_leading_rows(space: TrialSpace, kernel: OscKernel) -> np.ndarray:
     _check_kappa(space, kernel.kappa)
     if not reflection_symmetric(space, kernel):
         raise ValueError("the leading rows determine E - K only on reflection-symmetric data")
-    return _assemble(space, kernel, mass=True, strip=True)
-
-
-def _mirrors(space: TrialSpace) -> bool:
-    """Whether s -> -s maps the trial basis onto itself in reversed order.
-
-    The reflection takes B_j e^{i*eps*kappa*s} to B_{d-1-j}
-    e^{-i*eps*kappa*s}, the basis function at the reversed index, when the
-    breakpoints mirror about 0 bitwise and the multipliers read backwards
-    are their negatives.  Then J E J = E.
-    """
-    z = space.splines.knots.breakpoints
-    eps = np.array(space.multipliers)
-    return bool(np.array_equal(z, -z[::-1]) and np.array_equal(eps, -eps[::-1]))
+    return _assemble(space, kernel, mass=True, leading=True)
 
 
 def reflection_symmetric(space: TrialSpace, kernel: OscKernel) -> bool:
@@ -745,9 +920,8 @@ def reflection_symmetric(space: TrialSpace, kernel: OscKernel) -> bool:
     trailing ones copied from them), so :mod:`oscfred.linalg` solves and
     conditions the system on its two halves.
     """
-    C = kernel.coefficient_matrix()
-    odd = np.add.outer(np.arange(C.shape[0]), np.arange(C.shape[1])) % 2 == 1
-    return _mirrors(space) and not np.any(C[odd])
+    plan = mesh_plan(space.splines.knots)
+    return plan.layout(space.multipliers).mirrors and plan.factor(kernel.coefficient_matrix()).even
 
 
 def assemble_rhs(space: TrialSpace, f) -> np.ndarray:
@@ -757,24 +931,25 @@ def assemble_rhs(space: TrialSpace, f) -> np.ndarray:
     non-oscillatory callable, which is replaced per cell by its Chebyshev
     interpolant before exact integration.
     """
-    cells = _cells(space.splines)
-    s0, h2 = cells[:2]
+    plan = mesh_plan(space.splines.knots)
     if isinstance(f, StructuredFunction):
         _check_kappa(space, f.kappa)
         if not f.terms:
             return np.zeros(space.dimension, dtype=complex)
         taus = np.array([tau for tau, _ in f.terms])
-        coeffs = np.zeros((f.max_degree + 1, len(taus)), dtype=complex)
+        deg = f.max_degree
+        coeffs = np.zeros((deg + 1, len(taus)), dtype=complex)
         for t, (_, w) in enumerate(f.terms):
             coeffs[:w.degree + 1, t] = w.coeffs
-        local = np.einsum("kac,at->ktc", _shift_scale(f.max_degree, s0, h2), coeffs)
+        local = np.einsum("kac,at->ktc", _shift_scale(deg, *plan.cells[:2]), coeffs)
     else:
         if not callable(f):
             raise TypeError("right-hand side must be a StructuredFunction or a callable")
         taus = np.zeros(1, dtype=int)
-        local = _chebfit_cells(f, s0, h2, _RHS_FIT_DEGREE)[:, None]
+        local = _chebfit_cells(f, *plan.cells[:2], _RHS_FIT_DEGREE)[:, None]
     rates = taus - np.array(space.multipliers)[:, None]     # [q, t]: tau_t - eps_q
-    return _fold(_cell_tables(cells, local, rates * space.kappa).sum(axis=1)).ravel()
+    tables = _cell_tables(plan.cells, _products(local, plan.cells[4]), rates * space.kappa)
+    return _fold(tables.sum(axis=1)).ravel()
 
 
 def assemble_system(space: TrialSpace, kernel: OscKernel, f) -> DiscreteSystem:
@@ -797,7 +972,12 @@ def solve_system(system: DiscreteSystem) -> np.ndarray:
 
 
 def eval_solution(space: TrialSpace, a, s):
-    """Evaluate  sum_p sum_j a[(p,j)] B_j(s) e^{i*eps_p*kappa*s}  at s (scalar or array)."""
+    """Evaluate  sum_p sum_j a[(p,j)] B_j(s) e^{i*eps_p*kappa*s}  at s (scalar or array).
+
+    On :data:`EN_GRID` itself the B-spline values come from the mesh plan.
+    The carriers e^{+-i*kappa*s} share one exponential (e^{-i*kappa*s} is
+    the conjugate of e^{i*kappa*s}), and eps = 0 takes none.
+    """
     a = np.asarray(a, dtype=complex)
     if a.shape != (space.dimension,):
         raise ValueError(f"coefficient vector must have length {space.dimension}, got {a.shape}")
@@ -805,11 +985,21 @@ def eval_solution(space: TrialSpace, a, s):
     d = sp.dimension
     scalar = np.ndim(s) == 0
     pts = np.atleast_1d(np.asarray(s, dtype=float))
-    j0, vals = sp.eval_nonzero_array(pts)
-    idx = j0[:, None] + np.arange(sp.order)
+    if pts is EN_GRID:
+        idx, vals = mesh_plan(sp.knots).en_values
+    else:
+        j0, vals = sp.eval_nonzero_array(pts)
+        idx = j0[:, None] + np.arange(sp.order)
     out = np.zeros(len(pts), dtype=complex)
+    wave = None
     for bi, eps in enumerate(space.multipliers):
-        out += np.einsum("ir,ir->i", vals, a[bi * d + idx]) * np.exp(1j * eps * space.kappa * pts)
+        term = np.einsum("ir,ir->i", vals, np.take(a[bi * d:(bi + 1) * d], idx))
+        if abs(eps) == 1:
+            wave = np.exp(1j * space.kappa * pts) if wave is None else wave
+            term *= wave if eps == 1 else wave.conj()
+        elif eps:
+            term *= np.exp(1j * eps * space.kappa * pts)
+        out += term
     return complex(out[0]) if scalar else out
 
 

@@ -102,18 +102,36 @@ def _centrosymmetric(M: np.ndarray) -> bool:
     return bool(np.array_equal(M, M[::-1, ::-1]))
 
 
+_FOLD_CHUNK_BYTES = 1 << 15
+
+
 def _halves(M: np.ndarray) -> tuple[np.ndarray, ...]:
-    """:func:`fold`'s halves, made in place in M[:ceil(n/2)], n = M.shape[1]; later rows are not read."""
+    """:func:`fold`'s halves, made in place in M[:ceil(n/2)], n = M.shape[1]; later rows are not read.
+
+    The rows of B go in chunks of about 32 KiB (at least 8 rows) through
+    three contiguous buffers; a ufunc on the strided B and CJ themselves
+    would buffer or copy each operand.  Raises ValueError if an entry of
+    either half is not finite.
+    """
     k = M.shape[1] // 2
     h = M.shape[1] - k
-    for a in range(0, k, 64):                       # 64 rows at a time: no temporary of a half's size
-        rows = slice(a, min(a + 64, k))
-        B, CJ = M[rows, :k], M[rows, h:][:, ::-1]
-        odd = B - CJ
-        np.add(B, CJ, out=B)
-        CJ[:, ::-1] = odd
+    step = max(8, _FOLD_CHUNK_BYTES // (M.itemsize * max(k, 1)))
+    buf = np.empty((3, min(step, k), k), dtype=complex)
+    finite = True
+    for a in range(0, k, step):
+        B, CJ, even = buf[:, :min(step, k - a)]
+        rows = slice(a, a + len(B))
+        np.copyto(B, M[rows, :k])
+        np.copyto(CJ, M[rows, h:][:, ::-1])
+        np.add(B, CJ, out=even)
+        np.subtract(B, CJ, out=CJ)                  # the odd half's rows
+        finite = finite and bool(np.isfinite(even).all() and np.isfinite(CJ).all())
+        M[rows, :k] = even
+        M[rows, h:] = CJ
     M[:k, k:h] *= _ROOT2
     M[k:h, :k] *= _ROOT2
+    if not (finite and np.isfinite(M[:k, k:h]).all() and np.isfinite(M[k:h, :h]).all()):
+        raise ValueError("matrix entries must be finite")
     return (M[:h, :h], M[:k, h:]) if k else (M[:h, :h],)
 
 
@@ -242,7 +260,7 @@ def fold_rows(S, b) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
     v, M, n = as_complex_vector(b), np.asarray(S, dtype=complex), len(b)
     if M.shape != (n - n // 2, n):
         raise ValueError(f"expected the leading {n - n // 2} rows of an order-{n} matrix, got shape {M.shape}")
-    blocks = tuple(as_complex_matrix(H) for H in _halves(M))
+    blocks = _halves(M)
     return blocks, _split(v, blocks)
 
 

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from . import galerkin, linalg
-from .bspline import SplineSpace, make_uniform_knots, max_error_on_grid
+from .bspline import make_uniform_knots, max_error_on_grid
 from .galerkin import (
     EN_GRID,
     OscKernel,
@@ -171,6 +172,8 @@ def table1_experiment(
 # Single-run driver
 # ---------------------------------------------------------------------------
 
+_uniform_knots = lru_cache(maxsize=8)(make_uniform_knots)   # immutable, and each build validates its knots
+
 _METHOD_MULTIPLIERS = {
     "cgm": galerkin.CGM_MULTIPLIERS,
     "opgm": galerkin.OPGM_MULTIPLIERS,
@@ -179,7 +182,14 @@ _METHOD_MULTIPLIERS = {
 
 @dataclass
 class GalerkinRun:
-    """Outcome of one assemble-and-solve at a given mesh level."""
+    """Outcome of one assemble-and-solve at a given mesh level.
+
+    ``stages`` holds the seconds of each stage of :func:`run_galerkin`:
+    load vector (``rhs``), E - K (``matrix``), its halves (``fold``),
+    LAPACK solve (``solve``), e_N (``error``) and condition number
+    (``cond``); a stage that did not run reads 0.  ``seconds`` spans the
+    first four.
+    """
 
     method: str
     kappa: float
@@ -191,6 +201,7 @@ class GalerkinRun:
     seconds: float
     e_N: float = float("nan")
     cond: float = float("nan")
+    stages: dict[str, float] = field(default_factory=dict)
 
     @property
     def e_l2(self) -> float:
@@ -216,27 +227,31 @@ def run_galerkin(
     centrosymmetric: only its leading ceil(n/2) rows are assembled, and
     :func:`oscfred.linalg.fold_rows` turns them in place into an even and
     an odd half, each solved on its own, so no n x n array is allocated.
-    Any other input solves the whole E - K as one block.
+    Any other input solves the whole E - K as one block.  The mesh's
+    kappa-independent tables come from its :func:`oscfred.galerkin.mesh_plan`,
+    so a sweep over kappa on one mesh builds them once.
 
-    ``seconds`` measures assembly plus solve; the optional condition
-    number (the exact 2-norm condition number of E - K, taken over the
-    halves' singular values) is timed separately and not included.
+    ``seconds`` measures assembly plus solve; e_N and the optional
+    condition number (the exact 2-norm condition number of E - K, taken
+    over the halves' singular values) are timed separately, in ``stages``.
     Raises :class:`oscfred.linalg.SingularMatrixError` if the discrete
     system (or either half) is exactly singular.
     """
     method = method.lower()
     if method not in _METHOD_MULTIPLIERS:
         raise ValueError(f"unknown method {method!r}; expected 'cgm' or 'opgm'")
-    splines = SplineSpace(make_uniform_knots(N, spline_order))
+    splines = galerkin.mesh_plan(_uniform_knots(N, spline_order)).splines
     space = TrialSpace(splines=splines, kappa=problem.kappa, multipliers=_METHOD_MULTIPLIERS[method])
     t0 = time.perf_counter()
     f = galerkin.assemble_rhs(space, problem.rhs)
-    if galerkin.reflection_symmetric(space, problem.kernel):
-        blocks, loads = linalg.fold_rows(galerkin.assemble_leading_rows(space, problem.kernel), f)
-    else:
-        blocks, loads = linalg.fold(galerkin.assemble_matrix(space, problem.kernel), f)
+    t1 = time.perf_counter()
+    A = galerkin.assemble_matrix(space, problem.kernel, leading=True)
+    t2 = time.perf_counter()
+    blocks, loads = (linalg.fold_rows if len(A) < len(f) else linalg.fold)(A, f)
+    t3 = time.perf_counter()
     coeffs = linalg.solve_blocks(blocks, loads)
-    seconds = time.perf_counter() - t0
+    t4 = time.perf_counter()
+    stages = {"rhs": t1 - t0, "matrix": t2 - t1, "fold": t3 - t2, "solve": t4 - t3, "error": 0.0, "cond": 0.0}
     run = GalerkinRun(
         method=method,
         kappa=problem.kappa,
@@ -245,12 +260,17 @@ def run_galerkin(
         matrix_order=space.dimension,
         coeffs=coeffs,
         space=space,
-        seconds=seconds,
+        seconds=t4 - t0,
+        stages=stages,
     )
     if problem.exact is not None:
+        t0 = time.perf_counter()
         run.e_N = relative_error_eN(run.evaluate, problem.exact, problem.norm_y())
+        stages["error"] = time.perf_counter() - t0
     if compute_cond:
+        t0 = time.perf_counter()
         run.cond = linalg.cond2_blocks(blocks)
+        stages["cond"] = time.perf_counter() - t0
     return run
 
 

@@ -258,6 +258,30 @@ def test_cells_merge_widths_within_4_ulp_of_their_groups_least_width():
     assert len(widths) > 1
 
 
+def test_mesh_plan_reuse_gives_the_same_bits_on_a_nonuniform_mesh():
+    # a plan built by one (space, kernel) serves the next: assembly and the
+    # e_N evaluation agree bitwise whether the mesh's plan is fresh or not
+    from oscfred.problems import paper_benchmark
+    knots = make_knots([-0.7, -0.35, 0.1, 0.2, 0.6], 3)
+
+    def outputs(kappa, method, name):
+        space = getattr(TrialSpace, method)(SplineSpace(knots), kappa)
+        data = MATRIX_KERNELS[name]
+        kern = OscKernel.smooth(data, kappa) if callable(data) else OscKernel.polynomial(data, kappa)
+        rhs = paper_benchmark(kappa).rhs
+        A, f = assemble_matrix(space, kern), assemble_rhs(space, rhs)
+        return A, f, eval_solution(space, np.linalg.solve(A, f), EN_GRID)
+
+    configs = [(kappa, method, name) for kappa in (3.0, 5e3) for method in ("cgm", "opgm")
+               for name in MATRIX_KERNELS]
+    cold = {}
+    for c in configs:
+        galerkin._plan.cache_clear()
+        cold[c] = outputs(*c)
+    for c in configs[::-1] + configs:
+        assert all(np.array_equal(x, y) for x, y in zip(outputs(*c), cold[c])), c
+
+
 @pytest.mark.parametrize("method, N", [("cgm", 512), ("opgm", 128)])
 def test_assemble_matrix_peak_memory(method, N):
     # peak traced allocation in units of the n x n result: the generators
@@ -420,6 +444,16 @@ def test_solve_galerkin_orthogonality_residual():
     a = solve_system(system)
     r = system.load - system.matrix @ a
     assert np.linalg.norm(r) <= 1e-10 * np.linalg.norm(system.load)
+
+
+def test_system_matrix_is_formed_once():
+    kappa = 50.0
+    from oscfred.problems import paper_benchmark
+    prob = paper_benchmark(kappa)
+    _, opgm = spaces(16, 2, kappa)
+    system = assemble_system(opgm, prob.kernel, prob.rhs)
+    assert system.matrix is system.matrix
+    assert np.array_equal(system.matrix, system.mass - system.operator)
 
 
 def test_eval_solution_zero_and_single_basis():

@@ -1,5 +1,8 @@
 """Tests of the dense complex LU / condition-number layer."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -252,6 +255,28 @@ def test_fold_reads_only_the_leading_rows(n):
     blocks2, loads2 = fold_rows(rows, b)
     assert all(np.array_equal(X, Y) for X, Y in zip(blocks2 + loads2, blocks + loads))
     assert all(np.shares_memory(H, rows) for H in blocks2)
+
+
+@pytest.mark.parametrize("n", [390, 514, 1542])
+def test_fold_rows_transient_is_a_twentieth_of_the_matrix(n):
+    # the orders of opgm N=128, cgm N=512 and opgm N=512: the fold works
+    # through fixed-size chunk buffers, so it allocates little beside the
+    # rows it folds, and its halves are the defining formulas bit for bit
+    A, b = centrosymmetric(n, n)
+    h, k = n - n // 2, n // 2
+    rows = A[:h].copy()
+    tracemalloc.start()
+    try:
+        blocks, loads = fold_rows(rows, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.05 * 16 * n * n
+    CJ = A[:k, h:][:, ::-1]
+    r2 = math.sqrt(2.0)
+    even = np.block([[A[:k, :k] + CJ, A[:k, k:h] * r2], [A[k:h, :k] * r2, A[k:h, k:h]]])
+    assert np.array_equal(blocks[0], even)
+    assert np.array_equal(blocks[1], A[:k, :k] - CJ)
 
 
 def test_fold_rows_validates_shape_and_finiteness():

@@ -10,6 +10,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from oscfred import galerkin
 from oscfred.bspline import SplineSpace, make_knots, make_uniform_knots
 from oscfred.galerkin import (
     OscKernel,
@@ -190,6 +191,83 @@ def test_run_galerkin_bookkeeping():
     assert op.e_N > 0 and cg.e_N > 0
     assert op.e_l2 == pytest.approx(np.sqrt(2) * op.e_N)
     assert np.isnan(op.cond)  # not requested
+
+
+def test_run_galerkin_times_its_stages():
+    run = run_galerkin(paper_benchmark(50.0), "opgm", 16, compute_cond=True)
+    assert set(run.stages) == {"rhs", "matrix", "fold", "solve", "error", "cond"}
+    assert all(t >= 0.0 for t in run.stages.values())
+    assert run.stages["rhs"] + run.stages["matrix"] + run.stages["fold"] + run.stages["solve"] <= run.seconds
+    assert run_galerkin(paper_benchmark(50.0), "cgm", 16).stages["cond"] == 0.0   # not requested
+
+
+def smooth_factor(s, t):
+    return np.exp(0.3 * s * t) * np.cos(0.5 * (s + t))
+
+
+def test_reused_mesh_plans_give_the_same_bits():
+    # every output of a warm run (mesh plan reused, by other methods,
+    # kernels and wavenumbers in between) equals that of a cold run (plan
+    # cache cleared); kappa = 3 and 3000 sit on the two sides of the
+    # small/large-phase switch of every moment family at N = 15, 16
+    kernels = {"paper": [[1.0]], "rank3": [[1.0, 0.0, 0.5], [0.0, 0.25, 0.0], [0.3, 0.0, 0.0]],
+               "smooth": smooth_factor}
+
+    def run(m, N, method, name, kappa):
+        data = kernels[name]
+        kern = OscKernel.smooth(data, kappa) if callable(data) else OscKernel.polynomial(data, kappa)
+        p = paper_benchmark(kappa)
+        r = run_galerkin(Problem(kernel=kern, rhs=p.rhs, exact=p.exact, norm_exact=p.norm_exact),
+                         method, N, m, compute_cond=True)
+        return r.coeffs, r.e_N, r.cond
+
+    configs = [(m, N, method, name, kappa) for m in (1, 2, 3, 4) for N in (15, 16)
+               for name in kernels for method in ("cgm", "opgm") for kappa in (3.0, 3e3)]
+    cold = {}
+    for c in configs:
+        galerkin._plan.cache_clear()
+        cold[c] = run(*c)
+    galerkin._plan.cache_clear()
+    for c in configs + configs[::-1]:
+        coeffs, e_N, cond = run(*c)
+        assert np.array_equal(coeffs, cold[c][0]) and e_N == cold[c][1] and cond == cold[c][2], c
+
+
+def test_a_kappa_sweep_builds_its_mesh_plan_once(monkeypatch):
+    # each run builds a fresh kernel; the plan and its kernel-factor tables
+    # are built by the first run alone
+    built, factors = [], []
+
+    class CountingPlan(galerkin.MeshPlan):
+        def __init__(self, splines):
+            built.append(splines.dimension)
+            super().__init__(splines)
+
+    def counting_factor_tables(C, plan):
+        factors.append(C.shape)
+        return factor_tables(C, plan)
+
+    factor_tables = galerkin._factor_tables
+    monkeypatch.setattr(galerkin, "MeshPlan", CountingPlan)
+    monkeypatch.setattr(galerkin, "_factor_tables", counting_factor_tables)
+    galerkin._plan.cache_clear()
+    for kappa in np.geomspace(10.0, 1e4, 8):
+        run_galerkin(paper_benchmark(kappa), "opgm", 24, compute_cond=True)
+    galerkin._plan.cache_clear()
+    assert built == [26] and factors == [(1, 1)]
+
+
+@pytest.mark.parametrize("kappa, expected", [(50.0, (1.14e2, 3.72e6, 3.40e11)), (5000.0, None)])
+def test_opgm_conditioning_as_kappa_h_shrinks(kappa, expected):
+    # cond2 of the enriched system grows like (kappa h)^-8 once kappa h < 2;
+    # at kappa = 5000, kappa h >= 38 on every level and cond2 stays below 10
+    conds = [run_galerkin(paper_benchmark(kappa), "opgm", N, compute_cond=True).cond
+             for N in (16, 64, 256)]
+    if expected is None:
+        assert max(conds) < 10.0
+    else:
+        assert all(c / 1.5 <= got <= 1.5 * c for got, c in zip(conds, expected)), conds
+        assert conds[0] < conds[1] < conds[2]
 
 
 def test_solve_path_does_not_import_scipy():
