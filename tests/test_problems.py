@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -255,6 +256,49 @@ def test_a_kappa_sweep_builds_its_mesh_plan_once(monkeypatch):
         run_galerkin(paper_benchmark(kappa), "opgm", 24, compute_cond=True)
     galerkin._plan.cache_clear()
     assert built == [26] and factors == [(1, 1)]
+
+
+def test_threads_sharing_mesh_plans_get_the_serial_bits():
+    # four threads on two cores fill, reuse and evict the same plans (two
+    # meshes at a time, three kernel factors per mesh where a plan keeps
+    # two) while switching often; every result must equal the serial one
+    factors = ([[1.0]], [[1.0, 0.0, 0.5], [0.0, 0.25, 0.0], [0.3, 0.0, 0.0]], [[1.0, 0.0, 0.5]])
+    jobs = [(method, N, kappa, f) for method in ("cgm", "opgm") for N in (12, 13, 14)
+            for kappa in (3.0, 70.0) for f in range(len(factors))]
+
+    def solve(method, N, kappa, f):
+        run = run_galerkin(with_kernel(kappa, factors[f]), method, N, compute_cond=True)
+        return run.coeffs, run.e_N, run.cond
+
+    serial = {}
+    for job in jobs:
+        galerkin._plan.cache_clear()
+        serial[job] = solve(*job)
+    galerkin._plan.cache_clear()
+    wrong = []
+
+    def work(offset):
+        for job in jobs[offset:] + jobs[:offset]:
+            try:
+                coeffs, e_N, cond = solve(*job)
+            except Exception as exc:  # noqa: BLE001 -- any failure in a thread fails the test
+                wrong.append((job, repr(exc)))
+                continue
+            if not (np.array_equal(coeffs, serial[job][0]) and (e_N, cond) == serial[job][1:]):
+                wrong.append(job)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(7 * i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not wrong, wrong
 
 
 @pytest.mark.parametrize("kappa, expected", [(50.0, (1.14e2, 3.72e6, 3.40e11)), (5000.0, None)])
