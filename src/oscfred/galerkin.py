@@ -53,7 +53,7 @@ from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import linalg
 from .bspline import KnotVector, SplineSpace
@@ -110,7 +110,7 @@ _RHS_FIT_DEGREE = 12
 _STRUCTURE_RANGE = 2  # carriers e^{i*tau*kappa*s} with |tau| <= 2
 _MAX_AMPLITUDE_DEGREE = 16
 _PLANS = 2          # meshes whose kappa-independent tables stay cached (see mesh_plan)
-_PLAN_ENTRIES = 2   # kernel factors and multiplier sets whose tables each plan keeps
+_PLAN_ENTRIES = 2   # multiplier sets whose tables each plan keeps
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +156,7 @@ class StructuredFunction:
         s = np.asarray(s, dtype=float)
         out = np.zeros(s.shape, dtype=complex) if s.ndim else 0.0 + 0.0j
         for tau, p in self.terms:
-            out = out + (p(s) * np.exp(1j * tau * self.kappa * s) if tau else p(s))
+            out = out + p(s) * np.exp(1j * tau * self.kappa * s)
         return out
 
     def __add__(self, other: "StructuredFunction") -> "StructuredFunction":
@@ -294,8 +294,9 @@ class DiscreteSystem:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """E - K, formed on first access and kept."""
-        return self.mass - self.operator
+        """E - K, formed on first access and kept read-only: copy it before any in-place routine."""
+        M, = _frozen(self.mass - self.operator)
+        return M
 
     @property
     def order(self) -> int:
@@ -385,17 +386,10 @@ def _cells(sp: SplineSpace):
 
 def _shift_scale(deg: int, s0: np.ndarray, h2: np.ndarray) -> np.ndarray:
     """T[k, a, c] = coefficient of x^k in (s0[c] + h2[c]*x)^a: p(s0 + h2*x) = sum_k (p @ T[k]) x^k."""
-    binom, powers = _binomials(deg)
-    s0_powers = np.vander(s0, deg + 1, increasing=True).T[powers]
-    return binom * s0_powers * np.vander(h2, deg + 1, increasing=True).T[:, None]
-
-
-@lru_cache(maxsize=None)
-def _binomials(deg: int) -> tuple[np.ndarray, np.ndarray]:
-    """binom[k, a, 0] = C(a, k) and powers[k, a] = max(a - k, 0) for :func:`_shift_scale`; read-only."""
     a = np.arange(deg + 1)
-    return _frozen(np.array([[math.comb(j, k) for j in a] for k in a], dtype=float)[:, :, None],
-                   np.maximum(a - a[:, None], 0))
+    binom = np.array([[math.comb(j, k) for j in a] for k in a], dtype=float)
+    s0_powers = np.vander(s0, deg + 1, increasing=True).T[np.maximum(a - a[:, None], 0)]
+    return binom[:, :, None] * s0_powers * np.vander(h2, deg + 1, increasing=True).T[:, None]
 
 
 class MeshPlan:
@@ -404,11 +398,12 @@ class MeshPlan:
     Built by :func:`mesh_plan`: the spline space, its cell geometry
     (:func:`_cells`) and mirror test, the B-spline values on
     :data:`EN_GRID`, the index arrays of the cell pairs and of the central
-    diagonals, and the tables of the last few kernel factors
-    (:func:`_factor_tables`, keyed by coefficient values) and multiplier
-    sets (:class:`_Layout`).  Each table is a read-only array, built on
-    first use from the mesh and those keys alone, so a solve gives the same
-    bits on a fresh plan as on a reused one.
+    diagonals, and the tables of the last few multiplier sets
+    (:class:`_Layout`).  Each table is a read-only array, built on first
+    use from the mesh and the multipliers alone, so a solve gives the same
+    bits on a fresh plan as on a reused one.  The kernel factor's tables
+    are built per solve: caching them saved under 1% of a sweep pass, and
+    for a fitted kernel they approach the size of E - K.
     """
 
     def __init__(self, splines: SplineSpace):
@@ -418,7 +413,6 @@ class MeshPlan:
         self.mirrored = bool(np.array_equal(z, -z[::-1]))
         self._lock = threading.RLock()
         self._band_index: dict[int, tuple] = {}
-        self._factors: dict[tuple, _Factor] = {}
         self._layouts: dict[tuple, _Layout] = {}
 
     def _memo(self, cache: dict, key, build: Callable, bound: int | None = None):
@@ -469,10 +463,6 @@ class MeshPlan:
             return _frozen(inside, np.broadcast_to(i, j.shape)[inside], j[inside])
         return self._memo(self._band_index, r, build)
 
-    def factor(self, C: np.ndarray) -> "_Factor":
-        """:func:`_factor_tables` of the kernel factor with coefficient matrix C."""
-        return self._memo(self._factors, (C.shape, C.tobytes()), lambda: _factor_tables(C, self), _PLAN_ENTRIES)
-
     def layout(self, multipliers: tuple[int, ...]) -> "_Layout":
         """The rates and index arrays of a multiplier set on this mesh."""
         return self._memo(self._layouts, tuple(multipliers), lambda: _Layout(multipliers, self), _PLAN_ENTRIES)
@@ -499,33 +489,25 @@ def mesh_plan(knots: KnotVector) -> MeshPlan:
     return _plan(knots.order, knots.knots.tobytes())
 
 
-def _products(local: np.ndarray, pieces: np.ndarray) -> np.ndarray:
-    """prod[n, l, r, c] = x^n coefficient of amp_l B_{c+r} on cell c, for :func:`_cell_tables`.
-
-    ``local[:, l, c]`` holds the coefficients of amp_l in cell c's local
-    coordinate x (s = s0 + h2*x); ``pieces`` is :func:`_cells`' last entry.
-    """
-    m, nc = pieces.shape[1:]
-    D, L = local.shape[:2]
-    prod = np.zeros((m + D - 1, L, m, nc), dtype=complex)
-    for i in range(m):
-        prod[i:i + D] += local[:, :, None] * pieces[:, i]
-    return prod
-
-
-def _cell_tables(cells, prod: np.ndarray, rates: np.ndarray) -> np.ndarray:
+def _cell_tables(cells, local: np.ndarray, rates: np.ndarray) -> np.ndarray:
     """V[k, l, r, c] = int_{cell c} amp_l(s) B_{c+r}(s) e^{i*rates[k, l]*s} ds for all k, l, r, c.
 
-    ``prod`` is :func:`_products` of the amplitudes.  ``rates`` is (K, L),
-    pairing each rate with its amplitude, or (K, 1) for every rate against
-    every amplitude.  One moment call covers every (rate, cell width).
+    ``local[:, l, c]`` holds the coefficients of amp_l in cell c's local
+    coordinate x (s = s0 + h2*x).  ``rates`` is (K, L), pairing each rate
+    with its amplitude, or (K, 1) for every rate against every amplitude.
+    One moment call covers every (rate, cell width).
     """
-    s0, h2, widths, group = cells[:4]
-    mom = _unit_moments(np.multiply.outer(rates, widths).ravel(), len(prod) - 1)
-    mom = mom.T.reshape((len(prod),) + rates.shape + (len(widths),))   # [n, k, l, width]
+    s0, h2, widths, group, pieces = cells
+    m, nc = pieces.shape[1:]
+    D, L = local.shape[:2]
+    prod = np.zeros((m + D - 1, L, m, nc), dtype=complex)  # [n, l, r, c]: x^n coefficient of amp_l B_{c+r}
+    for i in range(m):
+        prod[i:i + D] += local[:, :, None] * pieces[:, i]
+    mom = _unit_moments(np.multiply.outer(rates, widths).ravel(), m + D - 2)
+    mom = mom.T.reshape((m + D - 1,) + rates.shape + (len(widths),))   # [n, k, l, width]
     if len(widths) > 1:
-        mom = mom[..., group]                               # [n, k, l, c]; one width broadcasts
-    V = sum(mom[n][:, :, None] * prod[n] for n in range(len(prod)))
+        mom = mom[..., group]                               # [n, k, l, c]; a single width broadcasts
+    V = sum(mom[n][:, :, None] * prod[n] for n in range(m + D - 1))
     pre = h2 * np.exp(1j * rates[..., None] * s0)
     return pre[:, :, None] * V
 
@@ -579,21 +561,6 @@ def _collapsed_rule(D: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
     return rule
 
 
-@lru_cache(maxsize=None)
-def _sigma_rule(D: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The phase-independent factors of :func:`_triangle_moments`' boundary expansion at D = max(A, B).
-
-    With k = b - n: ratio[b, n] = (-1)^k b!/n! for k >= 0 (else 0), the
-    powers max(k, 0) + 1 of 1/(i*lv), (-1)^b and (-1)^(a+b).  Callers must
-    not mutate them.
-    """
-    b = np.arange(D)
-    k = b[:, None] - b                                  # [b, n] = b - n
-    fact = np.array([math.factorial(i) for i in b], dtype=float)
-    return _frozen(np.where(k >= 0, (-1.0) ** k * fact[:, None] / fact, 0.0), np.maximum(k, 0) + 1,
-                   (-1.0) ** b, (-1.0) ** np.add.outer(b, b))
-
-
 def _triangle_moments(ls: np.ndarray, lt: np.ndarray, A: int, B: int) -> np.ndarray:
     """mu[e, a, b] = int_{-1}^{1} du int_{-1}^{u} u^a v^b e^{i(ls[e]*u + lt[e]*v)} dv.
 
@@ -614,20 +581,22 @@ def _triangle_moments(ls: np.ndarray, lt: np.ndarray, A: int, B: int) -> np.ndar
     swap = np.abs(lt) < T
     sigma = ~swap | (np.abs(ls) >= T)
     mu = np.empty((len(ls), D, D), dtype=complex)
-    if sigma.any():
+    if np.any(sigma):
         rev = swap[sigma]
         lu = np.where(rev, -lt[sigma], ls[sigma])
         lv = np.where(rev, -ls[sigma], lt[sigma])
-        ratio, powers, sign, signs = _sigma_rule(D)
-        s = ratio * (1.0 / (1j * lv))[:, None, None] ** powers   # [e, b, n] = s_b[n]
-        const = -np.exp(-1j * lv)[:, None] * (s @ sign)
+        b = np.arange(D)
+        k = b[:, None] - b                                  # [b, n] = b - n
+        fact = np.array([math.factorial(i) for i in b], dtype=float)
+        ratio = np.where(k >= 0, (-1.0) ** k * fact[:, None] / fact, 0.0)
+        s = ratio * (1.0 / (1j * lv))[:, None, None] ** (np.maximum(k, 0) + 1)   # [e, b, n] = s_b[n]
+        const = -np.exp(-1j * lv)[:, None] * (s @ (-1.0) ** b)
         mom = _unit_moments(np.concatenate([lu + lv, lu]), 2 * D - 2)
-        low = mom[:len(lu)]                                 # the windows low[e, i + j] of sliding_window_view
-        out = (as_strided(low, (len(lu), D, D), low.strides[:1] + low.strides[1:] * 2, writeable=False)
-               @ s.swapaxes(1, 2) + mom[len(lu):, :D, None] * const[:, None, :])
-        out[rev] = signs * out[rev].swapaxes(1, 2)
+        out = (sliding_window_view(mom[:len(lu)], D, axis=1) @ s.swapaxes(1, 2)
+               + mom[len(lu):, :D, None] * const[:, None, :])
+        out[rev] = (-1.0) ** np.add.outer(b, b) * out[rev].swapaxes(1, 2)
         mu[sigma] = out
-    if not sigma.all():
+    if not np.all(sigma):
         u, v, Up, Vp = _collapsed_rule(D)
         G = np.matmul(np.exp(1j * np.multiply.outer(lt[~sigma], v))[:, :, None, :], Vp)[:, :, 0]   # [e, i, b]
         mu[~sigma] = (Up * np.exp(1j * np.multiply.outer(ls[~sigma], u))[:, None, :]) @ G
@@ -686,7 +655,7 @@ class _Layout:
         self.lt = np.unique(np.stack([eps - 1, -(eps + 1)])[:, None, :], return_inverse=True)   # [side, 1, p]
         self.pairs = np.repeat(self.ls[0], len(self.lt[0])), np.tile(self.lt[0], len(self.ls[0]))
         self.mirrors = plan.mirrored and bool(np.array_equal(eps, -eps[::-1]))
-        self.gram = None            # :func:`_mass_band` of a single multiplier
+        self.gram = None        # a single multiplier's mass band, kept by :func:`_mass_band`
         _frozen(eps, self.diff, *self.mass, *self.sides, *self.ls, *self.lt, *self.pairs)
 
 
@@ -698,9 +667,9 @@ def _mass_band(space: TrialSpace, plan: MeshPlan) -> np.ndarray:
     conjugated, so E comes out exactly Hermitian.  When the mesh and the
     multipliers mirror (``_Layout.mirrors``), reversing every axis of the band
     is J E J; the band is averaged with its reversal, so E is exactly
-    centrosymmetric as well.  With a single multiplier every rate is 0, so
-    the band (then the Gram matrix of the splines) is kept in the layout.
-    Callers must not mutate the result.
+    centrosymmetric as well.  With a single multiplier every rate is 0 and
+    the band is the splines' Gram band, the same bits at every kappa, so
+    the layout keeps it.  Callers must not mutate the result.
     """
     lay = plan.layout(space.multipliers)
     if lay.gram is not None:
@@ -708,7 +677,7 @@ def _mass_band(space: TrialSpace, plan: MeshPlan) -> np.ndarray:
     rates, at = lay.mass
     m = space.splines.order
     pieces = plan.cells[4]
-    tables = _cell_tables(plan.cells, _products(pieces.swapaxes(0, 1), pieces), rates[:, None] * space.kappa)   # [k, b, a, c]
+    tables = _cell_tables(plan.cells, pieces.swapaxes(0, 1), rates[:, None] * space.kappa)     # [k, b, a, c]
     local = tables.swapaxes(1, 2)[at]                                           # [q, p, a, b, c]
     pairs = np.zeros(local.shape[:2] + (2 * m - 1,) + local.shape[2:], dtype=complex)
     pairs[:, :, m - 1] = 0.5 * (local + local.swapaxes(2, 3))
@@ -722,45 +691,7 @@ def _mass_band(space: TrialSpace, plan: MeshPlan) -> np.ndarray:
     return band
 
 
-@dataclass(frozen=True)
-class _Factor:
-    """A kernel factor's tables on one mesh (:func:`_factor_tables`); None tables for a zero factor."""
-
-    even: bool                  # K(-s, -t) = K(s, t): the coefficients at odd a + b are exactly zero
-    rank: int
-    prod: np.ndarray | None     # :func:`_products` of the local phi_r (first R) and psi_r (last R)
-    Cc: np.ndarray | None       # the kernel factor in each cell's local coordinates, Cc[a, b, c]
-    flip: np.ndarray | None     # (-1)^(a+b) over the shared-cell tensor's a, b
-
-
-def _factor_tables(C: np.ndarray, plan: MeshPlan) -> _Factor:
-    """The kappa-independent tables :func:`_operator_parts` takes from the kernel factor C on one mesh.
-
-    With the SVD K(s,t) = sum_r phi_r(s) psi_r(t), the cell products of
-    phi_r and psi_r in each cell's local coordinates, and the kernel factor
-    itself in those coordinates.
-    """
-    odd = np.add.outer(np.arange(C.shape[0]), np.arange(C.shape[1])) % 2 == 1
-    even = not np.any(C[odd])
-    if not np.any(C):
-        return _Factor(even, 0, None, None, None)
-    P = plan.cells[4]
-    m, nc = P.shape[1:]
-    U, sv, Vh = np.linalg.svd(C, full_matrices=False)
-    keep = sv > sv[0] * 1e-15
-    roots = np.sqrt(sv[keep])
-    R = len(roots)
-    A0, B0 = C.shape
-    T = _shift_scale(max(A0, B0) - 1, *plan.cells[:2])
-    local = np.zeros((max(A0, B0), 2 * R, nc), dtype=complex)
-    local[:A0, :R] = np.einsum("kac,ar->krc", T[:A0, :A0], U[:, keep] * roots)   # phi_r, local coordinates
-    local[:B0, R:] = np.einsum("kbc,br->krc", T[:B0, :B0], Vh[keep].T * roots)   # psi_r
-    Cc = np.einsum("kac,ab,lbc->klc", T[:A0, :A0], C, T[:B0, :B0])
-    flip = (-1.0) ** np.add.outer(np.arange(A0 + m - 1), np.arange(B0 + m - 1))[..., None]
-    return _Factor(even, R, *_frozen(_products(local, P), Cc, flip))
-
-
-def _operator_parts(space: TrialSpace, factor: _Factor, plan: MeshPlan):
+def _operator_parts(space: TrialSpace, kernel: OscKernel, plan: MeshPlan):
     """K as generators plus diagonals: ``((x, S), band)``, or None for a zero kernel.
 
     With K(s,t) = sum_r phi_r(s) psi_r(t) (SVD), the phase on t < s (side 0)
@@ -774,16 +705,26 @@ def _operator_parts(space: TrialSpace, factor: _Factor, plan: MeshPlan):
     pairs less than 2m - 1 apart and the shared-cell triangles, which are
     linear in each cell's coefficient tensor W.
     """
-    if factor.prod is None:
+    C = kernel.coefficient_matrix()
+    if not np.any(C):
         return None
     s0, h2, widths, group, P = plan.cells
     m, nc = P.shape[1:]
-    R = factor.rank
     kappa = space.kappa
     lay = plan.layout(space.multipliers)
 
+    U, sv, Vh = np.linalg.svd(C, full_matrices=False)
+    keep = sv > sv[0] * 1e-15
+    roots = np.sqrt(sv[keep])
+    R = len(roots)
+    A0, B0 = C.shape
+    T = _shift_scale(max(A0, B0) - 1, s0, h2)
+    local = np.zeros((max(A0, B0), 2 * R, nc), dtype=complex)
+    local[:A0, :R] = np.einsum("kac,ar->krc", T[:A0, :A0], U[:, keep] * roots)   # phi_r, local coordinates
+    local[:B0, R:] = np.einsum("kbc,br->krc", T[:B0, :B0], Vh[keep].T * roots)   # psi_r
+
     rates, at = lay.sides
-    tables = _cell_tables(plan.cells, factor.prod, rates[:, None] * kappa)      # [k, l, r, c]
+    tables = _cell_tables(plan.cells, local, rates[:, None] * kappa)      # [k, l, r, c]
     X = tables[at[0], :R]                                   # [side, q, r, a, c]
     Y = tables[at[1], R:]                                   # [side, p, r, b, c]
     gens = (_fold(X).swapaxes(1, 2), _fold(Y).swapaxes(1, 2))
@@ -797,11 +738,11 @@ def _operator_parts(space: TrialSpace, factor: _Factor, plan: MeshPlan):
     pairs = sum(Xx[:, :, None, r, :, None] * Yx[:, None, :, r, None] for r in range(R)).transpose(1, 2, 0, 3, 4, 5)
 
     # shared cells: W[rj, rl, a, b, c] = local kernel factor times pieces rj (in u) and rl (in v)
-    A0, B0 = factor.Cc.shape[:2]
+    Cc = np.einsum("kac,ab,lbc->klc", T[:A0, :A0], C, T[:B0, :B0])
     W = np.zeros((m, m, A0 + m - 1, B0 + m - 1, nc), dtype=complex)
     for i in range(m):
         for j in range(m):
-            W[:, :, i:i + A0, j:j + B0] += P[:, None, i, None, None] * P[None, :, j, None, None] * factor.Cc
+            W[:, :, i:i + A0, j:j + B0] += P[:, None, i, None, None] * P[None, :, j, None, None] * Cc
     A, B = W.shape[2:4]
     # the upper triangle (t > s) at phases (ls, lt) is the lower one at (-ls, -lt)
     # under (u, v) -> (-u, -v), with the sign (-1)^(a+b)
@@ -809,31 +750,31 @@ def _operator_parts(space: TrialSpace, factor: _Factor, plan: MeshPlan):
     mu = _triangle_moments(np.multiply.outer(lay.pairs[0] * kappa, widths).ravel(),
                            np.multiply.outer(lay.pairs[1] * kappa, widths).ravel(), A, B)
     mu = mu.reshape(len(ls), len(lt), len(widths), A, B).transpose(0, 1, 3, 4, 2)
-    tri = (mu[ils[0], ilt[0]] + factor.flip * mu[ils[1], ilt[1]])[..., group]   # [q, p, a, b, c]
+    flip = (-1.0) ** np.add.outer(np.arange(A), np.arange(B))[..., None]
+    tri = (mu[ils[0], ilt[0]] + flip * mu[ils[1], ilt[1]])[..., group]   # [q, p, a, b, c]
     pre = h2 * h2 * np.exp(1j * np.multiply.outer(lay.diff * kappa, s0))
     pairs[:, :, 2 * m - 2] = np.einsum("jlabc,qpabc->qpjlc", W, tri) * pre[:, :, None, None]
     return gens, _band(pairs)
 
 
 def _assemble(space: TrialSpace, kernel: OscKernel | None = None, mass: bool = False,
-              leading: bool = False) -> np.ndarray:
+              strip: bool = False) -> np.ndarray:
     """E (no kernel), K (``mass`` false) or E - K, written once into one buffer.
 
     The generators' products go straight into the buffer (negated for
     E - K), block row by block row: side 0 over every block, then side 1
     over l >= i + m through a Toeplitz view of 2d - 1 flags; the central
     diagonals last.  On reflection-symmetric data only the leading
-    ceil(n/2) rows are computed, and returned alone with ``leading``, else
+    ceil(n/2) rows are computed, and returned alone with ``strip``, else
     mirrored into the n x n result's trailing rows (:func:`_mirror`).
     """
     d, m, nb = space.block_dim, space.splines.order, len(space.multipliers)
     n = nb * d
+    h = n - n // 2 if strip or (kernel is not None and reflection_symmetric(space, kernel)) else n
     plan = mesh_plan(space.splines.knots)
-    factor = None if kernel is None else plan.factor(kernel.coefficient_matrix())
-    h = n - n // 2 if factor is not None and factor.even and plan.layout(space.multipliers).mirrors else n
-    parts = None if factor is None else _operator_parts(space, factor, plan)
+    parts = None if kernel is None else _operator_parts(space, kernel, plan)
     band = _mass_band(space, plan) if mass else np.zeros((nb, nb, 2 * m - 1, d), dtype=complex)
-    A = (np.zeros if parts is None else np.empty)((h if leading else n, n), dtype=complex)
+    A = (np.zeros if parts is None else np.empty)((h if strip else n, n), dtype=complex)
     if parts is not None:
         (x, S), op_band = parts
         if mass:
@@ -885,16 +826,14 @@ def assemble_operator(space: TrialSpace, kernel: OscKernel) -> np.ndarray:
     return _assemble(space, kernel)
 
 
-def assemble_matrix(space: TrialSpace, kernel: OscKernel, *, leading: bool = False) -> np.ndarray:
+def assemble_matrix(space: TrialSpace, kernel: OscKernel) -> np.ndarray:
     """System matrix E - K in one buffer, equal to ``assemble_mass - assemble_operator`` exactly.
 
     The operator's generators are negated before they are written and its
-    diagonals are subtracted from the mass diagonals.  With ``leading``, on
-    reflection-symmetric data only the leading ceil(n/2) rows, as from
-    :func:`assemble_leading_rows`; on any other data the whole matrix.
+    diagonals are subtracted from the mass diagonals.
     """
     _check_kappa(space, kernel.kappa)
-    return _assemble(space, kernel, mass=True, leading=leading)
+    return _assemble(space, kernel, mass=True)
 
 
 def assemble_leading_rows(space: TrialSpace, kernel: OscKernel) -> np.ndarray:
@@ -905,7 +844,7 @@ def assemble_leading_rows(space: TrialSpace, kernel: OscKernel) -> np.ndarray:
     _check_kappa(space, kernel.kappa)
     if not reflection_symmetric(space, kernel):
         raise ValueError("the leading rows determine E - K only on reflection-symmetric data")
-    return _assemble(space, kernel, mass=True, leading=True)
+    return _assemble(space, kernel, mass=True, strip=True)
 
 
 def reflection_symmetric(space: TrialSpace, kernel: OscKernel) -> bool:
@@ -920,8 +859,9 @@ def reflection_symmetric(space: TrialSpace, kernel: OscKernel) -> bool:
     trailing ones copied from them), so :mod:`oscfred.linalg` solves and
     conditions the system on its two halves.
     """
-    plan = mesh_plan(space.splines.knots)
-    return plan.layout(space.multipliers).mirrors and plan.factor(kernel.coefficient_matrix()).even
+    C = kernel.coefficient_matrix()
+    odd = np.add.outer(np.arange(C.shape[0]), np.arange(C.shape[1])) % 2 == 1
+    return mesh_plan(space.splines.knots).layout(space.multipliers).mirrors and not np.any(C[odd])
 
 
 def assemble_rhs(space: TrialSpace, f) -> np.ndarray:
@@ -931,25 +871,24 @@ def assemble_rhs(space: TrialSpace, f) -> np.ndarray:
     non-oscillatory callable, which is replaced per cell by its Chebyshev
     interpolant before exact integration.
     """
-    plan = mesh_plan(space.splines.knots)
+    cells = mesh_plan(space.splines.knots).cells
+    s0, h2 = cells[:2]
     if isinstance(f, StructuredFunction):
         _check_kappa(space, f.kappa)
         if not f.terms:
             return np.zeros(space.dimension, dtype=complex)
         taus = np.array([tau for tau, _ in f.terms])
-        deg = f.max_degree
-        coeffs = np.zeros((deg + 1, len(taus)), dtype=complex)
+        coeffs = np.zeros((f.max_degree + 1, len(taus)), dtype=complex)
         for t, (_, w) in enumerate(f.terms):
             coeffs[:w.degree + 1, t] = w.coeffs
-        local = np.einsum("kac,at->ktc", _shift_scale(deg, *plan.cells[:2]), coeffs)
+        local = np.einsum("kac,at->ktc", _shift_scale(f.max_degree, s0, h2), coeffs)
     else:
         if not callable(f):
             raise TypeError("right-hand side must be a StructuredFunction or a callable")
         taus = np.zeros(1, dtype=int)
-        local = _chebfit_cells(f, *plan.cells[:2], _RHS_FIT_DEGREE)[:, None]
+        local = _chebfit_cells(f, s0, h2, _RHS_FIT_DEGREE)[:, None]
     rates = taus - np.array(space.multipliers)[:, None]     # [q, t]: tau_t - eps_q
-    tables = _cell_tables(plan.cells, _products(local, plan.cells[4]), rates * space.kappa)
-    return _fold(tables.sum(axis=1)).ravel()
+    return _fold(_cell_tables(cells, local, rates * space.kappa).sum(axis=1)).ravel()
 
 
 def assemble_system(space: TrialSpace, kernel: OscKernel, f) -> DiscreteSystem:
@@ -993,7 +932,7 @@ def eval_solution(space: TrialSpace, a, s):
     out = np.zeros(len(pts), dtype=complex)
     wave = None
     for bi, eps in enumerate(space.multipliers):
-        term = np.einsum("ir,ir->i", vals, np.take(a[bi * d:(bi + 1) * d], idx))
+        term = np.einsum("ir,ir->i", vals, a[bi * d + idx])
         if abs(eps) == 1:
             wave = np.exp(1j * space.kappa * pts) if wave is None else wave
             term *= wave if eps == 1 else wave.conj()

@@ -299,19 +299,18 @@ def _unit_moments(w: np.ndarray, K: int) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     M = np.empty((len(w), K + 1), dtype=complex)
     small = np.abs(w) < max(0.5, K)
-    if small.any():
+    if np.any(small):
         x, wt, powers = _moment_rule(K)
         rows = wt * np.exp(1j * w[small, None] * x)
         M[small] = np.matmul(rows[:, None, :], powers)[:, 0]
-    if not small.all():
+    if not np.all(small):
         iw = 1j * w[~small]
         ep, em = np.exp(iw), np.exp(-iw)
-        ends = (ep - em, ep + em)                           # e^{iw} - (-1)^k e^{-iw} for even and odd k
-        mom = ends[0] / iw
+        mom = (ep - em) / iw
         big = np.empty((len(iw), K + 1), dtype=complex)
         big[:, 0] = mom
         for k in range(1, K + 1):
-            mom = (ends[k % 2] - k * mom) / iw
+            mom = (ep - (-1) ** k * em - k * mom) / iw
             big[:, k] = mom
         M[~small] = big
     return M

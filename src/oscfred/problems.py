@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -172,8 +171,6 @@ def table1_experiment(
 # Single-run driver
 # ---------------------------------------------------------------------------
 
-_uniform_knots = lru_cache(maxsize=8)(make_uniform_knots)   # immutable, and each build validates its knots
-
 _METHOD_MULTIPLIERS = {
     "cgm": galerkin.CGM_MULTIPLIERS,
     "opgm": galerkin.OPGM_MULTIPLIERS,
@@ -240,14 +237,19 @@ def run_galerkin(
     method = method.lower()
     if method not in _METHOD_MULTIPLIERS:
         raise ValueError(f"unknown method {method!r}; expected 'cgm' or 'opgm'")
-    splines = galerkin.mesh_plan(_uniform_knots(N, spline_order)).splines
+    splines = galerkin.mesh_plan(make_uniform_knots(N, spline_order)).splines
     space = TrialSpace(splines=splines, kappa=problem.kappa, multipliers=_METHOD_MULTIPLIERS[method])
     t0 = time.perf_counter()
     f = galerkin.assemble_rhs(space, problem.rhs)
     t1 = time.perf_counter()
-    A = galerkin.assemble_matrix(space, problem.kernel, leading=True)
-    t2 = time.perf_counter()
-    blocks, loads = (linalg.fold_rows if len(A) < len(f) else linalg.fold)(A, f)
+    if galerkin.reflection_symmetric(space, problem.kernel):
+        A = galerkin.assemble_leading_rows(space, problem.kernel)
+        t2 = time.perf_counter()
+        blocks, loads = linalg.fold_rows(A, f)
+    else:
+        A = galerkin.assemble_matrix(space, problem.kernel)
+        t2 = time.perf_counter()
+        blocks, loads = linalg.fold(A, f)
     t3 = time.perf_counter()
     coeffs = linalg.solve_blocks(blocks, loads)
     t4 = time.perf_counter()

@@ -454,6 +454,8 @@ def test_system_matrix_is_formed_once():
     system = assemble_system(opgm, prob.kernel, prob.rhs)
     assert system.matrix is system.matrix
     assert np.array_equal(system.matrix, system.mass - system.operator)
+    with pytest.raises(ValueError):     # read-only: an in-place routine cannot corrupt later uses
+        system.matrix[0, 0] = 0.0
 
 
 def test_eval_solution_zero_and_single_basis():

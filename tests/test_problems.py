@@ -235,33 +235,34 @@ def test_reused_mesh_plans_give_the_same_bits():
 
 
 def test_a_kappa_sweep_builds_its_mesh_plan_once(monkeypatch):
-    # each run builds a fresh kernel; the plan and its kernel-factor tables
+    # each run builds a fresh problem; the plan and its multiplier layout
     # are built by the first run alone
-    built, factors = [], []
+    built, layouts = [], []
 
     class CountingPlan(galerkin.MeshPlan):
         def __init__(self, splines):
             built.append(splines.dimension)
             super().__init__(splines)
 
-    def counting_factor_tables(C, plan):
-        factors.append(C.shape)
-        return factor_tables(C, plan)
+    class CountingLayout(galerkin._Layout):
+        def __init__(self, multipliers, plan):
+            layouts.append(multipliers)
+            super().__init__(multipliers, plan)
 
-    factor_tables = galerkin._factor_tables
     monkeypatch.setattr(galerkin, "MeshPlan", CountingPlan)
-    monkeypatch.setattr(galerkin, "_factor_tables", counting_factor_tables)
+    monkeypatch.setattr(galerkin, "_Layout", CountingLayout)
     galerkin._plan.cache_clear()
     for kappa in np.geomspace(10.0, 1e4, 8):
         run_galerkin(paper_benchmark(kappa), "opgm", 24, compute_cond=True)
     galerkin._plan.cache_clear()
-    assert built == [26] and factors == [(1, 1)]
+    assert built == [26] and layouts == [galerkin.OPGM_MULTIPLIERS]
 
 
 def test_threads_sharing_mesh_plans_get_the_serial_bits():
-    # four threads on two cores fill, reuse and evict the same plans (two
-    # meshes at a time, three kernel factors per mesh where a plan keeps
-    # two) while switching often; every result must equal the serial one
+    # four threads on two cores fill, reuse and evict the same plans (three
+    # meshes, two cached at a time) and fill each plan's layouts, band
+    # indices and Gram band while switching often; every result must equal
+    # the serial one
     factors = ([[1.0]], [[1.0, 0.0, 0.5], [0.0, 0.25, 0.0], [0.3, 0.0, 0.0]], [[1.0, 0.0, 0.5]])
     jobs = [(method, N, kappa, f) for method in ("cgm", "opgm") for N in (12, 13, 14)
             for kappa in (3.0, 70.0) for f in range(len(factors))]
@@ -417,6 +418,26 @@ def test_run_galerkin_holds_the_system_matrix_once(method, N, bound):
     finally:
         tracemalloc.stop()
     assert peak / (16.0 * run.matrix_order**2) <= bound
+
+
+def test_run_galerkin_peak_on_a_fitted_kernel():
+    # a fitted 17 x 17 kernel factor has rank 17, so its cell tables, not
+    # E - K, set the peak: 4.49 n x n copies at cgm N = 512 without mesh
+    # plans.  The plan, built inside the trace, must not raise it, and what
+    # it keeps once the run is over must stay a small share of E - K
+    prob = paper_benchmark(5e4)
+    prob = Problem(kernel=OscKernel.smooth(smooth_factor, 5e4), rhs=prob.rhs, exact=prob.exact,
+                   norm_exact=prob.norm_exact)
+    run_galerkin(prob, "cgm", 8, compute_cond=True)  # fill the caches first
+    galerkin._plan.cache_clear()
+    tracemalloc.start()
+    try:
+        run = run_galerkin(prob, "cgm", 512, compute_cond=True)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = 16.0 * run.matrix_order**2
+    assert peak / size <= 4.5 and kept / size <= 0.25
 
 
 def test_run_galerkin_method_validation():
