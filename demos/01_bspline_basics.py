@@ -20,7 +20,7 @@ for j in range(space.dimension):
 
 # partition of unity at arbitrary points
 s = np.linspace(-1, 1, 7)
-sums = [sum(space.eval_basis(j, si) for j in range(space.dimension)) for si in s]
+sums = sum(space.eval_basis(j, s) for j in range(space.dimension))
 print("sum of basis values:", np.round(sums, 15))
 
 # the Gram matrix is tridiagonal with the classical 2h/3, h/6 pattern

@@ -11,7 +11,7 @@ Modules
 bspline   knot vectors, B-spline bases, Gram matrices, grid error measure
 oscquad   oscillatory quadrature: exact unit moments, reference rule
 linalg    even/odd fold of symmetric systems, dense LU solve, exact 2-norm condition number
-galerkin  trial spaces, system assembly, solve, error metrics
+galerkin  trial spaces, system assembly, solution evaluation, error metrics, quadrature oracles
 problems  benchmark problem, manufactured solutions, oscillation experiment
 cli       batch experiment runner (``oscfred`` command)
 """
@@ -37,12 +37,9 @@ from .galerkin import (
     assemble_matrix,
     assemble_operator,
     assemble_rhs,
-    assemble_system,
     convergence_order,
     eval_solution,
     relative_error_eN,
-    relative_error_l2,
-    solve_system,
 )
 from .linalg import (
     LUFactorization,

@@ -141,41 +141,19 @@ class SplineSpace:
             raise IndexError(f"basis index {j} out of range [0, {self.dimension})")
 
     # -- pointwise evaluation (Cox-de Boor) ---------------------------------
-    def find_cell(self, s: float) -> int:
-        """Cell index c with breakpoints[c] <= s < breakpoints[c+1] (right end clamped)."""
-        z = self.knots.breakpoints
-        if not z[0] <= s <= z[-1]:
-            raise ValueError(f"point {s} outside [{z[0]}, {z[-1]}]")
-        c = int(np.searchsorted(z, s, side="right") - 1)
-        return min(c, len(z) - 2)
+    def eval_nonzero(self, s):
+        """Values of the ``order`` basis functions alive at s, a scalar or a 1-d array.
 
-    def eval_nonzero(self, s: float) -> tuple[int, np.ndarray]:
-        """Values of the ``order`` basis functions alive at s: (first index, values)."""
-        m = self.order
-        t = self.knots.knots
-        c = self.find_cell(s)
-        i = m - 1 + c  # span index in the full knot sequence
-        vals = np.zeros(m)
-        vals[0] = 1.0
-        left = np.zeros(m)
-        right = np.zeros(m)
-        for k in range(1, m):
-            left[k] = s - t[i + 1 - k]
-            right[k] = t[i + k] - s
-            saved = 0.0
-            for r in range(k):
-                tmp = vals[r] / (right[r + 1] + left[k - r])
-                vals[r] = saved + right[r + 1] * tmp
-                saved = left[k - r] * tmp
-            vals[k] = saved
-        return i - m + 1, vals
-
-    def eval_nonzero_array(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`eval_nonzero` at every point of a 1-d array: (first indices (n,), values (n, order))."""
+        Returns ``(first index, values)``: an int and an (order,) array at a
+        scalar, arrays of shapes (n,) and (n, order) at n points.  The right
+        end of the interval belongs to the last cell; a point outside it, or
+        NaN, raises ValueError.
+        """
         m = self.order
         t = self.knots.knots
         z = self.knots.breakpoints
-        s = np.asarray(s, dtype=float)
+        scalar = np.ndim(s) == 0
+        s = np.atleast_1d(np.asarray(s, dtype=float))
         if not np.all((z[0] <= s) & (s <= z[-1])):
             raise ValueError(f"points outside [{z[0]}, {z[-1]}]")
         i = m - 1 + np.minimum(np.searchsorted(z, s, side="right") - 1, len(z) - 2)
@@ -192,15 +170,16 @@ class SplineSpace:
                 vals[:, r] = saved + right[:, r + 1] * tmp
                 saved = left[:, k - r] * tmp
             vals[:, k] = saved
-        return i - m + 1, vals
+        return (int(i[0]) - m + 1, vals[0]) if scalar else (i - m + 1, vals)
 
-    def eval_basis(self, j: int, s: float) -> float:
-        """Value of basis function j at s (0 outside its support)."""
+    def eval_basis(self, j: int, s):
+        """Values of basis function j at s, a scalar or a 1-d array (0 outside its support)."""
         self._check_index(j)
-        j0, vals = self.eval_nonzero(s)
-        if j0 <= j < j0 + self.order:
-            return float(vals[j - j0])
-        return 0.0
+        j0, vals = self.eval_nonzero(np.atleast_1d(s))
+        r = j - j0
+        alive = (r >= 0) & (r < self.order)
+        out = np.where(alive, np.take_along_axis(vals, np.where(alive, r, 0)[:, None], 1)[:, 0], 0.0)
+        return float(out[0]) if np.ndim(s) == 0 else out
 
     # -- exact polynomial pieces --------------------------------------------
     def cell_bounds(self, c: int) -> tuple[float, float]:

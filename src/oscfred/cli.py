@@ -70,7 +70,6 @@ class ExperimentConfig:
     out: str | None = None
     fmt: str = "csv"
     problem_path: str | None = None
-    perturb: float = 0.0
 
     def methods(self) -> tuple[str, ...]:
         return ("cgm", "opgm") if self.method == "both" else (self.method,)
@@ -167,7 +166,7 @@ def cmd_convergence(config: ExperimentConfig) -> tuple[list[RunRecord], int]:
             for level in range(config.n_levels):
                 rec = _single_run(config, method, kappa, _BASE_N[method] * 2**level, file_problem)
                 if last is not None and last > 0 and rec.error > 0:
-                    rec.co = math.log2(last / rec.error)
+                    rec.co = galerkin.convergence_order(last, rec.error)
                 last = rec.error
                 records.append(rec)
     code = EXIT_SINGULAR if any(r.singular for r in records) else EXIT_OK
@@ -198,12 +197,8 @@ def cmd_table1(config: ExperimentConfig) -> list[dict]:
 # verify: closed-form assembly against the quadrature oracles
 # ---------------------------------------------------------------------------
 
-def run_verify(perturb: float = 0.0, out=None) -> int:
-    """Compare every assembled entry of a small system with brute-force quadrature.
-
-    ``perturb`` injects an artificial defect into one operator entry and
-    exists so the test harness can confirm the check has teeth.
-    """
+def run_verify(out=None) -> int:
+    """Compare every assembled entry of a small system with brute-force quadrature."""
     out = sys.stdout if out is None else out
     kappa = 5.0
     sp = SplineSpace(make_uniform_knots(3, 2))
@@ -224,8 +219,6 @@ def run_verify(perturb: float = 0.0, out=None) -> int:
                [E[r, c] - galerkin.mass_entry_quadrature(space, r, c) for r in range(n) for c in range(n)])
 
     K = galerkin.assemble_operator(space, kernel)
-    if perturb:
-        K[0, 0] += perturb
     ok &= check("operator entries vs quadrature oracle:",
                 [K[r, c] - galerkin.operator_entry_quadrature(space, kernel, r, c)
                  for r in range(n) for c in range(n)])
@@ -322,16 +315,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table1", help="linear-interpolation oscillation experiment")
     common(p, with_method=False)
 
-    p = sub.add_parser("verify", help="assembly self-test against quadrature oracles")
-    p.add_argument("--perturb", type=float, default=0.0,
-                   help="inject a defect into one operator entry (test hook)")
+    sub.add_parser("verify", help="assembly self-test against quadrature oracles")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "verify":
-        return run_verify(perturb=args.perturb)
+        return run_verify()
     config = ExperimentConfig(
         command=args.command,
         method=getattr(args, "method", "both"),

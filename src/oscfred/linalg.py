@@ -11,16 +11,15 @@ quarter of the unfolded one.  Any other matrix is the single block
 * :func:`fold` / :func:`fold_rows` / :func:`unfold` -- the halves of
   A x = b, written into A's leading ceil(n/2) rows, the only ones read, or
   into those rows alone; and the map of the halves' solutions back to x;
-* :func:`solve` -- one-shot partial-pivoted LU solve, ``np.linalg.solve``
-  (LAPACK ``gesv``), on each block; :func:`solve_blocks` on a fold's;
-* :func:`cond2` -- exact 2-norm condition number sigma_max/sigma_min from
-  the singular values, ``np.linalg.svd(compute_uv=False)`` (LAPACK
-  ``gesdd`` without vectors), over the blocks of one matrix or of several;
-  :func:`cond2_blocks` over a fold's;
+* :func:`solve_blocks` -- partial-pivoted LU solve, ``np.linalg.solve``
+  (LAPACK ``gesv``), on each of a fold's blocks;
+* :func:`cond2_blocks` -- exact 2-norm condition number sigma_max/sigma_min
+  from the singular values, ``np.linalg.svd(compute_uv=False)`` (LAPACK
+  ``gesdd`` without vectors), over a fold's blocks; :func:`cond2` over the
+  blocks of one matrix;
 * :func:`lu_factor` / :func:`lu_solve` -- a factorization of the blocks
-  kept for reuse (including solves with A^H) through ``scipy.linalg``
-  (LAPACK ``getrf`` / ``getrs``); they import scipy on first call, so
-  nothing else pays for it.
+  kept for reuse through ``scipy.linalg`` (LAPACK ``getrf`` / ``getrs``);
+  they import scipy on first call, so nothing else pays for it.
 
 Matrices and vectors are plain complex ndarrays; the validators below
 enforce the construction invariants (shape, finiteness) at the public
@@ -46,7 +45,6 @@ __all__ = [
     "fold_rows",
     "lu_factor",
     "lu_solve",
-    "solve",
     "solve_blocks",
     "unfold",
 ]
@@ -181,17 +179,12 @@ def lu_factor(A) -> LUFactorization:
     return LUFactorization(lu=tuple(lus), piv=tuple(pivs))
 
 
-def lu_solve(fact: LUFactorization, b, conj_transpose: bool = False) -> np.ndarray:
-    """Solve A x = b (or A^H x = b) from a factorization of A.
-
-    The fold is a real orthogonal similarity, so A^H folds to the halves'
-    conjugate transposes and both modes solve block by block.
-    """
+def lu_solve(fact: LUFactorization, b) -> np.ndarray:
+    """Solve A x = b from a factorization of A, block by block."""
     import scipy.linalg
 
     v = _matching_vector(fact.n, b)
-    trans = 2 if conj_transpose else 0
-    return unfold([scipy.linalg.lu_solve(f, w, trans=trans, check_finite=False)
+    return unfold([scipy.linalg.lu_solve(f, w, check_finite=False)
                    for f, w in zip(zip(fact.lu, fact.piv), _split(v, fact.lu))])
 
 
@@ -212,20 +205,13 @@ def cond2_blocks(blocks) -> float:
     return float(max(s[0] for s in sv) / smin)
 
 
-def solve(A, b) -> np.ndarray:
-    """One-shot solve A x = b with partial-pivoted LU (LAPACK gesv) on each block."""
-    blocks = _blocks(M := _square(A))
-    return solve_blocks(blocks, _split(_matching_vector(len(M), b), blocks))
-
-
-def cond2(A, *more) -> float:
+def cond2(A) -> float:
     """2-norm condition number sigma_max/sigma_min from the singular values.
 
-    With further square matrices, the condition number of the
-    block-diagonal matrix diag(A, *more).  A centrosymmetric matrix is
-    taken over its halves, whose singular values together are its own.
+    A centrosymmetric matrix is taken over its halves, whose singular
+    values together are its own.
     """
-    return cond2_blocks([H for M in (A, *more) for H in _blocks(_square(M))])
+    return cond2_blocks(_blocks(_square(A)))
 
 
 def fold(A, b) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:

@@ -10,7 +10,8 @@ with a real phase rate ``omega``.  Two tools are provided:
   whose cost is independent of ``w`` -- the workhorse of Galerkin assembly;
 * a brute-force panelized Gauss-Legendre integrator
   (:func:`oscillatory_quad`) that resolves the oscillation node-by-node and
-  serves as the independent reference for everything else.
+  serves as the independent reference for everything else; its composite
+  rule (:func:`_composite_rule`) also builds the operator oracle's.
 
 The boundary (integration-by-parts) form of a moment divides by powers of
 the phase and therefore loses accuracy as the phase falls below the degree;
@@ -33,6 +34,9 @@ __all__ = [
 ]
 
 MAX_GAUSS_NODES = 64
+_PANEL_NODES = 24             # Gauss nodes per panel of the reference rules
+_NODES_PER_WAVELENGTH = 20.0  # least node density of oscillatory_quad's first pass
+_MAX_DOUBLINGS = 8
 
 
 # ---------------------------------------------------------------------------
@@ -54,46 +58,41 @@ def gauss_legendre_rule(q: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _eval_on(fn: Callable, t: np.ndarray) -> np.ndarray:
-    """Evaluate a callable on an array, falling back to a scalar loop."""
+def _eval_on(fn: Callable, *args) -> np.ndarray:
+    """fn(*args) on broadcastable arrays; a callable that does not broadcast is called point by point."""
+    shape = np.broadcast_shapes(*(np.shape(a) for a in args))
     try:
-        vals = np.asarray(fn(t))
-        if vals.shape == t.shape:
+        vals = np.asarray(fn(*args))
+        if vals.shape == shape:
             return vals
     except (TypeError, ValueError):
         pass
-    return np.asarray([fn(ti) for ti in t])
+    points = zip(*(a.ravel() for a in np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args))))
+    return np.asarray([fn(*p) for p in points]).reshape(shape)
 
 
-def _composite_gauss(f: Callable, a: float, b: float, panels: int, q: int) -> complex:
-    """Composite q-point Gauss-Legendre over ``panels`` equal subintervals."""
-    x, w = gauss_legendre_rule(q)
+def _panels(omega: float, length: float, density: float) -> int:
+    """Panels of :func:`_composite_rule` that put ``density`` nodes on each wavelength of rate omega."""
+    return math.ceil(abs(omega) * length / (2.0 * math.pi) * density / _PANEL_NODES)
+
+
+def _composite_rule(a: float, b: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the composite Gauss-Legendre rule over ``panels`` equal subintervals of [a, b]."""
+    x, w = gauss_legendre_rule(_PANEL_NODES)
     edges = np.linspace(a, b, panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mids = 0.5 * (edges[1:] + edges[:-1])
-    t = (mids[:, None] + half[:, None] * x[None, :]).ravel()
-    vals = _eval_on(f, t).reshape(panels, q)
-    return complex(np.sum(half * (vals @ w)))
+    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    mids = 0.5 * (edges[1:] + edges[:-1])[:, None]
+    return (mids + half * x).ravel(), (half * w).ravel()
 
 
-def oscillatory_quad(
-    f: Callable,
-    a: float,
-    b: float,
-    omega: float,
-    *,
-    q: int = 24,
-    nodes_per_wavelength: float = 20.0,
-    target: float = 1e-14,
-    max_doublings: int = 8,
-) -> complex:
+def oscillatory_quad(f: Callable, a: float, b: float, omega: float, *, target: float = 1e-14) -> complex:
     """Brute-force reference value of int_a^b f(t) dt for an oscillatory f.
 
     ``omega`` is the fastest phase rate present in ``f`` (in radians per
     unit length); it only controls the panel density.  Panels are sized so
-    that at least ``nodes_per_wavelength`` Gauss nodes fall on each
-    wavelength, then the panel count is doubled until two successive
-    values agree to ``target`` (absolute) or to 1e-13 relative.
+    that at least 20 Gauss nodes fall on each wavelength, then the panel
+    count is doubled until two successive values agree to ``target``
+    (absolute) or to 1e-13 relative.
 
     This integrator costs O(omega) and exists purely as an independent
     check of the closed-form paths; it is used by the self-test command
@@ -103,18 +102,18 @@ def oscillatory_quad(
         if b == a:
             return 0.0 + 0.0j
         raise ValueError("oscillatory_quad requires a <= b")
-    wavelengths = abs(omega) * (b - a) / (2.0 * math.pi)
-    panels = max(4, math.ceil(wavelengths * nodes_per_wavelength / q))
-    prev = _composite_gauss(f, a, b, panels, q)
-    for _ in range(max_doublings):
-        panels *= 2
-        cur = _composite_gauss(f, a, b, panels, q)
-        if abs(cur - prev) <= max(target, 1e-13 * abs(cur)):
+    panels = max(4, _panels(omega, b - a, _NODES_PER_WAVELENGTH))
+    prev = None
+    for _ in range(_MAX_DOUBLINGS + 1):
+        t, w = _composite_rule(a, b, panels)
+        cur = complex(w @ _eval_on(f, t))
+        if prev is not None and abs(cur - prev) <= max(target, 1e-13 * abs(cur)):
             return cur
         prev = cur
+        panels *= 2
     raise RuntimeError(
-        f"oscillatory_quad did not stabilize after {max_doublings} doublings "
-        f"({panels} panels); integrand rougher than its phase hint?"
+        f"oscillatory_quad did not stabilize after {_MAX_DOUBLINGS} doublings "
+        f"({panels // 2} panels); integrand rougher than its phase hint?"
     )
 
 

@@ -87,9 +87,8 @@ def test_partition_of_unity(m):
     sp = space(7, m)
     rng = np.random.default_rng(100 + m)
     pts = rng.uniform(-1.0, 1.0, 1000)
-    for s in pts:
-        total = sum(sp.eval_basis(j, s) for j in range(sp.dimension))
-        assert abs(total - 1.0) <= 1e-14
+    total = sum(sp.eval_basis(j, pts) for j in range(sp.dimension))
+    assert np.all(abs(total - 1.0) <= 1e-14)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
@@ -105,9 +104,8 @@ def test_basis_vanishes_outside_support(m):
 
 def test_basis_nonnegative():
     sp = space(5, 3)
-    for s in np.linspace(-1, 1, 101):
-        j0, vals = sp.eval_nonzero(s)
-        assert np.all(vals >= -1e-15)
+    _, vals = sp.eval_nonzero(np.linspace(-1, 1, 101))
+    assert np.all(vals >= -1e-15)
 
 
 def test_basis_index_out_of_range():
@@ -141,29 +139,46 @@ def test_cell_pieces_match_pointwise_recurrence(m, breakpoints):
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
-def test_eval_nonzero_array_matches_pointwise(m):
-    # the array recurrence runs the scalar one's arithmetic on every point,
-    # breakpoints and both ends included
+def test_eval_nonzero_rejects_points_outside_the_interval(m):
+    sp = SplineSpace(make_knots(NONUNIFORM_BREAKPOINTS, m))
+    for bad in ([-1.5], [0.0, 1.0 + 1e-12], [np.nan]):
+        with pytest.raises(ValueError):
+            sp.eval_nonzero(np.array(bad))
+        with pytest.raises(ValueError):
+            sp.eval_nonzero(bad[-1])
+        with pytest.raises(ValueError):
+            sp.eval_basis(0, bad[-1])
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_eval_basis_on_an_array_is_the_scalar_calls(m):
+    # bit for bit, breakpoints and both ends included, and 0 off the support
     sp = SplineSpace(make_knots(NONUNIFORM_BREAKPOINTS, m))
     s = np.concatenate((sp.knots.breakpoints, np.random.default_rng(m).uniform(-1.0, 1.0, 40)))
-    j0, vals = sp.eval_nonzero_array(s)
+    for j in range(sp.dimension):
+        values = sp.eval_basis(j, s)
+        assert values.shape == s.shape
+        npt.assert_array_equal(values, [sp.eval_basis(j, si) for si in s])
+        lo, hi = sp.support(j)
+        assert not np.any(values[(s < lo) | (s > hi)])
+    j0, vals = sp.eval_nonzero(s)
     for i, si in enumerate(s):
         j, v = sp.eval_nonzero(si)
         assert j0[i] == j
         npt.assert_array_equal(vals[i], v)
-    for bad in ([-1.5], [0.0, 1.0 + 1e-12], [np.nan]):
-        with pytest.raises(ValueError):
-            sp.eval_nonzero_array(np.array(bad))
 
 
-@pytest.mark.parametrize("m", [2, 3, 4])
-def test_basis_matches_scipy(m):
-    # independent oracle: scipy's B-spline basis elements
-    sp = space(6, m)
+@pytest.mark.parametrize("m, breakpoints",
+                         [(m, None) for m in (1, 2, 3, 4)]
+                         + [(m, NONUNIFORM_BREAKPOINTS) for m in (1, 2, 3, 4)],
+                         ids=["1", "2", "3", "4"] + [f"nonuniform-{m}" for m in (1, 2, 3, 4)])
+def test_basis_matches_scipy(m, breakpoints):
+    # independent oracle: scipy's B-spline basis elements, breakpoints among the points
+    sp = space(6, m) if breakpoints is None else SplineSpace(make_knots(breakpoints, m))
     t = sp.knots.knots
-    s = np.linspace(-1, 1, 301)
+    s = np.union1d(np.linspace(-1, 1, 301), sp.knots.breakpoints)
     for j in range(sp.dimension):
-        ours = np.array([sp.eval_basis(j, si) for si in s])
+        ours = sp.eval_basis(j, s)
         ref = BSpline.basis_element(t[j: j + m + 1], extrapolate=False)(s)
         ref = np.nan_to_num(ref)
         # scipy's basis element treats the last breakpoint as exclusive
@@ -199,9 +214,8 @@ def test_gram_matches_midpoint_bruteforce(N, m):
     n_panels = 10_000
     mids = -1.0 + (np.arange(n_panels) + 0.5) * (2.0 / n_panels)
     B = np.zeros((d, n_panels))
-    for i, s in enumerate(mids):
-        j0, vals = sp.eval_nonzero(s)
-        B[j0: j0 + m, i] = vals
+    j0, vals = sp.eval_nonzero(mids)
+    B[j0[:, None] + np.arange(m), np.arange(n_panels)[:, None]] = vals
     G_brute = (B * (2.0 / n_panels)) @ B.T
     G = gram_matrix(sp)
     # the midpoint rule itself carries (2/n)^2/24 * curvature error, and the

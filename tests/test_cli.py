@@ -141,11 +141,19 @@ def test_verify_passes_on_fresh_build(capsys):
     assert "all checks passed" in text
 
 
-def test_verify_detects_injected_perturbation(capsys):
+def test_verify_detects_injected_perturbation(capsys, monkeypatch):
     # a NaN defect must fail too: max() over the differences would drop it
-    for perturb in ("1e-3", "nan"):
-        assert cli.main(["verify", "--perturb", perturb]) == cli.EXIT_VERIFY_FAILED, perturb
-        assert "FAIL" in capsys.readouterr().out
+    assemble = cli.galerkin.assemble_operator
+    for perturb in (1e-3, float("nan")):
+        def perturbed(space, kernel):
+            K = assemble(space, kernel)
+            K[0, 0] += perturb
+            return K
+        monkeypatch.setattr(cli.galerkin, "assemble_operator", perturbed)
+        assert cli.main(["verify"]) == cli.EXIT_VERIFY_FAILED, perturb
+        out = capsys.readouterr().out
+        assert "FAIL" in out
+        assert next(ln for ln in out.splitlines() if ln.startswith("operator entries")).endswith("[FAIL]")
 
 
 # ---------------------------------------------------------------------------

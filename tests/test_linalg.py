@@ -14,12 +14,12 @@ from oscfred.linalg import (
     as_complex_matrix,
     as_complex_vector,
     cond2,
+    cond2_blocks,
     fold,
     fold_rows,
     lu_factor,
     lu_solve,
-    solve,
-    unfold,
+    solve_blocks,
 )
 
 
@@ -40,6 +40,11 @@ def unpack(fact):
 def factored(A):
     """The block-diagonal matrix lu_factor factors: A's two halves if J A J = A, else A."""
     return scipy.linalg.block_diag(*fold(np.array(A, dtype=complex), np.zeros(len(A)))[0])
+
+
+def fold_solve(A, b):
+    """x with A x = b by LAPACK gesv on the blocks of A's fold, A left unchanged."""
+    return solve_blocks(*fold(np.array(A, dtype=complex), b))
 
 
 # ---------------------------------------------------------------------------
@@ -88,8 +93,7 @@ def test_lu_of_a_centrosymmetric_matrix_factors_its_halves():
         npt.assert_allclose(P @ factored(A), L @ U, atol=1e-13 * np.max(np.abs(A)))
         b = rng.standard_normal(len(A)) + 1j * rng.standard_normal(len(A))
         npt.assert_allclose(A @ lu_solve(fact, b), b, atol=1e-12)
-        npt.assert_allclose(A.conj().T @ lu_solve(fact, b, conj_transpose=True), b, atol=1e-12)
-        npt.assert_allclose(lu_solve(fact, b), solve(A, b), rtol=1e-12)
+        npt.assert_allclose(lu_solve(fact, b), fold_solve(A, b), rtol=1e-12)
 
 
 def test_lu_random_reconstruction():
@@ -104,7 +108,7 @@ def test_lu_random_reconstruction():
 def test_lu_detects_exact_singularity():
     # the factor-reuse path (scipy getrf) and the one-shot solve (numpy gesv)
     # must both report the zero pivot
-    factor_or_solve = (lu_factor, lambda A: solve(A, np.ones(len(A))))
+    factor_or_solve = (lu_factor, lambda A: fold_solve(A, np.ones(len(A))))
     for call in factor_or_solve:
         with pytest.raises(SingularMatrixError):
             call(np.zeros((3, 3)))
@@ -118,8 +122,8 @@ def test_lu_requires_square():
 
 
 def test_solve_identity_and_diagonal():
-    npt.assert_allclose(solve(np.eye(4), np.arange(1.0, 5.0)), np.arange(1.0, 5.0))
-    x = solve(np.diag([2.0, 1j]), np.array([2.0, 1j]))
+    npt.assert_allclose(fold_solve(np.eye(4), np.arange(1.0, 5.0)), np.arange(1.0, 5.0))
+    x = fold_solve(np.diag([2.0, 1j]), np.array([2.0, 1j]))
     npt.assert_allclose(x, [1.0, 1.0])
 
 
@@ -127,7 +131,7 @@ def test_solve_manufactured_rhs():
     rng = np.random.default_rng(2)
     A = rng.standard_normal((100, 100)) + 1j * rng.standard_normal((100, 100))
     x_star = rng.standard_normal(100) + 1j * rng.standard_normal(100)
-    x = solve(A, A @ x_star)
+    x = fold_solve(A, A @ x_star)
     assert np.linalg.norm(x - x_star) / np.linalg.norm(x_star) <= 1e-10
 
 
@@ -136,15 +140,7 @@ def test_solve_dimension_mismatch():
     with pytest.raises(ValueError, match="dimension mismatch"):
         lu_solve(fact, np.ones(4))
     with pytest.raises(ValueError, match="dimension mismatch"):
-        solve(np.eye(3), np.ones(4))
-
-
-def test_solve_conjugate_transpose_mode():
-    rng = np.random.default_rng(3)
-    A = rng.standard_normal((20, 20)) + 1j * rng.standard_normal((20, 20))
-    b = rng.standard_normal(20) + 1j * rng.standard_normal(20)
-    x = lu_solve(lu_factor(A), b, conj_transpose=True)
-    npt.assert_allclose(A.conj().T @ x, b, atol=1e-11)
+        fold_solve(np.eye(3), np.ones(4))
 
 
 def test_backward_stable_residuals_many_sizes():
@@ -154,7 +150,7 @@ def test_backward_stable_residuals_many_sizes():
         n = int(rng.integers(2, 301))
         A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        x = solve(A, b)
+        x = fold_solve(A, b)
         resid = np.linalg.norm(A @ x - b)
         bound = 100.0 * n * eps * np.linalg.norm(A, 2) * np.linalg.norm(x)
         assert resid <= bound
@@ -220,10 +216,10 @@ def test_fold_solves_and_conditions_like_the_whole(n):
     x, c = np.linalg.solve(A, b), cond2(A)
     blocks, loads = fold(A.copy(), b)
     assert [M.shape[0] for M in blocks] == ([1] if n == 1 else [(n + 1) // 2, n // 2])
-    y = unfold([solve(M, v) for M, v in zip(blocks, loads)])
+    y = solve_blocks(blocks, loads)
     assert np.linalg.norm(A @ y - b) <= 1e-13 * np.linalg.norm(A, 2) * np.linalg.norm(y)
     npt.assert_allclose(y, x, rtol=1e-12 * c)
-    assert cond2(*blocks) == pytest.approx(c, rel=1e-12)
+    assert cond2_blocks(blocks) == pytest.approx(c, rel=1e-12)
 
 
 def test_fold_writes_the_halves_into_the_buffer_and_keeps_the_load():
@@ -298,14 +294,14 @@ def test_fold_rows_validates_shape_and_finiteness():
 def test_cond2_of_blocks_is_the_block_diagonal_condition():
     rng = np.random.default_rng(3)
     P, Q = rng.standard_normal((4, 4)), rng.standard_normal((3, 3))
-    assert cond2(P, Q) == pytest.approx(cond2(scipy.linalg.block_diag(P, Q)), rel=1e-12)
-    assert cond2(P, np.zeros((2, 2))) == np.inf
+    assert cond2_blocks([P, Q]) == pytest.approx(cond2(scipy.linalg.block_diag(P, Q)), rel=1e-12)
+    assert cond2_blocks([P, np.zeros((2, 2))]) == np.inf
 
 
 def test_singular_half_raises():
     # J A J = A with the invertible even half [[2, sqrt(2)], [sqrt(2), 3]] and the odd half B - CJ = 0
     A = np.array([[1.0, 1.0, 1.0], [1.0, 3.0, 1.0], [1.0, 1.0, 1.0]])
     blocks, loads = fold(A, np.ones(3))
-    assert cond2(*blocks) == np.inf
+    assert cond2_blocks(blocks) == np.inf
     with pytest.raises(SingularMatrixError):
-        [solve(M, v) for M, v in zip(blocks, loads)]
+        solve_blocks(blocks, loads)
