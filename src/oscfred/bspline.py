@@ -100,12 +100,17 @@ def make_uniform_knots(N: int, m: int, interval: tuple[float, float] = (-1.0, 1.
     negatives of each other in mirror pairs, so on an interval symmetric
     about 0 the mesh is mirror-symmetric bitwise.
     """
+    return KnotVector(order=m, knots=_uniform_knots(N, m, interval))
+
+
+def _uniform_knots(N: int, m: int, interval: tuple[float, float] = (-1.0, 1.0)) -> np.ndarray:
+    """The knot array of :func:`make_uniform_knots`, built without the checks of :class:`KnotVector`."""
     if N < 0:
         raise ValueError("N must be >= 0")
     a, b = interval
     h = (b - a) / (N + 1)
     inner = 0.5 * (a + b) + h * (np.arange(1, N + 1) - 0.5 * (N + 1))
-    return make_knots(inner, m, interval)
+    return np.concatenate((np.full(m, a), inner, np.full(m, b)))
 
 
 class SplineSpace:

@@ -55,7 +55,7 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .bspline import KnotVector, SplineSpace
+from .bspline import KnotVector, SplineSpace, _uniform_knots
 from .oscquad import (
     Polynomial,
     _as_coeffs,
@@ -68,6 +68,7 @@ from .oscquad import (
     _sigma_coeffs,
     _trim,
     _unit_moments,
+    _zero_moments,
     oscillatory_quad,
 )
 
@@ -466,6 +467,11 @@ def mesh_plan(knots: KnotVector) -> MeshPlan:
     return _plan(knots.order, knots.knots.tobytes())
 
 
+def uniform_plan(N: int, m: int) -> MeshPlan:
+    """:func:`mesh_plan` of ``make_uniform_knots(N, m)``, looked up without building or checking the knot vector."""
+    return _plan(m, _uniform_knots(N, m).tobytes())
+
+
 def _cell_tables(cells, local: np.ndarray, rates: np.ndarray) -> np.ndarray:
     """V[k, l, r, c] = int_{cell c} amp_l(s) B_{c+r}(s) e^{i*rates[k, l]*s} ds for all k, l, r, c.
 
@@ -501,19 +507,23 @@ def _fold(table: np.ndarray) -> np.ndarray:
 def _band(pairs: np.ndarray) -> np.ndarray:
     """Diagonals band[..., m-1+o, i] = entry (i, i+o), |o| < m, of a sum of cell-pair matrices.
 
-    ``pairs[..., x, a, b, c]`` couples B_{c+a} on cell c with B_{c+x-x0+b} on
+    ``pairs[b, x, a, c, ...]`` couples B_{c+a} on cell c with B_{c+x-x0+b} on
     cell c + x - x0, x0 >= m - 1 the middle index of x, so it lands on
     diagonal o = x - x0 + b - a; entries off the central diagonals are dropped.
+    The trailing axes lead the result, a view of a [m-1+o, i, ...] array:
+    with the summed axes first, every in-place add takes contiguous slices,
+    which numpy would otherwise copy.
     """
-    nx, m, nc = pairs.shape[-4], pairs.shape[-3], pairs.shape[-1]
+    m, nx, nc = pairs.shape[0], pairs.shape[1], pairs.shape[3]
     x0 = (nx - 1) // 2
-    cols = np.zeros(pairs.shape[:-4] + (m, nx + m - 1, nc), dtype=complex)   # [..., a, x + b, c]
+    cols = np.zeros((nx + m - 1,) + pairs.shape[2:], dtype=complex)          # [x + b, a, c, ...]
     for b in range(m):
-        cols[..., b:b + nx, :] += np.swapaxes(pairs[..., b, :], -3, -2)
-    band = np.zeros(pairs.shape[:-4] + (2 * m - 1, nc + m - 1), dtype=complex)
+        cols[b:b + nx] += pairs[b]
+    band = np.zeros((2 * m - 1, nc + m - 1) + pairs.shape[4:], dtype=complex)
     for a in range(m):
-        band[..., a:a + nc] += cols[..., a, a + x0 - m + 1:a + x0 + m, :]
-    return band
+        for o in range(2 * m - 1):
+            band[o, a:a + nc] += cols[a + x0 - m + 1 + o, a]
+    return np.moveaxis(band, (0, 1), (-2, -1))
 
 
 @lru_cache(maxsize=None)
@@ -538,6 +548,27 @@ def _collapsed_rule(D: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
     return rule
 
 
+@lru_cache(maxsize=None)
+def _sigma_rule(D: int) -> tuple[np.ndarray, ...]:
+    """The degree-fixed tables of :func:`_triangle_moments` at D = max(A, B).
+
+    ratio[b, n] = (-1)^(b-n) b!/n! (0 for n > b) and its power index
+    power[b, n] = max(b - n, 0) + 1, so s_b[n] = ratio (i*lt)^-power;
+    sign[b] = (-1)^b, flip[a, b] = (-1)^(a+b), the window index
+    window[a, n] = a + n into the 1-d moments, and mu(0, 0), the limit
+    both regimes share, (Z[a+b+1] + (-1)^b Z[a]) / (b+1) with
+    Z[k] = int_{-1}^{1} x^k dx (:func:`_zero_moments`).  Callers must not
+    mutate them.
+    """
+    b = np.arange(D)
+    k = b[:, None] - b                                      # [b, n] = b - n
+    fact = np.array([math.factorial(i) for i in b], dtype=float)
+    window = np.add.outer(b, b)
+    Z = _zero_moments(2 * D - 1)
+    return _frozen(np.where(k >= 0, (-1.0) ** k * fact[:, None] / fact, 0.0), np.maximum(k, 0) + 1,
+                   (-1.0) ** b, (-1.0) ** window, window, (Z[window + 1] + (-1.0) ** b * Z[:D, None]) / (b + 1))
+
+
 def _triangle_moments(ls: np.ndarray, lt: np.ndarray, A: int, B: int) -> np.ndarray:
     """mu[e, a, b] = int_{-1}^{1} du int_{-1}^{u} u^a v^b e^{i(ls[e]*u + lt[e]*v)} dv.
 
@@ -550,33 +581,39 @@ def _triangle_moments(ls: np.ndarray, lt: np.ndarray, A: int, B: int) -> np.ndar
     When |ls| reaches T instead, the reflection (u, v) -> (-v, -u) gives
     mu(ls, lt)[a, b] = (-1)^(a+b) mu(-lt, -ls)[b, a], the same expansion
     with the phases swapped.  Below T in both, the collapsed Gauss rule of
-    :func:`_collapsed_rule`.  Each row is its own product, so row e does
-    not depend on the rest of the batch.
+    :func:`_collapsed_rule`, except at ls = lt = 0, which takes the exact
+    limit of :func:`_sigma_rule`.  Each row is its own product, so row e
+    does not depend on the rest of the batch.
     """
     D = max(A, B)
     T = max(1.0, D - 1.0)
     swap = np.abs(lt) < T
     sigma = ~swap | (np.abs(ls) >= T)
+    zero = (ls == 0) & (lt == 0)
+    gauss = ~(sigma | zero)
+    nsigma = np.count_nonzero(sigma)
+    ratio, power, sign, flip, window, limit = _sigma_rule(D)
     mu = np.empty((len(ls), D, D), dtype=complex)
-    if np.any(sigma):
-        rev = swap[sigma]
-        lu = np.where(rev, -lt[sigma], ls[sigma])
-        lv = np.where(rev, -ls[sigma], lt[sigma])
-        b = np.arange(D)
-        k = b[:, None] - b                                  # [b, n] = b - n
-        fact = np.array([math.factorial(i) for i in b], dtype=float)
-        ratio = np.where(k >= 0, (-1.0) ** k * fact[:, None] / fact, 0.0)
-        s = ratio * (1.0 / (1j * lv))[:, None, None] ** (np.maximum(k, 0) + 1)   # [e, b, n] = s_b[n]
-        const = -np.exp(-1j * lv)[:, None] * (s @ (-1.0) ** b)
+    if nsigma:
+        whole = nsigma == len(ls)                           # the branch covers the batch
+        lu, lv, rev = (ls, lt, swap) if whole else (ls[sigma], lt[sigma], swap[sigma])
+        reflect = np.count_nonzero(rev)
+        if reflect:
+            lu, lv = np.where(rev, -lv, lu), np.where(rev, -lu, lv)
+        s = ratio * (1.0 / (1j * lv))[:, None, None] ** power                  # [e, b, n] = s_b[n]
+        const = -np.exp(-1j * lv)[:, None] * (s @ sign)
         mom = _unit_moments(np.concatenate([lu + lv, lu]), 2 * D - 2)
-        out = (sliding_window_view(mom[:len(lu)], D, axis=1) @ s.swapaxes(1, 2)
-               + mom[len(lu):, :D, None] * const[:, None, :])
-        out[rev] = (-1.0) ** np.add.outer(b, b) * out[rev].swapaxes(1, 2)
+        out = mom[:len(lu), window] @ s.swapaxes(1, 2) + mom[len(lu):, :D, None] * const[:, None, :]
+        if reflect:
+            out[rev] = flip * out[rev].swapaxes(1, 2)
+        if whole:
+            return out[:, :A, :B]
         mu[sigma] = out
-    if not np.all(sigma):
+    mu[zero] = limit
+    if np.count_nonzero(gauss):
         u, v, Up, Vp = _collapsed_rule(D)
-        G = np.matmul(np.exp(1j * np.multiply.outer(lt[~sigma], v))[:, :, None, :], Vp)[:, :, 0]   # [e, i, b]
-        mu[~sigma] = (Up * np.exp(1j * np.multiply.outer(ls[~sigma], u))[:, None, :]) @ G
+        G = np.matmul(np.exp(1j * np.multiply.outer(lt[gauss], v))[:, :, None, :], Vp)[:, :, 0]   # [e, i, b]
+        mu[gauss] = (Up * np.exp(1j * np.multiply.outer(ls[gauss], u))[:, None, :]) @ G
     return mu[:, :A, :B]
 
 
@@ -656,8 +693,8 @@ def _mass_band(space: TrialSpace, plan: MeshPlan) -> np.ndarray:
     pieces = plan.cells[4]
     tables = _cell_tables(plan.cells, pieces.swapaxes(0, 1), rates[:, None] * space.kappa)     # [k, b, a, c]
     local = tables.swapaxes(1, 2)[at]                                           # [q, p, a, b, c]
-    pairs = np.zeros(local.shape[:2] + (2 * m - 1,) + local.shape[2:], dtype=complex)
-    pairs[:, :, m - 1] = 0.5 * (local + local.swapaxes(2, 3))
+    pairs = np.zeros((m, 2 * m - 1, m, pieces.shape[-1]) + at.shape, dtype=complex)   # [b, x, a, c, q, p]
+    pairs[:, m - 1] = (0.5 * (local + local.swapaxes(2, 3))).transpose(3, 2, 4, 0, 1)
     band = _band(pairs)
     for q in range(len(lay.eps)):
         band[q + 1:, q] = band[q, q + 1:].conj()
@@ -710,9 +747,12 @@ def _operator_parts(space: TrialSpace, kernel: OscKernel, plan: MeshPlan):
     side, shift = plan.pair_index
     Ypad = np.zeros(Y.shape[:-1] + (nc + 4 * m - 4,), dtype=complex)
     Ypad[..., 2 * m - 2:2 * m - 2 + nc] = Y
-    Yx = Ypad[side, :, :, :, shift].transpose(0, 2, 3, 4, 1)                   # [x, p, r, b, c]
-    Xx = X[side[:, 0]]                                                          # [x, q, r, a, c]
-    pairs = sum(Xx[:, :, None, r, :, None] * Yx[:, None, :, r, None] for r in range(R)).transpose(1, 2, 0, 3, 4, 5)
+    Yx = Ypad[side, :, :, :, shift].transpose(4, 0, 1, 2, 3)[:, :, None, :, None]   # [b, x, 1, c, 1, p, r]
+    Xx = X[side[:, 0]].transpose(0, 3, 4, 1, 2)[None, :, :, :, :, None]             # [1, x, a, c, q, 1, r]
+    pairs = np.empty((m, 4 * m - 3, m, nc, len(lay.eps), len(lay.eps)), dtype=complex)   # [b, x, a, c, q, p]
+    np.multiply(Xx[..., 0], Yx[..., 0], out=pairs)
+    for r in range(1, R):
+        pairs += Xx[..., r] * Yx[..., r]
 
     # shared cells: W[rj, rl, a, b, c] = local kernel factor times pieces rj (in u) and rl (in v)
     Cc = np.einsum("kac,ab,lbc->klc", T[:A0, :A0], C, T[:B0, :B0])
@@ -730,7 +770,7 @@ def _operator_parts(space: TrialSpace, kernel: OscKernel, plan: MeshPlan):
     flip = (-1.0) ** np.add.outer(np.arange(A), np.arange(B))[..., None]
     tri = (mu[ils[0], ilt[0]] + flip * mu[ils[1], ilt[1]])[..., group]   # [q, p, a, b, c]
     pre = h2 * h2 * np.exp(1j * np.multiply.outer(lay.diff * kappa, s0))
-    pairs[:, :, 2 * m - 2] = np.einsum("jlabc,qpabc->qpjlc", W, tri) * pre[:, :, None, None]
+    pairs[:, 2 * m - 2] = (np.einsum("jlabc,qpabc->qpjlc", W, tri) * pre[:, :, None, None]).transpose(3, 2, 4, 0, 1)
     return gens, _band(pairs)
 
 

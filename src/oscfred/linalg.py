@@ -106,26 +106,29 @@ _FOLD_CHUNK_BYTES = 1 << 15
 def _halves(M: np.ndarray) -> tuple[np.ndarray, ...]:
     """:func:`fold`'s halves, made in place in M[:ceil(n/2)], n = M.shape[1]; later rows are not read.
 
-    The rows of B go in chunks of about 32 KiB (at least 8 rows) through
-    three contiguous buffers; a ufunc on the strided B and CJ themselves
-    would buffer or copy each operand.  Raises ValueError if an entry of
-    either half is not finite.
+    The rows of B go in chunks of about 32 KiB (at least 8 rows) through a
+    contiguous work array holding B, CJ and the even half's rows in turn; a
+    ufunc on any non-contiguous operand, the strided B and CJ themselves
+    included, would buffer or copy it.  One finiteness check per chunk
+    covers both halves' rows.  Raises ValueError if an entry of either half
+    is not finite.
     """
     k = M.shape[1] // 2
     h = M.shape[1] - k
     step = max(8, _FOLD_CHUNK_BYTES // (M.itemsize * max(k, 1)))
-    buf = np.empty((3, min(step, k), k), dtype=complex)
+    flat = np.empty(3 * min(step, k) * k, dtype=complex)
     finite = True
     for a in range(0, k, step):
-        B, CJ, even = buf[:, :min(step, k - a)]
-        rows = slice(a, a + len(B))
-        np.copyto(B, M[rows, :k])
-        np.copyto(CJ, M[rows, h:][:, ::-1])
+        r = min(step, k - a)
+        work = flat[:3 * r * k].reshape(3, r, k)
+        B, CJ, even = work
+        np.copyto(B, M[a:a + r, :k])
+        np.copyto(CJ, M[a:a + r, h:][:, ::-1])
         np.add(B, CJ, out=even)
         np.subtract(B, CJ, out=CJ)                  # the odd half's rows
-        finite = finite and bool(np.isfinite(even).all() and np.isfinite(CJ).all())
-        M[rows, :k] = even
-        M[rows, h:] = CJ
+        finite = finite and bool(np.isfinite(work[1:]).all())
+        M[a:a + r, :k] = even
+        M[a:a + r, h:] = CJ
     M[:k, k:h] *= _ROOT2
     M[k:h, :k] *= _ROOT2
     if not (finite and np.isfinite(M[:k, k:h]).all() and np.isfinite(M[k:h, :h]).all()):

@@ -285,31 +285,49 @@ def _moment_rule(K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return x, wt, powers
 
 
+@lru_cache(maxsize=None)
+def _zero_moments(K: int) -> np.ndarray:
+    """Z[k] = int_{-1}^{1} x^k dx = 2/(k+1) for even k and 0 for odd k, k = 0..K: the moments at w = 0.
+
+    Callers must not mutate the returned array.
+    """
+    k = np.arange(K + 1)
+    Z = np.where(k % 2 == 0, 2.0 / (k + 1), 0.0).astype(complex)
+    Z.setflags(write=False)
+    return Z
+
+
 def _unit_moments(w: np.ndarray, K: int) -> np.ndarray:
     """Moments M[e, k] = int_{-1}^{1} x^k e^{i w_e x} dx, k = 0..K, for an array of rates w.
 
-    The Gauss rule of :func:`_moment_rule` runs below a total phase of
-    max(1, 2K); above it, the forward recurrence
+    The Gauss rule of :func:`_moment_rule` runs on the nonzero rates below
+    a total phase of max(1, 2K); above it, the forward recurrence
     M[k] = (e^{iw} - (-1)^k e^{-iw} - k M[k-1]) / (iw), whose every step
-    scales the error carried from M[k-1] by k/|w| <= 1.  The rule depends
-    on K alone and each row is its own product, so row e is bitwise the
-    same whatever else is in the batch.  The cost does not depend on w.
+    scales the error carried from M[k-1] by k/|w| <= 1.  A rate of exactly
+    0 takes the limit both share, :func:`_zero_moments`, so a batch of
+    zero and large rates runs the recurrence alone.  The rule depends on
+    K alone and each row is its own product, so row e is bitwise the same
+    whatever else is in the batch.  The cost does not depend on w.
     """
     w = np.asarray(w, dtype=float)
+    zero = w == 0
+    small = (np.abs(w) < max(0.5, K)) != zero              # the nonzero rates below the switch
+    big = ~(small | zero)
     M = np.empty((len(w), K + 1), dtype=complex)
-    small = np.abs(w) < max(0.5, K)
-    if np.any(small):
+    M[zero] = _zero_moments(K)
+    if np.count_nonzero(small):
         x, wt, powers = _moment_rule(K)
         rows = wt * np.exp(1j * w[small, None] * x)
         M[small] = np.matmul(rows[:, None, :], powers)[:, 0]
-    if not np.all(small):
-        iw = 1j * w[~small]
+    if np.count_nonzero(big):
+        iw = 1j * w[big]
         ep, em = np.exp(iw), np.exp(-iw)
-        mom = (ep - em) / iw
-        big = np.empty((len(iw), K + 1), dtype=complex)
-        big[:, 0] = mom
+        odd, even = ep + em, ep - em                        # e^{iw} - (-1)^k e^{-iw} at odd and even k
+        mom = even / iw
+        rec = np.empty((len(iw), K + 1), dtype=complex)
+        rec[:, 0] = mom
         for k in range(1, K + 1):
-            mom = (ep - (-1) ** k * em - k * mom) / iw
-            big[:, k] = mom
-        M[~small] = big
+            mom = ((odd if k % 2 else even) - k * mom) / iw
+            rec[:, k] = mom
+        M[big] = rec
     return M

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import galerkin, linalg
-from .bspline import make_uniform_knots, max_error_on_grid
+from .bspline import max_error_on_grid
 from .galerkin import (
     EN_GRID,
     OscKernel,
@@ -225,7 +225,7 @@ def run_galerkin(
     :func:`oscfred.linalg.fold_rows` turns them in place into an even and
     an odd half, each solved on its own, so no n x n array is allocated.
     Any other input solves the whole E - K as one block.  The mesh's
-    kappa-independent tables come from its :func:`oscfred.galerkin.mesh_plan`,
+    kappa-independent tables come from its :func:`oscfred.galerkin.uniform_plan`,
     so a sweep over kappa on one mesh builds them once.
 
     ``seconds`` measures assembly plus solve; e_N and the optional
@@ -237,7 +237,7 @@ def run_galerkin(
     method = method.lower()
     if method not in _METHOD_MULTIPLIERS:
         raise ValueError(f"unknown method {method!r}; expected 'cgm' or 'opgm'")
-    splines = galerkin.mesh_plan(make_uniform_knots(N, spline_order)).splines
+    splines = galerkin.uniform_plan(N, spline_order).splines
     space = TrialSpace(splines=splines, kappa=problem.kappa, multipliers=_METHOD_MULTIPLIERS[method])
     t0 = time.perf_counter()
     f = galerkin.assemble_rhs(space, problem.rhs)

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import numpy.testing as npt
@@ -224,6 +225,60 @@ def test_triangle_moments_match_collapsed_gauss_reference(A, B):
         err = np.abs(mu[e] - collapsed_gauss_reference(ls[e], lt[e], A, B)) / scale
         assert np.max(err) <= 1e-12, (ls[e], lt[e])
         assert np.array_equal(mu[e], galerkin._triangle_moments(ls[e:e + 1], lt[e:e + 1], A, B)[0])
+
+
+@pytest.mark.parametrize("A, B", [(1, 1), (2, 2), (3, 5), (6, 3), (10, 10), (20, 20)])
+def test_triangle_moments_at_zero_phases_are_the_exact_limit(A, B):
+    # ls = lt = 0 takes mu[a, b] = (Z[a+b+1] + (-1)^b Z[a]) / (b+1), Z[k] = int x^k,
+    # alone or in a batch of either regime; checked against exact fractions
+    # and against the collapsed Gauss reference, whose own roundoff at
+    # A = B = 20 reaches 1.0e-14 of the scale
+    Z = [Fraction(2, k + 1) if k % 2 == 0 else Fraction(0) for k in range(A + B)]
+    exact = np.array([[float((Z[a + b + 1] + (-1) ** b * Z[a]) / (b + 1)) for b in range(B)] for a in range(A)])
+    ref = collapsed_gauss_reference(0.0, 0.0, A, B)
+    scale = 2.0 / (np.add.outer(np.arange(A), np.arange(B)) + 1)
+    T = max(1.0, max(A, B) - 1.0)
+    for ls, lt in (([0.0], [0.0]), ([0.5 * T, 0.0, 0.0], [0.0, 0.0, -0.0]), ([3.0 * T, 0.0], [T, 0.0])):
+        mu = galerkin._triangle_moments(np.array(ls), np.array(lt), A, B)[-1]
+        assert np.max(np.abs(mu - exact) / scale) <= 1e-15
+        assert max(A, B) > 10 or np.max(np.abs(mu - ref) / scale) <= 1e-14
+
+
+@pytest.mark.parametrize("D", [1, 2, 5, 20])
+def test_sigma_rule_tables_are_read_only(D):
+    rule = galerkin._sigma_rule(D)
+    assert rule is galerkin._sigma_rule(D)
+    assert not any(t.flags.writeable for t in rule)
+
+
+def band_reference(pairs):
+    """galerkin._band by its defining sum, entry by entry: pairs[b, x, a, c, ...] onto diagonal x - x0 + b - a."""
+    m, nx, nc = pairs.shape[0], pairs.shape[1], pairs.shape[3]
+    band = np.zeros(pairs.shape[4:] + (2 * m - 1, nc + m - 1), dtype=complex)
+    for b, x, a, c in np.ndindex(m, nx, m, nc):
+        o = x - (nx - 1) // 2 + b - a
+        if abs(o) < m:
+            band[..., m - 1 + o, c + a] += pairs[b, x, a, c]
+    return band
+
+
+def test_band_adds_in_place_on_contiguous_slices():
+    # the band of an opgm N=256-sized pairs array costs its own bytes and
+    # those of its [x + b, a, c, q, p] work array, with no copied operands
+    rng = np.random.default_rng(3)
+    small = rng.standard_normal((3, 9, 3, 4, 2, 2)) + 1j * rng.standard_normal((3, 9, 3, 4, 2, 2))
+    npt.assert_allclose(galerkin._band(small), band_reference(small), rtol=0, atol=1e-13)
+    m, nx, nc, nb = 2, 5, 257, 3
+    pairs = rng.standard_normal((m, nx, m, nc, nb, nb)) + 0j
+    tracemalloc.start()
+    try:
+        band = galerkin._band(pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    work = 16 * (nx + m - 1) * m * nc * nb * nb
+    assert band.shape == (nb, nb, 2 * m - 1, nc + m - 1)
+    assert peak <= 1.01 * (band.nbytes + work)
 
 
 def is_centrosymmetric(A):

@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oscfred.oscquad import (
@@ -12,6 +12,7 @@ from oscfred.oscquad import (
     _polyder,
     _sigma_coeffs,
     _unit_moments,
+    _zero_moments,
     gauss_legendre_rule,
     oscillatory_quad,
 )
@@ -137,12 +138,26 @@ def test_unit_moments_accurate_across_switch(K):
         assert np.all(np.abs(M[1] - ref.conj()) <= 1e-12 * scale), -w
 
 
+@pytest.mark.parametrize("K", [0, 1, 2, 5, 12, 40])
+def test_unit_moments_at_zero_rate_are_exact(K):
+    # w = 0 takes the exact row 2/(k+1) (even k), 0 (odd k), alone or among
+    # small and large rates, and the table is read-only
+    k = np.arange(K + 1)
+    exact = np.where(k % 2 == 0, 2.0 / (k + 1), 0.0)
+    for w in ([0.0], [-0.0, 0.0], [0.0, 0.3, 3.0 * K + 1.0], [1e6, 0.0, -1e6]):
+        M = _unit_moments(np.array(w), K)
+        assert np.array_equal(M[np.array(w) == 0], np.broadcast_to(exact, (w.count(0.0), K + 1)))
+    assert not _zero_moments(K).flags.writeable
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     K=st.integers(0, 60),
     f=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=12),
     sign=st.lists(st.booleans(), min_size=12, max_size=12),
 )
+@example(K=6, f=[0.0, 1.5, 0.0, 2.0, 1.0], sign=[False, True] * 6)         # exact zeros among large rates
+@example(K=2, f=[0.0, 0.1, 2.0, 0.0], sign=[True] * 12)                   # zeros, small and large, w = -0.0
 def test_unit_moments_rows_do_not_depend_on_the_batch(K, f, sign):
     # rates on both sides of the Gauss/recurrence switch at |w| = max(1/2, K):
     # each row must be bitwise what a batch of one gives

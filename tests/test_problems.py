@@ -258,6 +258,33 @@ def test_a_kappa_sweep_builds_its_mesh_plan_once(monkeypatch):
     assert built == [26] and layouts == [galerkin.OPGM_MULTIPLIERS]
 
 
+def test_uniform_plan_is_the_mesh_plan_of_the_uniform_knots():
+    # run_galerkin's lookup by (N, m) hits the one plan cache under the knots' bytes
+    galerkin._plan.cache_clear()
+    for N, m in ((0, 1), (5, 2), (64, 4)):
+        assert galerkin.uniform_plan(N, m) is galerkin.mesh_plan(make_uniform_knots(N, m))
+    galerkin._plan.cache_clear()
+    for N, m in ((-1, 2), (4, 0)):
+        with pytest.raises(ValueError):
+            galerkin.uniform_plan(N, m)
+
+
+def test_assembly_cost_is_flat_over_the_kappa_range():
+    # kappa = 1.5 puts every moment of opgm N=64 in its Gauss regime and
+    # kappa = 1e8 every one past its switch: the median of 5 interleaved
+    # runs of rhs + matrix stays within a factor 2 across the range
+    kappas = (1.5, 10.0, 1e3, 1e5, 1e8)
+    problems = [paper_benchmark(kappa) for kappa in kappas]
+    times = [[] for _ in kappas]
+    for r in range(6):
+        for t, p in zip(times, problems):
+            stages = run_galerkin(p, "opgm", 64).stages
+            if r:                                   # the first round fills the mesh plan
+                t.append(stages["rhs"] + stages["matrix"])
+    medians = [float(np.median(t)) for t in times]
+    assert max(medians) / min(medians) < 2.0, dict(zip(kappas, medians))
+
+
 def test_threads_sharing_mesh_plans_get_the_serial_bits():
     # four threads on two cores fill, reuse and evict the same plans (three
     # meshes, two cached at a time) and fill each plan's layouts, band
