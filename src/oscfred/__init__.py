@@ -10,7 +10,7 @@ Modules
 -------
 bspline   knot vectors, B-spline bases, Gram matrices, grid error measure
 oscquad   oscillatory quadrature: exact unit moments, reference rule
-linalg    even/odd fold of symmetric systems, dense LU solve, exact 2-norm condition number
+linalg    even/odd fold of symmetric systems from their leading rows, dense LU solve, exact 2-norm condition number
 galerkin  trial spaces, system assembly, solution evaluation, error metrics, quadrature oracles
 problems  benchmark problem, manufactured solutions, oscillation experiment
 cli       batch experiment runner (``oscfred`` command)

@@ -41,7 +41,7 @@ from .problems import (
     table1_experiment,
 )
 
-__all__ = ["ExperimentConfig", "RunRecord", "build_parser", "main", "run_verify"]
+__all__ = ["RunRecord", "build_parser", "main", "run_verify"]
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -56,44 +56,28 @@ _SWEEP_DEFAULT_N = {"opgm": 64, "cgm": 256}
 _BASE_N = {"opgm": 16, "cgm": 64}
 
 
-class ConfigError(ValueError):
-    pass
+def _check(args: argparse.Namespace) -> None:
+    """Reject what the parser cannot, with a one-line ValueError."""
+    solves = args.command != "table1"
+    if solves and args.order < 1:
+        raise ValueError("spline order must be >= 1")
+    if args.command == "convergence":
+        if not args.kappa and args.problem_path is None:
+            raise ValueError("convergence requires at least one --kappa (or a --problem file)")
+        if args.n_levels < 2:
+            raise ValueError("convergence needs at least two mesh levels")
+    if not all(math.isfinite(k) for k in args.kappa):
+        raise ValueError("wavenumbers must be finite")
+    if solves and any(k <= 1.0 for k in args.kappa):
+        raise ValueError("wavenumbers must exceed 1")
+    if args.command == "sweep" and args.problem_path is not None:
+        raise ValueError("sweep runs the built-in benchmark and does not take --problem")
+    if args.command == "convergence" and args.problem_path is not None and args.kappa:
+        raise ValueError("convergence takes its wavenumber from --problem, not --kappa")
 
 
-@dataclass
-class ExperimentConfig:
-    command: str
-    method: str = "both"
-    kappas: tuple[float, ...] = ()
-    n_levels: int = 6
-    order: int = 2
-    out: str | None = None
-    fmt: str = "csv"
-    problem_path: str | None = None
-
-    def methods(self) -> tuple[str, ...]:
-        return ("cgm", "opgm") if self.method == "both" else (self.method,)
-
-    def validate(self) -> None:
-        if self.method not in ("cgm", "opgm", "both"):
-            raise ConfigError(f"unknown method {self.method!r}")
-        if self.fmt not in ("csv", "json"):
-            raise ConfigError(f"unknown format {self.fmt!r}")
-        if self.order < 1:
-            raise ConfigError("spline order must be >= 1")
-        if self.command == "convergence":
-            if not self.kappas and self.problem_path is None:
-                raise ConfigError("convergence requires at least one --kappa (or a --problem file)")
-            if self.n_levels < 2:
-                raise ConfigError("convergence needs at least two mesh levels")
-        if not all(math.isfinite(k) for k in self.kappas):
-            raise ConfigError("wavenumbers must be finite")
-        if any(k <= 1.0 for k in self.kappas) and self.command in ("convergence", "sweep"):
-            raise ConfigError("wavenumbers must exceed 1")
-        if self.command == "sweep" and self.problem_path is not None:
-            raise ConfigError("sweep runs the built-in benchmark and does not take --problem")
-        if self.command == "convergence" and self.problem_path is not None and self.kappas:
-            raise ConfigError("convergence takes its wavenumber from --problem, not --kappa")
+def _methods(args: argparse.Namespace) -> tuple[str, ...]:
+    return ("cgm", "opgm") if args.method == "both" else (args.method,)
 
 
 @dataclass
@@ -129,16 +113,14 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _load_file_problem(config: ExperimentConfig) -> Problem | None:
-    if config.problem_path is None:
+def _load_file_problem(args: argparse.Namespace) -> Problem | None:
+    if args.problem_path is None:
         return None
-    with open(config.problem_path) as fh:
+    with open(args.problem_path) as fh:
         return problem_from_dict(json.load(fh))
 
 
-def _single_run(config: ExperimentConfig, method: str, kappa: float, N: int,
-                problem: Problem | None = None) -> RunRecord:
-    m = config.order
+def _single_run(m: int, method: str, kappa: float, N: int, problem: Problem | None = None) -> RunRecord:
     blocks = 3 if method == "opgm" else 1
     record = RunRecord(method=method, kappa=kappa, N=N, order=blocks * (N + m))
     try:
@@ -155,16 +137,16 @@ def _single_run(config: ExperimentConfig, method: str, kappa: float, N: int,
     return record
 
 
-def cmd_convergence(config: ExperimentConfig) -> tuple[list[RunRecord], int]:
+def cmd_convergence(args: argparse.Namespace) -> tuple[list[RunRecord], int]:
     # a problem file fixes the equation (and its wavenumber) for every level
-    file_problem = _load_file_problem(config)
-    kappas = (file_problem.kappa,) if file_problem is not None else config.kappas
+    file_problem = _load_file_problem(args)
+    kappas = (file_problem.kappa,) if file_problem is not None else args.kappa
     records = []
     for kappa in kappas:
-        for method in config.methods():
+        for method in _methods(args):
             last = None  # convergence order against the previous level
-            for level in range(config.n_levels):
-                rec = _single_run(config, method, kappa, _BASE_N[method] * 2**level, file_problem)
+            for level in range(args.n_levels):
+                rec = _single_run(args.order, method, kappa, _BASE_N[method] * 2**level, file_problem)
                 if last is not None and last > 0 and rec.error > 0:
                     rec.co = galerkin.convergence_order(last, rec.error)
                 last = rec.error
@@ -173,19 +155,19 @@ def cmd_convergence(config: ExperimentConfig) -> tuple[list[RunRecord], int]:
     return records, code
 
 
-def cmd_sweep(config: ExperimentConfig) -> tuple[list[RunRecord], int]:
-    kappas = config.kappas
+def cmd_sweep(args: argparse.Namespace) -> tuple[list[RunRecord], int]:
+    kappas = args.kappa
     if not kappas:
         lo, hi = _SWEEP_DEFAULT_RANGE
         kappas = tuple(np.geomspace(lo, hi, _SWEEP_DEFAULT_POINTS))
-    records = [_single_run(config, method, float(kappa), _SWEEP_DEFAULT_N[method])
-               for method in config.methods() for kappa in kappas]
+    records = [_single_run(args.order, method, float(kappa), _SWEEP_DEFAULT_N[method])
+               for method in _methods(args) for kappa in kappas]
     code = EXIT_SINGULAR if any(r.singular for r in records) else EXIT_OK
     return records, code
 
 
-def cmd_table1(config: ExperimentConfig) -> list[dict]:
-    kappas = config.kappas or _DEFAULT_TABLE1_KAPPAS
+def cmd_table1(args: argparse.Namespace) -> list[dict]:
+    kappas = args.kappa or _DEFAULT_TABLE1_KAPPAS
     errors = table1_experiment(list(kappas))
     return [
         {"kappa": float(k), "g1": float(e[0]), "g2": float(e[1]), "g3": float(e[2])}
@@ -243,8 +225,8 @@ def run_verify(out=None) -> int:
 _RUN_HEADER = ["method", "kappa", "N", "order", "error", "co", "cond", "seconds"]
 
 
-def _emit_runs(records: list[RunRecord], config: ExperimentConfig) -> None:
-    if config.fmt == "csv":
+def _emit_runs(records: list[RunRecord], args: argparse.Namespace) -> None:
+    if args.fmt == "csv":
         lines = [",".join(_RUN_HEADER)]
         lines += [",".join(r.as_row()) for r in records]
         text = "\n".join(lines) + "\n"
@@ -262,17 +244,17 @@ def _emit_runs(records: list[RunRecord], config: ExperimentConfig) -> None:
                 "seconds": None if r.seconds != r.seconds else r.seconds,
             })
         text = json.dumps(payload, indent=2) + "\n"
-    _write(text, config.out)
+    _write(text, args.out)
 
 
-def _emit_table1(rows: list[dict], config: ExperimentConfig) -> None:
-    if config.fmt == "csv":
+def _emit_table1(rows: list[dict], args: argparse.Namespace) -> None:
+    if args.fmt == "csv":
         lines = ["kappa,g1,g2,g3"]
         lines += [f"{_fmt(r['kappa'])},{_fmt(r['g1'])},{_fmt(r['g2'])},{_fmt(r['g3'])}" for r in rows]
         text = "\n".join(lines) + "\n"
     else:
         text = json.dumps(rows, indent=2) + "\n"
-    _write(text, config.out)
+    _write(text, args.out)
 
 
 def _write(text: str, out: str | None) -> None:
@@ -295,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser, with_method: bool = True) -> None:
-        p.add_argument("--kappa", action="append", type=float, default=None,
+        p.add_argument("--kappa", action="append", type=float, default=[],
                        help="wavenumber (repeatable)")
         if with_method:
             p.add_argument("--method", choices=["cgm", "opgm", "both"], default="both")
@@ -323,33 +305,18 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "verify":
         return run_verify()
-    config = ExperimentConfig(
-        command=args.command,
-        method=getattr(args, "method", "both"),
-        kappas=tuple(args.kappa) if args.kappa else (),
-        n_levels=getattr(args, "n_levels", 6),
-        order=getattr(args, "order", 2),
-        out=args.out,
-        fmt=args.fmt,
-        problem_path=getattr(args, "problem_path", None),
-    )
     try:
-        config.validate()
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
-
-    try:
+        _check(args)
         if args.command == "convergence":
-            records, code = cmd_convergence(config)
-            _emit_runs(records, config)
+            records, code = cmd_convergence(args)
+            _emit_runs(records, args)
             return code
         if args.command == "sweep":
-            records, code = cmd_sweep(config)
-            _emit_runs(records, config)
+            records, code = cmd_sweep(args)
+            _emit_runs(records, args)
             return code
         if args.command == "table1":
-            _emit_table1(cmd_table1(config), config)
+            _emit_table1(cmd_table1(args), args)
             return EXIT_OK
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -140,12 +140,6 @@ class StructuredFunction:
         self.kappa = float(kappa)
         self.terms = tuple(sorted((t, p) for t, p in merged.items() if not p.is_zero()))
 
-    def amplitude(self, tau: int) -> Polynomial:
-        for t, p in self.terms:
-            if t == tau:
-                return p
-        return Polynomial([0.0])
-
     @property
     def max_degree(self) -> int:
         return max((p.degree for _, p in self.terms), default=0)
@@ -202,6 +196,8 @@ class OscKernel:
             C = np.atleast_2d(np.asarray(poly_st, dtype=complex))
             if C.ndim != 2:
                 raise ValueError("poly_st must be a 2-d coefficient array")
+            if not np.all(np.isfinite(C)):
+                raise ValueError("poly_st coefficients must be finite")
             poly_st = C
         self.kappa = float(kappa)
         self.poly_st = poly_st
@@ -295,11 +291,23 @@ class DiscreteSystem:
 # Chebyshev fitting of smooth (non-oscillatory) data
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _cheb_to_mono(deg: int) -> np.ndarray:
+    """M[:, i] = monomial coefficients of the Chebyshev polynomial T_i, i <= deg.  Callers must not mutate it."""
+    M = np.zeros((deg + 1, deg + 1))
+    for i in range(deg + 1):
+        M[: i + 1, i] = np.polynomial.chebyshev.cheb2poly(np.eye(i + 1)[i])
+    M.setflags(write=False)
+    return M
+
+
 def _chebfit_2d(func: Callable, deg: int) -> np.ndarray:
     """Monomial coefficient matrix of a smooth bivariate function on [-1, 1]^2."""
     cheb = np.polynomial.chebyshev
     pts = cheb.chebpts1(deg + 1)
     F = _eval_on(func, *np.meshgrid(pts, pts, indexing="ij")).astype(complex)
+    if not np.all(np.isfinite(F)):
+        raise ValueError("kernel factor must be finite on [-1, 1]^2")
     A = cheb.chebfit(pts, F, deg)          # fit columns along s: (deg+1, n_t)
     B = cheb.chebfit(pts, A.T, deg)        # fit along t: (deg+1, deg+1) = [b, a]
     C_cheb = B.T
@@ -311,15 +319,8 @@ def _chebfit_2d(func: Callable, deg: int) -> np.ndarray:
             "the smooth factor must be non-oscillatory"
         )
     C_cheb = np.where(np.abs(C_cheb) < 1e-15 * scale, 0.0, C_cheb)
-
-    def c2p(col: np.ndarray) -> np.ndarray:
-        out = np.zeros(len(col), dtype=complex)
-        conv = cheb.cheb2poly(col)
-        out[: len(conv)] = conv
-        return out
-
-    tmp = np.column_stack([c2p(C_cheb[:, b]) for b in range(C_cheb.shape[1])])
-    out = np.vstack([c2p(tmp[a, :]) for a in range(tmp.shape[0])])
+    M = _cheb_to_mono(deg)
+    out = M @ C_cheb @ M.T
     # drop trailing all-zero rows/columns
     while out.shape[0] > 1 and not np.any(out[-1, :]):
         out = out[:-1, :]
@@ -630,10 +631,7 @@ def _chebfit_cells(func: Callable, s0: np.ndarray, h2: np.ndarray, deg: int) -> 
             f"right-hand side is not resolved by a degree-{deg} fit; oscillatory data must be "
             "given in structured form"
         )
-    to_mono = np.zeros((deg + 1, deg + 1))
-    for i in range(deg + 1):
-        to_mono[: i + 1, i] = cheb.cheb2poly(np.eye(i + 1)[i])
-    return to_mono @ coef
+    return _cheb_to_mono(deg) @ coef
 
 
 # ---------------------------------------------------------------------------
@@ -782,12 +780,13 @@ def _assemble(space: TrialSpace, kernel: OscKernel | None = None, mass: bool = F
     E - K), block row by block row: side 0 over every block, then side 1
     over l >= i + m through a Toeplitz view of 2d - 1 flags; the central
     diagonals last.  On reflection-symmetric data only the leading
-    ceil(n/2) rows are computed, and returned alone with ``strip``, else
-    mirrored into the n x n result's trailing rows (:func:`_mirror`).
+    ceil(n/2) rows are computed.  ``strip`` returns the computed rows
+    alone; otherwise the trailing rows are mirrored from them into the
+    n x n result (:func:`_mirror`).
     """
     d, m, nb = space.block_dim, space.splines.order, len(space.multipliers)
     n = nb * d
-    h = n - n // 2 if strip or (kernel is not None and reflection_symmetric(space, kernel)) else n
+    h = n - n // 2 if kernel is not None and reflection_symmetric(space, kernel) else n
     plan = mesh_plan(space.splines.knots)
     parts = None if kernel is None else _operator_parts(space, kernel, plan)
     band = _mass_band(space, plan) if mass else np.zeros((nb, nb, 2 * m - 1, d), dtype=complex)
@@ -854,13 +853,17 @@ def assemble_matrix(space: TrialSpace, kernel: OscKernel) -> np.ndarray:
 
 
 def assemble_leading_rows(space: TrialSpace, kernel: OscKernel) -> np.ndarray:
-    """The leading ceil(n/2) rows of :func:`assemble_matrix`, which determine it on reflection-symmetric data.
+    """The rows of E - K that determine it: the leading ceil(n/2) on reflection-symmetric data, else all n.
 
-    J (E - K) J = E - K then; :func:`oscfred.linalg.fold_rows` folds them.
+    All n rows are :func:`assemble_matrix` bit for bit.  On
+    reflection-symmetric data (:func:`reflection_symmetric`),
+    J (E - K) J = E - K exactly, and the leading rows are its rows bit for
+    bit except, for odd n, the middle row's trailing floor(n/2) entries,
+    which :func:`assemble_matrix` mirrors from the leading ones and
+    :func:`oscfred.linalg.fold_rows` does not read.  ``fold_rows`` takes
+    either.
     """
     _check_kappa(space, kernel.kappa)
-    if not reflection_symmetric(space, kernel):
-        raise ValueError("the leading rows determine E - K only on reflection-symmetric data")
     return _assemble(space, kernel, mass=True, strip=True)
 
 
@@ -967,25 +970,8 @@ def convergence_order(e_N: float, e_2N: float) -> float:
 # Closed-form application of the integral operator to structured functions
 # ---------------------------------------------------------------------------
 
-def _padded_add(buckets: dict[int, np.ndarray], tau: int, coeffs: np.ndarray) -> None:
-    coeffs = _trim(np.asarray(coeffs, dtype=complex))
-    if len(coeffs) == 1 and coeffs[0] == 0:
-        return
-    cur = buckets.get(tau)
-    if cur is None:
-        buckets[tau] = coeffs.copy()
-        return
-    if len(cur) < len(coeffs):
-        cur, coeffs = coeffs.copy(), cur
-    else:
-        cur = cur.copy()
-    cur[: len(coeffs)] += coeffs
-    buckets[tau] = cur
-
-
-def _shift_pow(coeffs: np.ndarray, a: int) -> np.ndarray:
-    if a == 0:
-        return coeffs
+def _times_power(coeffs: np.ndarray, a: int) -> np.ndarray:
+    """Coefficients of s^a times the polynomial ``coeffs``."""
     return np.concatenate((np.zeros(a, dtype=complex), coeffs))
 
 
@@ -993,9 +979,10 @@ def apply_kernel_structured(kernel: OscKernel, y: StructuredFunction) -> Structu
     """Closed-form K y for a polynomial kernel factor and structured y.
 
     Splitting the integral at t = s turns each term w(t) e^{i*tau*kappa*t}
-    into boundary-expansion polynomials, so the image is again structured.
-    Raises if the kernel is not polynomial or an amplitude degree would
-    exceed 16.
+    into boundary-expansion polynomials, so the image is again structured:
+    the pieces on each carrier are summed, in the order they arise, by
+    :class:`StructuredFunction`.  Raises if the kernel is not polynomial
+    or an amplitude degree would exceed 16.
 
     The expansion divides by ((tau -/+ 1) kappa)^(k+1) against k!-sized
     factors, so it loses digits where |tau -/+ 1| kappa is below the
@@ -1009,7 +996,7 @@ def apply_kernel_structured(kernel: OscKernel, y: StructuredFunction) -> Structu
         raise ValueError("kernel and structured function carry different wavenumbers")
     C = kernel.coefficient_matrix()
     kappa = kernel.kappa
-    buckets: dict[int, np.ndarray] = {}
+    pieces: list[tuple[int, np.ndarray]] = []
     for tau, w in y.terms:
         for a in range(C.shape[0]):
             row = C[a, :]
@@ -1022,33 +1009,27 @@ def apply_kernel_structured(kernel: OscKernel, y: StructuredFunction) -> Structu
                 P = _polyint(pa)
                 poly = P.copy()
                 poly[0] -= _polyval(P, -1.0)
-                _padded_add(buckets, 1, _shift_pow(poly, a))
+                pieces.append((1, _times_power(poly, a)))
             else:
                 sg = _sigma_coeffs(pa, mu)
-                _padded_add(buckets, tau, _shift_pow(sg, a))
-                const = -np.exp(-1j * mu) * _polyval(sg, -1.0)
-                mono = np.zeros(a + 1, dtype=complex)
-                mono[a] = const
-                _padded_add(buckets, 1, mono)
+                pieces.append((tau, _times_power(sg, a)))
+                pieces.append((1, _times_power(np.array([-np.exp(-1j * mu) * _polyval(sg, -1.0)]), a)))
             # upper part: e^{-i*kappa*s} * int_{s}^{1} pa(t) e^{i*nu*t} dt
             nu = (tau + 1) * kappa
             if nu == 0.0:
                 P = _polyint(pa)
                 poly = -P
                 poly[0] += _polyval(P, 1.0)
-                _padded_add(buckets, -1, _shift_pow(poly, a))
+                pieces.append((-1, _times_power(poly, a)))
             else:
                 sg = _sigma_coeffs(pa, nu)
-                mono = np.zeros(a + 1, dtype=complex)
-                mono[a] = np.exp(1j * nu) * _polyval(sg, 1.0)
-                _padded_add(buckets, -1, mono)
-                _padded_add(buckets, tau, _shift_pow(-sg, a))
-    for tau, coeffs in buckets.items():
-        if len(coeffs) - 1 > _MAX_AMPLITUDE_DEGREE:
-            raise ValueError(
-                f"amplitude degree {len(coeffs) - 1} on carrier {tau} exceeds the cap {_MAX_AMPLITUDE_DEGREE}"
-            )
-    return StructuredFunction(kappa, {t: Polynomial(c) for t, c in buckets.items()})
+                pieces.append((-1, _times_power(np.array([np.exp(1j * nu) * _polyval(sg, 1.0)]), a)))
+                pieces.append((tau, _times_power(-sg, a)))
+    image = StructuredFunction(kappa, pieces)
+    for tau, p in image.terms:
+        if p.degree > _MAX_AMPLITUDE_DEGREE:
+            raise ValueError(f"amplitude degree {p.degree} on carrier {tau} exceeds the cap {_MAX_AMPLITUDE_DEGREE}")
+    return image
 
 
 # ---------------------------------------------------------------------------

@@ -8,18 +8,23 @@ SVD flops, so a folded solve with its condition number costs about a
 quarter of the unfolded one.  Any other matrix is the single block
 ``(A,)`` and runs through the same calls.
 
-* :func:`fold` / :func:`fold_rows` / :func:`unfold` -- the halves of
-  A x = b, written into A's leading ceil(n/2) rows, the only ones read, or
-  into those rows alone; and the map of the halves' solutions back to x;
+* :func:`fold_rows` / :func:`unfold` -- the blocks of A x = b from the
+  rows of A that assembly computes: the halves, written in place into A's
+  leading ceil(n/2) rows, or all n rows as one block; and the map of the
+  blocks' solutions back to x;
 * :func:`solve_blocks` -- partial-pivoted LU solve, ``np.linalg.solve``
-  (LAPACK ``gesv``), on each of a fold's blocks;
+  (LAPACK ``gesv``), on each of :func:`fold_rows`'s blocks;
 * :func:`cond2_blocks` -- exact 2-norm condition number sigma_max/sigma_min
   from the singular values, ``np.linalg.svd(compute_uv=False)`` (LAPACK
-  ``gesdd`` without vectors), over a fold's blocks; :func:`cond2` over the
-  blocks of one matrix;
+  ``gesdd`` without vectors), over :func:`fold_rows`'s blocks; :func:`cond2`
+  over the blocks of one explicit matrix;
 * :func:`lu_factor` / :func:`lu_solve` -- a factorization of the blocks
   kept for reuse through ``scipy.linalg`` (LAPACK ``getrf`` / ``getrs``);
   they import scipy on first call, so nothing else pays for it.
+
+:func:`cond2` and :func:`lu_factor` take a whole matrix assembled outside
+the solve path (criterion 7b's Gram matrix, the benchmark's traced solve)
+and test it for exact centrosymmetry themselves.
 
 Matrices and vectors are plain complex ndarrays; the validators below
 enforce the construction invariants (shape, finiteness) at the public
@@ -41,7 +46,6 @@ __all__ = [
     "as_complex_vector",
     "cond2",
     "cond2_blocks",
-    "fold",
     "fold_rows",
     "lu_factor",
     "lu_solve",
@@ -104,7 +108,7 @@ _FOLD_CHUNK_BYTES = 1 << 15
 
 
 def _halves(M: np.ndarray) -> tuple[np.ndarray, ...]:
-    """:func:`fold`'s halves, made in place in M[:ceil(n/2)], n = M.shape[1]; later rows are not read.
+    """:func:`fold_rows`'s halves, made in place in M[:ceil(n/2)], n = M.shape[1]; later rows are not read.
 
     The rows of B go in chunks of about 32 KiB (at least 8 rows) through a
     contiguous work array holding B, CJ and the even half's rows in turn; a
@@ -155,7 +159,7 @@ class LUFactorization:
     """Packed LU factors (unit lower / upper in one array) plus pivot rows, one pair per block.
 
     A centrosymmetric matrix has two blocks, its even and odd halves (see
-    :func:`fold`); any other matrix has one, itself.
+    :func:`fold_rows`); any other matrix has one, itself.
     """
 
     lu: tuple[np.ndarray, ...]
@@ -192,7 +196,7 @@ def lu_solve(fact: LUFactorization, b) -> np.ndarray:
 
 
 def solve_blocks(blocks, loads) -> np.ndarray:
-    """x from :func:`fold`'s checked blocks, solved as they are (gesv); SingularMatrixError on a zero pivot."""
+    """x from :func:`fold_rows`'s checked blocks, solved as they are (gesv); SingularMatrixError on a zero pivot."""
     try:
         return unfold([np.linalg.solve(H, w) for H, w in zip(blocks, loads)])
     except np.linalg.LinAlgError:
@@ -217,44 +221,38 @@ def cond2(A) -> float:
     return cond2_blocks(_blocks(_square(A)))
 
 
-def fold(A, b) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """Blocks of A x = b and their loads: for an exactly centrosymmetric A its two halves.
+def fold_rows(S, b) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """Blocks of A x = b and their loads, from the rows S of A that :func:`oscfred.galerkin.assemble_leading_rows` gives.
 
-    With n = 2k or 2k + 1, A's leading k rows read [B, c, C] (the column c
-    for odd n only) and, for odd n, row k reads [r, alpha, .].  The
-    orthogonal transform to the vectors (e_i +- e_{n-1-i})/sqrt(2), i < k,
-    and the middle unit vector takes A to diag(even, odd) with
+    With n = len(b), S is either all n rows of A, the single block
+    ``((S,), (b,))``, or the leading ceil(n/2) rows of an A that is
+    centrosymmetric by construction.  For n = 2k or 2k + 1 those rows read
+    [B, c, C] (the column c for odd n only) and, for odd n, row k reads
+    [r, alpha, .].  The orthogonal transform to the vectors
+    (e_i +- e_{n-1-i})/sqrt(2), i < k, and the middle unit vector takes A
+    to diag(even, odd) with
 
         even = [[B + CJ, sqrt(2) c], [sqrt(2) r, alpha]]   (order n - k)
         odd  = B - CJ                                       (order k)
 
-    The halves are written over A's leading n - k rows, even over [B, c]
-    and odd over C, and returned as views; no later row is read, and b is
-    not modified.  So a complex128 A is overwritten, while any other A is
-    converted first, A itself left unchanged.  A matrix that is not
-    centrosymmetric, or of order 1, is the single block ``((A,), (b,))``.
-    """
-    M = _square(A)
-    v = _matching_vector(M.shape[0], b)
-    blocks = _halves(M) if _centrosymmetric(M) else (M,)
-    return blocks, _split(v, blocks)
-
-
-def fold_rows(S, b) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """:func:`fold` of an n x n matrix, n = len(b), from its leading ceil(n/2) rows S alone.
-
-    The matrix must be centrosymmetric by construction, as from
-    :func:`oscfred.galerkin.assemble_leading_rows`; each half is checked to be finite.
+    The halves are written over S, even over [B, c] and odd over C, and
+    returned as views; b is not modified.  So a complex128 S is
+    overwritten, while any other S is converted first, S itself left
+    unchanged.  Each block is checked to be finite.
     """
     v, M, n = as_complex_vector(b), np.asarray(S, dtype=complex), len(b)
-    if M.shape != (n - n // 2, n):
-        raise ValueError(f"expected the leading {n - n // 2} rows of an order-{n} matrix, got shape {M.shape}")
-    blocks = _halves(M)
+    if M.shape == (n, n):
+        blocks = (as_complex_matrix(M),)
+    elif M.shape == (n - n // 2, n):
+        blocks = _halves(M)
+    else:
+        raise ValueError(f"dimension mismatch: a load of length {n} needs all {n} or the leading "
+                         f"{n - n // 2} rows of the matrix, got shape {M.shape}")
     return blocks, _split(v, blocks)
 
 
 def unfold(xs) -> np.ndarray:
-    """Solution of A x = b from the solutions of :func:`fold`'s halves; a single block's as it is."""
+    """Solution of A x = b from the solutions of :func:`fold_rows`'s halves; a single block's as it is."""
     if len(xs) == 1:
         return xs[0]
     even, odd = xs

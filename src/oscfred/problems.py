@@ -182,7 +182,7 @@ class GalerkinRun:
     """Outcome of one assemble-and-solve at a given mesh level.
 
     ``stages`` holds the seconds of each stage of :func:`run_galerkin`:
-    load vector (``rhs``), E - K (``matrix``), its halves (``fold``),
+    load vector (``rhs``), E - K's rows (``matrix``), their blocks (``fold``),
     LAPACK solve (``solve``), e_N (``error``) and condition number
     (``cond``); a stage that did not run reads 0.  ``seconds`` spans the
     first four.
@@ -219,12 +219,14 @@ def run_galerkin(
 ) -> GalerkinRun:
     """Assemble and solve one discretization of ``problem``.
 
-    When the discrete problem is invariant under s -> -s
+    Every input takes the same calls: :func:`oscfred.galerkin.assemble_leading_rows`
+    gives the rows of E - K that determine it, :func:`oscfred.linalg.fold_rows`
+    their blocks, and :func:`oscfred.linalg.solve_blocks` solves each.  When
+    the discrete problem is invariant under s -> -s
     (:func:`oscfred.galerkin.reflection_symmetric`), E - K is exactly
-    centrosymmetric: only its leading ceil(n/2) rows are assembled, and
-    :func:`oscfred.linalg.fold_rows` turns them in place into an even and
-    an odd half, each solved on its own, so no n x n array is allocated.
-    Any other input solves the whole E - K as one block.  The mesh's
+    centrosymmetric: those are its leading ceil(n/2) rows, folded in place
+    into an even and an odd half, so no n x n array is allocated.  Any
+    other input gives all n rows, one block.  The mesh's
     kappa-independent tables come from its :func:`oscfred.galerkin.uniform_plan`,
     so a sweep over kappa on one mesh builds them once.
 
@@ -242,14 +244,9 @@ def run_galerkin(
     t0 = time.perf_counter()
     f = galerkin.assemble_rhs(space, problem.rhs)
     t1 = time.perf_counter()
-    if galerkin.reflection_symmetric(space, problem.kernel):
-        A = galerkin.assemble_leading_rows(space, problem.kernel)
-        t2 = time.perf_counter()
-        blocks, loads = linalg.fold_rows(A, f)
-    else:
-        A = galerkin.assemble_matrix(space, problem.kernel)
-        t2 = time.perf_counter()
-        blocks, loads = linalg.fold(A, f)
+    A = galerkin.assemble_leading_rows(space, problem.kernel)
+    t2 = time.perf_counter()
+    blocks, loads = linalg.fold_rows(A, f)
     t3 = time.perf_counter()
     coeffs = linalg.solve_blocks(blocks, loads)
     t4 = time.perf_counter()

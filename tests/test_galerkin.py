@@ -29,7 +29,7 @@ from oscfred.galerkin import (
     rhs_entry_quadrature,
 )
 from oscfred import galerkin
-from oscfred.linalg import fold, lu_factor, lu_solve, solve_blocks
+from oscfred.linalg import lu_factor, lu_solve
 from oscfred.oscquad import oscillatory_quad
 
 
@@ -44,7 +44,7 @@ def assembled(space, kernel, f):
 
 
 def solved(system):
-    return solve_blocks(*fold(system.matrix.copy(), system.load))
+    return lu_solve(lu_factor(system.matrix), system.load)
 
 
 # Meshes that steer the closed-form moments through their branches, beside

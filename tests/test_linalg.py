@@ -15,7 +15,6 @@ from oscfred.linalg import (
     as_complex_vector,
     cond2,
     cond2_blocks,
-    fold,
     fold_rows,
     lu_factor,
     lu_solve,
@@ -38,13 +37,14 @@ def unpack(fact):
 
 
 def factored(A):
-    """The block-diagonal matrix lu_factor factors: A's two halves if J A J = A, else A."""
-    return scipy.linalg.block_diag(*fold(np.array(A, dtype=complex), np.zeros(len(A)))[0])
+    """The block-diagonal matrix lu_factor factors for a centrosymmetric A: its two halves."""
+    return scipy.linalg.block_diag(*fold_rows(np.array(A[:len(A) - len(A) // 2], dtype=complex),
+                                              np.zeros(len(A)))[0])
 
 
 def fold_solve(A, b):
-    """x with A x = b by LAPACK gesv on the blocks of A's fold, A left unchanged."""
-    return solve_blocks(*fold(np.array(A, dtype=complex), b))
+    """x with A x = b by LAPACK gesv on A's rows as one block, A left unchanged."""
+    return solve_blocks(*fold_rows(np.array(A, dtype=complex), b))
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +214,7 @@ def centrosymmetric(n, seed):
 def test_fold_solves_and_conditions_like_the_whole(n):
     A, b = centrosymmetric(n, n)
     x, c = np.linalg.solve(A, b), cond2(A)
-    blocks, loads = fold(A.copy(), b)
+    blocks, loads = fold_rows(A[:n - n // 2].copy(), b)
     assert [M.shape[0] for M in blocks] == ([1] if n == 1 else [(n + 1) // 2, n // 2])
     y = solve_blocks(blocks, loads)
     assert np.linalg.norm(A @ y - b) <= 1e-13 * np.linalg.norm(A, 2) * np.linalg.norm(y)
@@ -224,19 +224,19 @@ def test_fold_solves_and_conditions_like_the_whole(n):
 
 def test_fold_writes_the_halves_into_the_buffer_and_keeps_the_load():
     A, b = centrosymmetric(7, 1)
-    b0 = b.copy()
-    blocks, _ = fold(A, b)
-    assert all(np.shares_memory(M, A) for M in blocks)
+    b0, rows = b.copy(), A[:4].copy()
+    blocks, _ = fold_rows(rows, b)
+    assert all(np.shares_memory(M, rows) for M in blocks)
     assert np.array_equal(b, b0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 30, 31])
 def test_fold_reads_only_the_leading_rows(n):
     # the halves come from rows [0, ceil(n/2)) alone: garbage below them
-    # changes nothing, and fold_rows on those rows gives fold's halves and loads
+    # changes nothing, and they are the defining formulas bit for bit
     A, b = centrosymmetric(n, n + 100)
     h = n - n // 2
-    blocks, loads = fold(A.copy(), b)
+    blocks, loads = fold_rows(A[:h].copy(), b)
     M = A.copy()
     M[h:] = np.nan
     halves = linalg._halves(M)
@@ -247,10 +247,7 @@ def test_fold_reads_only_the_leading_rows(n):
     CJ = A[:k, h:][:, ::-1]
     assert np.array_equal(blocks[0][:k, :k], A[:k, :k] + CJ)
     assert n == 1 or np.array_equal(blocks[1], A[:k, :k] - CJ)
-    rows = A[:h].copy()
-    blocks2, loads2 = fold_rows(rows, b)
-    assert all(np.array_equal(X, Y) for X, Y in zip(blocks2 + loads2, blocks + loads))
-    assert all(np.shares_memory(H, rows) for H in blocks2)
+    assert n == 1 or np.array_equal(loads[1], (b[:k] - b[h:][::-1]) / math.sqrt(2.0))
 
 
 @pytest.mark.parametrize("n", [390, 514, 1542])
@@ -277,8 +274,15 @@ def test_fold_rows_transient_is_a_twentieth_of_the_matrix(n):
 
 def test_fold_rows_validates_shape_and_finiteness():
     A, b = centrosymmetric(6, 5)
+    blocks, loads = fold_rows(A, b)             # all n rows: the single block, as it is
+    assert len(blocks) == 1 and blocks[0] is A and loads[0] is b
+    S = A.copy()
+    S[5, 0] = np.inf
     with pytest.raises(ValueError):
-        fold_rows(A, b)                         # all n rows, not the leading ceil(n/2)
+        fold_rows(S, b)
+    for shape in ((4, 6), (2, 6), (6, 5), (3, 5), (6, 7)):    # neither all 6 rows nor the leading 3
+        with pytest.raises(ValueError):
+            fold_rows(np.ones(shape, dtype=complex), b)
     with pytest.raises(ValueError):
         fold_rows(A[:3], b[:5])
     S = A[:3].copy()
@@ -301,7 +305,7 @@ def test_cond2_of_blocks_is_the_block_diagonal_condition():
 def test_singular_half_raises():
     # J A J = A with the invertible even half [[2, sqrt(2)], [sqrt(2), 3]] and the odd half B - CJ = 0
     A = np.array([[1.0, 1.0, 1.0], [1.0, 3.0, 1.0], [1.0, 1.0, 1.0]])
-    blocks, loads = fold(A, np.ones(3))
+    blocks, loads = fold_rows(A[:2], np.ones(3))
     assert cond2_blocks(blocks) == np.inf
     with pytest.raises(SingularMatrixError):
         solve_blocks(blocks, loads)
