@@ -8,10 +8,11 @@ polynomial data, so its cost does not grow with the wavenumber.
 
 Modules
 -------
-bspline   knot vectors, B-spline bases, Gram matrices, grid error measure
+bspline   knot vectors on I, B-spline bases, Gram matrices, grid error measure
 oscquad   oscillatory quadrature: exact unit moments, reference rule
 linalg    even/odd fold of symmetric systems from their leading rows, dense LU solve, exact 2-norm condition number
-galerkin  trial spaces, system assembly, solution evaluation, error metrics, quadrature oracles
+galerkin  trial spaces, per-mesh plans, assembly of E, K and the leading rows of E - K, solution evaluation,
+          error metrics, quadrature oracles
 problems  benchmark problem, manufactured solutions, oscillation experiment
 cli       batch experiment runner (``oscfred`` command)
 """
@@ -34,7 +35,6 @@ from .galerkin import (
     TrialSpace,
     apply_kernel_structured,
     assemble_mass,
-    assemble_matrix,
     assemble_operator,
     assemble_rhs,
     convergence_order,

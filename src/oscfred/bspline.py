@@ -1,4 +1,4 @@
-"""B-spline spaces on an interval, with per-cell polynomial pieces.
+"""B-spline spaces on I = [-1, 1], with per-cell polynomial pieces.
 
 Knot vectors carry full boundary multiplicity (each endpoint repeated
 ``order`` times), which yields the smoothest nondegenerate spline space of
@@ -57,14 +57,6 @@ class KnotVector:
         object.__setattr__(self, "knots", k)
 
     @property
-    def a(self) -> float:
-        return float(self.knots[0])
-
-    @property
-    def b(self) -> float:
-        return float(self.knots[-1])
-
-    @property
     def dimension(self) -> int:
         """Number of B-spline basis functions: len(knots) - order = N + order."""
         return len(self.knots) - self.order
@@ -85,32 +77,29 @@ class KnotVector:
         return float(np.max(np.diff(self.breakpoints)))
 
 
-def make_knots(breakpoints: Sequence[float], m: int, interval: tuple[float, float] = (-1.0, 1.0)) -> KnotVector:
-    """Knot vector with the given interior breakpoints and order-m clamping."""
-    a, b = interval
+def make_knots(breakpoints: Sequence[float], m: int) -> KnotVector:
+    """Knot vector on I = [-1, 1] with the given interior breakpoints and order-m clamping."""
     inner = np.asarray(breakpoints, dtype=float)
-    knots = np.concatenate((np.full(m, a), inner, np.full(m, b)))
+    knots = np.concatenate((np.full(m, -1.0), inner, np.full(m, 1.0)))
     return KnotVector(order=m, knots=knots)
 
 
-def make_uniform_knots(N: int, m: int, interval: tuple[float, float] = (-1.0, 1.0)) -> KnotVector:
-    """Uniform mesh with N interior breakpoints: h = (b - a)/(N + 1).
+def make_uniform_knots(N: int, m: int) -> KnotVector:
+    """Uniform mesh of I = [-1, 1] with N interior breakpoints: h = 2/(N + 1).
 
-    Breakpoint k sits at mid + h*(k - (N + 1)/2); the offsets are exact
-    negatives of each other in mirror pairs, so on an interval symmetric
-    about 0 the mesh is mirror-symmetric bitwise.
+    Breakpoint k sits at h*(k - (N + 1)/2); the offsets are exact negatives
+    of each other in mirror pairs, so the mesh is mirror-symmetric bitwise.
     """
-    return KnotVector(order=m, knots=_uniform_knots(N, m, interval))
+    return KnotVector(order=m, knots=_uniform_knots(N, m))
 
 
-def _uniform_knots(N: int, m: int, interval: tuple[float, float] = (-1.0, 1.0)) -> np.ndarray:
+def _uniform_knots(N: int, m: int) -> np.ndarray:
     """The knot array of :func:`make_uniform_knots`, built without the checks of :class:`KnotVector`."""
     if N < 0:
         raise ValueError("N must be >= 0")
-    a, b = interval
-    h = (b - a) / (N + 1)
-    inner = 0.5 * (a + b) + h * (np.arange(1, N + 1) - 0.5 * (N + 1))
-    return np.concatenate((np.full(m, a), inner, np.full(m, b)))
+    h = 2.0 / (N + 1)
+    inner = h * (np.arange(1, N + 1) - 0.5 * (N + 1))
+    return np.concatenate((np.full(m, -1.0), inner, np.full(m, 1.0)))
 
 
 class SplineSpace:
@@ -271,9 +260,9 @@ def gram_matrix(space: SplineSpace) -> np.ndarray:
     return G
 
 
-def max_error_on_grid(f: Callable, approx: Callable, n: int, interval: tuple[float, float] = (-1.0, 1.0)) -> float:
-    """max_j |f(s_j) - approx(s_j)| over the uniform closed n-point grid."""
-    s = np.linspace(interval[0], interval[1], n)
+def max_error_on_grid(f: Callable, approx: Callable, n: int) -> float:
+    """max_j |f(s_j) - approx(s_j)| over the uniform closed n-point grid of [-1, 1]."""
+    s = np.linspace(-1.0, 1.0, n)
     fv = np.asarray(f(s)) if callable(f) else np.asarray(f)
     av = np.asarray(approx(s))
     return float(np.max(np.abs(fv - av)))

@@ -39,15 +39,17 @@ one contraction.  Off the 2m - 1 central diagonals of each block, E - K is
 a rank-R product of generators (per-basis sums of the operator's cell
 tables, R the kernel factor's rank), written straight into the one
 buffer, which holds only the leading ceil(n/2) rows on reflection-symmetric
-data; only the central diagonals take single cell pairs.  The quadrature
-oracles at the bottom of the module integrate the defining formulas
-numerically and exist to cross-check the closed forms.
+data; only the central diagonals take single cell pairs.  What depends on
+the mesh alone sits in an immutable :class:`MeshPlan`, shared by the
+solves at every wavenumber.  The quadrature oracles at the bottom of the
+module integrate the defining formulas numerically and exist to
+cross-check the closed forms.
 """
 
 from __future__ import annotations
 
 import math
-import threading
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Mapping
@@ -83,7 +85,6 @@ __all__ = [
     "apply_kernel_structured",
     "assemble_leading_rows",
     "assemble_mass",
-    "assemble_matrix",
     "assemble_operator",
     "assemble_rhs",
     "convergence_order",
@@ -107,8 +108,8 @@ _KERNEL_FIT_DEGREE = 16
 _RHS_FIT_DEGREE = 12
 _STRUCTURE_RANGE = 2  # carriers e^{i*tau*kappa*s} with |tau| <= 2
 _MAX_AMPLITUDE_DEGREE = 16
+_FIT_TAIL = 1e-10   # largest trailing Chebyshev coefficient a fit accepts, relative to its largest
 _PLANS = 2          # meshes whose kappa-independent tables stay cached (see mesh_plan)
-_PLAN_ENTRIES = 2   # multiplier sets whose tables each plan keeps
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +238,8 @@ class TrialSpace:
     """A spline space together with the oscillatory carriers of its basis.
 
     The basis consists of B_j(s) e^{i*eps*kappa*s} for every spline index j
-    and every multiplier eps, blocks ordered as ``multipliers``.
+    and every multiplier eps, blocks ordered as ``multipliers``, which are
+    kept as a tuple of ints (the key of the multipliers' layout).
     """
 
     splines: SplineSpace
@@ -247,8 +249,10 @@ class TrialSpace:
     def __post_init__(self):
         if not (math.isfinite(self.kappa) and self.kappa > 0):
             raise ValueError("wavenumber must be positive and finite")
-        if len(set(self.multipliers)) != len(self.multipliers) or not self.multipliers:
+        eps = tuple(int(e) for e in self.multipliers if isinstance(e, numbers.Integral))
+        if len(eps) != len(self.multipliers) or len(set(eps)) != len(eps) or not eps:
             raise ValueError("multipliers must be a nonempty set of distinct integers")
+        object.__setattr__(self, "multipliers", eps)
 
     @classmethod
     def cgm(cls, splines: SplineSpace, kappa: float) -> "TrialSpace":
@@ -313,10 +317,10 @@ def _chebfit_2d(func: Callable, deg: int) -> np.ndarray:
     C_cheb = B.T
     scale = max(float(np.max(np.abs(C_cheb))), 1e-300)
     tail = max(float(np.max(np.abs(C_cheb[-2:, :]))), float(np.max(np.abs(C_cheb[:, -2:]))))
-    if tail > 1e-10 * scale:
+    if tail > _FIT_TAIL * scale:
         raise ValueError(
-            f"kernel factor is not resolved by a degree-{deg} tensor fit; "
-            "the smooth factor must be non-oscillatory"
+            f"kernel factor is not resolved by the fixed degree-{deg} tensor Chebyshev fit: its trailing "
+            f"coefficients exceed {_FIT_TAIL:g} of its largest"
         )
     C_cheb = np.where(np.abs(C_cheb) < 1e-15 * scale, 0.0, C_cheb)
     M = _cheb_to_mono(deg)
@@ -375,14 +379,16 @@ class MeshPlan:
     """What a solve on one mesh uses that depends on neither kappa nor the load.
 
     Built by :func:`mesh_plan`: the spline space, its cell geometry
-    (:func:`_cells`) and mirror test, the B-spline values on
-    :data:`EN_GRID`, the index arrays of the cell pairs and of the central
-    diagonals, and the tables of the last few multiplier sets
-    (:class:`_Layout`).  Each table is a read-only array, built on first
-    use from the mesh and the multipliers alone, so a solve gives the same
-    bits on a fresh plan as on a reused one.  The kernel factor's tables
-    are built per solve: caching them saved under 1% of a sweep pass, and
-    for a fitted kernel they approach the size of E - K.
+    (:func:`_cells`) and mirror test, and, each built on first use, the
+    B-spline values on :data:`EN_GRID`, the index arrays of the cell pairs
+    and of the central diagonals, and the plain method's mass band.  Every
+    table is a read-only array that is a function of the mesh alone, so a
+    plan is an immutable value: threads may share it, a table built twice
+    comes out the same, and a solve gives the same bits on a fresh plan as
+    on a reused one.  The tables of a multiplier set do not depend on the
+    mesh (:func:`_layout`).  The kernel factor's tables are built per
+    solve: caching them saved under 1% of a sweep pass, and for a fitted
+    kernel they approach the size of E - K.
     """
 
     def __init__(self, splines: SplineSpace):
@@ -390,18 +396,6 @@ class MeshPlan:
         self.cells = _frozen(*_cells(splines))
         z = splines.knots.breakpoints
         self.mirrored = bool(np.array_equal(z, -z[::-1]))
-        self._lock = threading.RLock()
-        self._band_index: dict[int, tuple] = {}
-        self._layouts: dict[tuple, _Layout] = {}
-
-    def _memo(self, cache: dict, key, build: Callable, bound: int | None = None):
-        """cache[key], built on a miss; past ``bound`` entries the least recently used one is dropped."""
-        with self._lock:
-            value = cache.pop(key, None)
-            cache[key] = value = build() if value is None else value
-            if bound is not None and len(cache) > bound:
-                del cache[next(iter(cache))]
-            return value
 
     @cached_property
     def en_values(self) -> tuple[np.ndarray, np.ndarray]:
@@ -429,22 +423,23 @@ class MeshPlan:
         d, m = self.splines.dimension, self.splines.order
         return sliding_window_view(np.arange(1 - d, d) >= m, d)[::-1, None]
 
-    def band_index(self, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(inside, i, j)``: the central-diagonal entries (i, j) of a block's first r rows.
+    @cached_property
+    def band_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(inside, i, j)``: the central-diagonal entries (i, j) of a block.
 
-        inside[m-1+o, i] flags the entries (i, i+o) that lie in the block and in its first r rows.
+        inside[m-1+o, i] flags the entries (i, i+o) that lie in the block.
         """
-        def build():
-            d, m = self.splines.dimension, self.splines.order
-            i = np.arange(d)
-            j = i + np.arange(1 - m, m)[:, None]                    # j[m-1+o, i] = i + o
-            inside = (j >= 0) & (j < d) & (i < r)
-            return _frozen(inside, np.broadcast_to(i, j.shape)[inside], j[inside])
-        return self._memo(self._band_index, r, build)
+        d, m = self.splines.dimension, self.splines.order
+        i = np.arange(d)
+        j = i + np.arange(1 - m, m)[:, None]                        # j[m-1+o, i] = i + o
+        inside = (j >= 0) & (j < d)
+        return _frozen(inside, np.broadcast_to(i, j.shape)[inside], j[inside])
 
-    def layout(self, multipliers: tuple[int, ...]) -> "_Layout":
-        """The rates and index arrays of a multiplier set on this mesh."""
-        return self._memo(self._layouts, tuple(multipliers), lambda: _Layout(multipliers, self), _PLAN_ENTRIES)
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """The plain method's mass band: every rate is 0, so it is the splines' Gram band at every kappa."""
+        band, = _frozen(_mass_band(self, CGM_MULTIPLIERS, 0.0))
+        return band
 
 
 def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -624,12 +619,14 @@ def _chebfit_cells(func: Callable, s0: np.ndarray, h2: np.ndarray, deg: int) -> 
     pts = cheb.chebpts1(deg + 1)
     s = (s0[:, None] + h2[:, None] * pts).ravel()
     vals = np.asarray(_eval_on(func, s), dtype=complex).reshape(len(s0), deg + 1)
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("right-hand side must be finite on [-1, 1]")
     coef = cheb.chebfit(pts, vals.T, deg)
     scale = np.maximum(np.max(np.abs(coef), axis=0), 1e-300)
-    if np.any(np.max(np.abs(coef[-2:]), axis=0) > 1e-10 * scale):
+    if np.any(np.max(np.abs(coef[-2:]), axis=0) > _FIT_TAIL * scale):
         raise ValueError(
-            f"right-hand side is not resolved by a degree-{deg} fit; oscillatory data must be "
-            "given in structured form"
+            f"right-hand side is not resolved by the fixed degree-{deg} Chebyshev fit per cell: its trailing "
+            f"coefficients exceed {_FIT_TAIL:g} of its largest; oscillatory data must be given in structured form"
         )
     return _cheb_to_mono(deg) @ coef
 
@@ -644,20 +641,20 @@ def _check_kappa(space: TrialSpace, kappa: float) -> None:
 
 
 class _Layout:
-    """The rates and index arrays of one multiplier set on one mesh.
+    """The rates and index arrays of one multiplier set, built by :func:`_layout`.
 
     ``mass`` and ``sides`` pair the distinct rates of the mass tables and
     of the operator's cell tables with each entry's index among them
     (``np.unique``), ``ls``/``lt`` those of the shared-cell triangles
-    (:func:`_operator_parts`).  ``mirrors`` tells whether s -> -s maps the
-    trial basis onto itself in reversed order: it takes
-    B_j e^{i*eps*kappa*s} to B_{d-1-j} e^{-i*eps*kappa*s}, the basis
-    function at the reversed index, when the breakpoints mirror about 0
-    bitwise and the multipliers read backwards are their negatives.  Then
-    J E J = E.
+    (:func:`_operator_parts`).  ``symmetric`` tells whether the multipliers
+    read backwards are their negatives.  On a mirrored mesh
+    (``MeshPlan.mirrored``) s -> -s then maps the trial basis onto itself
+    in reversed order: it takes B_j e^{i*eps*kappa*s} to
+    B_{d-1-j} e^{-i*eps*kappa*s}, the basis function at the reversed
+    index, so J E J = E.
     """
 
-    def __init__(self, multipliers: tuple[int, ...], plan: MeshPlan):
+    def __init__(self, multipliers: tuple[int, ...]):
         eps = self.eps = np.array(multipliers)
         self.diff = eps - eps[:, None]                      # [q, p] = eps_p - eps_q
         self.mass = np.unique(self.diff, return_inverse=True)
@@ -666,40 +663,43 @@ class _Layout:
         self.ls = np.unique(np.stack([1 - eps, 1 + eps])[:, :, None], return_inverse=True)      # [side, q, 1]
         self.lt = np.unique(np.stack([eps - 1, -(eps + 1)])[:, None, :], return_inverse=True)   # [side, 1, p]
         self.pairs = np.repeat(self.ls[0], len(self.lt[0])), np.tile(self.lt[0], len(self.ls[0]))
-        self.mirrors = plan.mirrored and bool(np.array_equal(eps, -eps[::-1]))
-        self.gram = None        # a single multiplier's mass band, kept by :func:`_mass_band`
+        self.symmetric = bool(np.array_equal(eps, -eps[::-1]))
         _frozen(eps, self.diff, *self.mass, *self.sides, *self.ls, *self.lt, *self.pairs)
 
 
-def _mass_band(space: TrialSpace, plan: MeshPlan) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _layout(multipliers: tuple[int, ...]) -> _Layout:
+    """The layout of a multiplier set, shared by every mesh and wavenumber.
+
+    Unbounded: a layout is a few arrays of at most (number of multipliers)^2
+    entries, and the two methods use two sets.
+    """
+    return _Layout(multipliers)
+
+
+def _mass_band(plan: MeshPlan, multipliers: tuple[int, ...], kappa: float) -> np.ndarray:
     """Diagonals of the mass blocks: band[q, p, m-1+o, i] = E_qp[i, i+o].
 
     Every block E_qp is symmetric and E_pq is its conjugate: the local cell
     matrices are symmetrised and the blocks below the block diagonal
     conjugated, so E comes out exactly Hermitian.  When the mesh and the
-    multipliers mirror (``_Layout.mirrors``), reversing every axis of the band
-    is J E J; the band is averaged with its reversal, so E is exactly
-    centrosymmetric as well.  With a single multiplier every rate is 0 and
-    the band is the splines' Gram band, the same bits at every kappa, so
-    the layout keeps it.  Callers must not mutate the result.
+    multipliers mirror (``MeshPlan.mirrored``, ``_Layout.symmetric``),
+    reversing every axis of the band is J E J; the band is averaged with
+    its reversal, so E is exactly centrosymmetric as well.
     """
-    lay = plan.layout(space.multipliers)
-    if lay.gram is not None:
-        return lay.gram
+    lay = _layout(multipliers)
     rates, at = lay.mass
-    m = space.splines.order
+    m = plan.splines.order
     pieces = plan.cells[4]
-    tables = _cell_tables(plan.cells, pieces.swapaxes(0, 1), rates[:, None] * space.kappa)     # [k, b, a, c]
+    tables = _cell_tables(plan.cells, pieces.swapaxes(0, 1), rates[:, None] * kappa)     # [k, b, a, c]
     local = tables.swapaxes(1, 2)[at]                                           # [q, p, a, b, c]
     pairs = np.zeros((m, 2 * m - 1, m, pieces.shape[-1]) + at.shape, dtype=complex)   # [b, x, a, c, q, p]
     pairs[:, m - 1] = (0.5 * (local + local.swapaxes(2, 3))).transpose(3, 2, 4, 0, 1)
     band = _band(pairs)
     for q in range(len(lay.eps)):
         band[q + 1:, q] = band[q, q + 1:].conj()
-    if lay.mirrors:
+    if plan.mirrored and lay.symmetric:
         band = 0.5 * (band + band[::-1, ::-1, ::-1, ::-1])
-    if len(lay.eps) == 1:
-        lay.gram, = _frozen(band)
     return band
 
 
@@ -723,7 +723,7 @@ def _operator_parts(space: TrialSpace, kernel: OscKernel, plan: MeshPlan):
     s0, h2, widths, group, P = plan.cells
     m, nc = P.shape[1:]
     kappa = space.kappa
-    lay = plan.layout(space.multipliers)
+    lay = _layout(space.multipliers)
 
     U, sv, Vh = np.linalg.svd(C, full_matrices=False)
     keep = sv > sv[0] * 1e-15
@@ -772,30 +772,35 @@ def _operator_parts(space: TrialSpace, kernel: OscKernel, plan: MeshPlan):
     return gens, _band(pairs)
 
 
-def _assemble(space: TrialSpace, kernel: OscKernel | None = None, mass: bool = False,
-              strip: bool = False) -> np.ndarray:
-    """E (no kernel), K (``mass`` false) or E - K, written once into one buffer.
+def _assemble(space: TrialSpace, kernel: OscKernel | None = None, mass: bool = False) -> np.ndarray:
+    """E (no kernel), K (``mass`` false) or the rows of E - K that determine it, written once into one buffer.
 
     The generators' products go straight into the buffer (negated for
     E - K), block row by block row: side 0 over every block, then side 1
     over l >= i + m through a Toeplitz view of 2d - 1 flags; the central
     diagonals last.  On reflection-symmetric data only the leading
-    ceil(n/2) rows are computed.  ``strip`` returns the computed rows
-    alone; otherwise the trailing rows are mirrored from them into the
-    n x n result (:func:`_mirror`).
+    ceil(n/2) rows are computed.  E - K is returned as those rows; K has
+    its trailing rows mirrored from them into the n x n result
+    (:func:`_mirror`).
     """
     d, m, nb = space.block_dim, space.splines.order, len(space.multipliers)
     n = nb * d
     h = n - n // 2 if kernel is not None and reflection_symmetric(space, kernel) else n
     plan = mesh_plan(space.splines.knots)
     parts = None if kernel is None else _operator_parts(space, kernel, plan)
-    band = _mass_band(space, plan) if mass else np.zeros((nb, nb, 2 * m - 1, d), dtype=complex)
-    A = (np.zeros if parts is None else np.empty)((h if strip else n, n), dtype=complex)
+    if not mass:
+        band = np.zeros((nb, nb, 2 * m - 1, d), dtype=complex)
+    elif space.multipliers == CGM_MULTIPLIERS:
+        band = plan.gram
+    else:
+        band = _mass_band(plan, space.multipliers, space.kappa)
+    A = (np.zeros if parts is None else np.empty)((h if mass else n, n), dtype=complex)
     if parts is not None:
         (x, S), op_band = parts
         if mass:
             x = -x
         band = band - op_band if mass else op_band
+    inside, i, j = plan.band_index
     for q in range(-(-h // d)):
         r = min(h - q * d, d)                               # rows of block row q that are computed
         rows = A[q * d:q * d + r].reshape(r, nb, d)
@@ -805,8 +810,11 @@ def _assemble(space: TrialSpace, kernel: OscKernel | None = None, mass: bool = F
                 np.multiply(xs[0], Ss[0], out=rows, where=where)
                 for xr, Sr in zip(xs[1:], Ss[1:]):
                     np.add(rows, xr * Sr, out=rows, where=where)
-        inside, i, j = plan.band_index(r)
-        rows[i, :, j] = band[q][:, inside].T
+        diagonals = band[q][:, inside]
+        if r < d:                                           # the last, partial block row
+            keep = i < r
+            diagonals, i, j = diagonals[:, keep], i[keep], j[keep]
+        rows[i, :, j] = diagonals.T
     if h < len(A):
         _mirror(A)
     return A
@@ -842,29 +850,19 @@ def assemble_operator(space: TrialSpace, kernel: OscKernel) -> np.ndarray:
     return _assemble(space, kernel)
 
 
-def assemble_matrix(space: TrialSpace, kernel: OscKernel) -> np.ndarray:
-    """System matrix E - K in one buffer, equal to ``assemble_mass - assemble_operator`` exactly.
-
-    The operator's generators are negated before they are written and its
-    diagonals are subtracted from the mass diagonals.
-    """
-    _check_kappa(space, kernel.kappa)
-    return _assemble(space, kernel, mass=True)
-
-
 def assemble_leading_rows(space: TrialSpace, kernel: OscKernel) -> np.ndarray:
     """The rows of E - K that determine it: the leading ceil(n/2) on reflection-symmetric data, else all n.
 
-    All n rows are :func:`assemble_matrix` bit for bit.  On
+    All n rows are ``assemble_mass - assemble_operator`` bit for bit.  On
     reflection-symmetric data (:func:`reflection_symmetric`),
     J (E - K) J = E - K exactly, and the leading rows are its rows bit for
     bit except, for odd n, the middle row's trailing floor(n/2) entries,
-    which :func:`assemble_matrix` mirrors from the leading ones and
+    which :func:`assemble_operator` mirrors from the leading ones and
     :func:`oscfred.linalg.fold_rows` does not read.  ``fold_rows`` takes
     either.
     """
     _check_kappa(space, kernel.kappa)
-    return _assemble(space, kernel, mass=True, strip=True)
+    return _assemble(space, kernel, mass=True)
 
 
 def reflection_symmetric(space: TrialSpace, kernel: OscKernel) -> bool:
@@ -881,7 +879,8 @@ def reflection_symmetric(space: TrialSpace, kernel: OscKernel) -> bool:
     """
     C = kernel.coefficient_matrix()
     odd = np.add.outer(np.arange(C.shape[0]), np.arange(C.shape[1])) % 2 == 1
-    return mesh_plan(space.splines.knots).layout(space.multipliers).mirrors and not np.any(C[odd])
+    mirrors = mesh_plan(space.splines.knots).mirrored and _layout(space.multipliers).symmetric
+    return mirrors and not np.any(C[odd])
 
 
 def assemble_rhs(space: TrialSpace, f) -> np.ndarray:

@@ -165,7 +165,7 @@ class Polynomial:
     Coefficients are stored ascending: ``p(t) = c[0] + c[1] t + ...``.
     Trailing exact zeros are trimmed on construction, so ``degree`` is
     meaningful except for the zero polynomial (degree 0 with c = [0]).
-    Instances are immutable; all arithmetic returns new objects.
+    Instances are immutable; ``+`` and unary ``-`` return new objects.
     """
 
     __slots__ = ("coeffs",)
@@ -192,11 +192,6 @@ class Polynomial:
     def __repr__(self) -> str:
         return f"Polynomial({np.array2string(self.coeffs, precision=6)})"
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return len(self.coeffs) == len(other.coeffs) and bool(np.all(self.coeffs == other.coeffs))
-
     # -- arithmetic ---------------------------------------------------------
     def __add__(self, other) -> "Polynomial":
         a, b = self.coeffs, _as_coeffs(other)
@@ -206,26 +201,8 @@ class Polynomial:
         out[: len(b)] += b
         return Polynomial(out)
 
-    __radd__ = __add__
-
     def __neg__(self) -> "Polynomial":
         return Polynomial(-self.coeffs)
-
-    def __sub__(self, other) -> "Polynomial":
-        other = other if isinstance(other, Polynomial) else Polynomial(_as_coeffs(other))
-        return self + (-other)
-
-    def __rsub__(self, other) -> "Polynomial":
-        return Polynomial(_as_coeffs(other)) + (-self)
-
-    def __mul__(self, other) -> "Polynomial":
-        if isinstance(other, Polynomial):
-            return Polynomial(np.convolve(self.coeffs, other.coeffs))
-        if np.isscalar(other):
-            return Polynomial(self.coeffs * other)
-        return Polynomial(np.convolve(self.coeffs, _as_coeffs(other)))
-
-    __rmul__ = __mul__
 
 
 # ---------------------------------------------------------------------------

@@ -142,28 +142,23 @@ class OscProbeFunction:
         return t**2 + np.sin(self.kappa * t) / self.kappa ** (self.index - 1)
 
 
-def table1_experiment(
-    kappas: Sequence[float],
-    interp_points: int = 1281,
-    check_points: int = 2049,
-    interval: tuple[float, float] = (-1.0, 1.0),
-) -> np.ndarray:
+def table1_experiment(kappas: Sequence[float]) -> np.ndarray:
     """Max interpolation errors of the probes g_1, g_2, g_3 on a uniform grid.
 
-    Each probe is interpolated linearly on ``interp_points`` uniform
-    points of ``interval`` and the maximum error is measured on the
-    ``check_points`` uniform grid; both grids include the endpoints.
-    Returns an array of shape (len(kappas), 3).
+    Each probe is interpolated linearly on 1281 uniform points of
+    [-1, 1] and the maximum error is measured on the 2049-point uniform
+    grid; both grids include the endpoints.  Returns an array of shape
+    (len(kappas), 3).
     """
     out = np.zeros((len(kappas), 3))
-    xs = np.linspace(interval[0], interval[1], interp_points)
+    xs = np.linspace(-1.0, 1.0, 1281)
     for i, kappa in enumerate(kappas):
         if not (math.isfinite(kappa) and kappa > 0):
             raise ValueError("wavenumbers must be positive and finite")
         for j in (1, 2, 3):
             g = OscProbeFunction(index=j, kappa=float(kappa))
             ys = g(xs)
-            out[i, j - 1] = max_error_on_grid(g, lambda s: np.interp(s, xs, ys), check_points, interval)
+            out[i, j - 1] = max_error_on_grid(g, lambda s: np.interp(s, xs, ys), 2049)
     return out
 
 

@@ -17,8 +17,8 @@ from oscfred.galerkin import (
     StructuredFunction,
     TrialSpace,
     apply_kernel_structured,
+    assemble_leading_rows,
     assemble_mass,
-    assemble_matrix,
     assemble_operator,
     assemble_rhs,
     convergence_order,
@@ -119,6 +119,16 @@ def test_trial_space_dimensions():
     assert opgm.multipliers == (-1, 0, 1)
 
 
+def test_trial_space_keeps_its_multipliers_as_a_tuple_of_ints():
+    # the tuple keys the cached layout of the multiplier set
+    sp = SplineSpace(make_uniform_knots(3, 2))
+    space = TrialSpace(sp, 5.0, np.array([-1, 0, 1]))
+    assert space.multipliers == (-1, 0, 1) and all(type(e) is int for e in space.multipliers)
+    for bad in ((), (1, 1), (0.5,), (1.0,), (float("inf"),), ("a",)):
+        with pytest.raises(ValueError, match="distinct integers"):
+            TrialSpace(sp, 5.0, bad)
+
+
 # ---------------------------------------------------------------------------
 # mass matrix
 # ---------------------------------------------------------------------------
@@ -180,14 +190,23 @@ MATRIX_KERNELS = {
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 @pytest.mark.parametrize("kappa", [5.0, 50.0, 5e3, 5e4])
 def test_assemble_matrix_is_mass_minus_operator_exactly(kappa, m, mesh):
-    # built in the operator's buffer as (-K) + E, which IEEE makes equal to E - K
+    # the leading rows of E - K are built in the operator's buffer as
+    # (-K) + E, which IEEE makes equal to E - K.  For odd n on
+    # reflection-symmetric data the middle row's trailing floor(n/2)
+    # entries are skipped: assemble_operator mirrors them from the leading
+    # ones, and fold_rows does not read them
     knots = make_uniform_knots(16, m) if mesh == "uniform" else make_knots([-0.7, -0.35, 0.1, 0.2, 0.6], m)
     sp = SplineSpace(knots)
     for space in (TrialSpace.cgm(sp, kappa), TrialSpace.opgm(sp, kappa)):
+        n = space.dimension
         for name, data in MATRIX_KERNELS.items():
             kern = OscKernel.smooth(data, kappa) if callable(data) else OscKernel.polynomial(data, kappa)
-            A = assemble_matrix(space, kern)
-            assert np.array_equal(A, assemble_mass(space) - assemble_operator(space, kern)), name
+            L = assemble_leading_rows(space, kern)
+            h = len(L)
+            assert h in (n, n - n // 2), name
+            A = (assemble_mass(space) - assemble_operator(space, kern))[:h]
+            cols = h if h < n and n % 2 else n                  # columns compared in the last row
+            assert np.array_equal(L[:-1], A[:-1]) and np.array_equal(L[-1, :cols], A[-1, :cols]), name
 
 
 def collapsed_gauss_reference(ls, lt, A, B):
@@ -296,8 +315,8 @@ def test_mirrored_data_assemble_exactly_centrosymmetric(m):
     for space in spaces(5, m, kappa):
         K = assemble_operator(space, even)
         assert is_centrosymmetric(assemble_mass(space)) and is_centrosymmetric(K)
-        assert is_centrosymmetric(assemble_matrix(space, even))
-        assert not is_centrosymmetric(assemble_matrix(space, odd))
+        assert is_centrosymmetric(assemble_mass(space) - K)
+        assert not is_centrosymmetric(assemble_mass(space) - assemble_operator(space, odd))
         n = space.dimension
         for r, c in [(n - 1, n - 1), (n - 1, 0), (n - 2, n - 1 - m), (n // 2 + 1, 1)]:
             assert abs(K[r, c] - operator_entry_quadrature(space, even, r, c)) <= 1e-10, (r, c)
@@ -331,7 +350,7 @@ def test_mesh_plan_reuse_gives_the_same_bits_on_a_nonuniform_mesh():
         data = MATRIX_KERNELS[name]
         kern = OscKernel.smooth(data, kappa) if callable(data) else OscKernel.polynomial(data, kappa)
         rhs = paper_benchmark(kappa).rhs
-        A, f = assemble_matrix(space, kern), assemble_rhs(space, rhs)
+        A, f = assemble_mass(space) - assemble_operator(space, kern), assemble_rhs(space, rhs)
         return A, f, eval_solution(space, np.linalg.solve(A, f), EN_GRID)
 
     configs = [(kappa, method, name) for kappa in (3.0, 5e3) for method in ("cgm", "opgm")
@@ -344,17 +363,51 @@ def test_mesh_plan_reuse_gives_the_same_bits_on_a_nonuniform_mesh():
         assert all(np.array_equal(x, y) for x, y in zip(outputs(*c), cold[c])), c
 
 
+def test_mesh_plans_and_layouts_hold_only_read_only_arrays():
+    # plans and layouts are shared by every solve and every thread without a
+    # lock, which is safe because nothing reachable from them can be written
+    from oscfred.problems import paper_benchmark
+    knots = make_knots([-0.6, -0.2, 0.2, 0.6], 3)
+    kern = paper_benchmark(50.0).kernel
+    for method in ("cgm", "opgm"):
+        space = getattr(TrialSpace, method)(SplineSpace(knots), 50.0)
+        assemble_leading_rows(space, kern)
+        assemble_mass(space)
+        eval_solution(space, assemble_rhs(space, paper_benchmark(50.0).rhs), EN_GRID)
+    plan = galerkin.mesh_plan(knots)
+    assert {"en_values", "pair_index", "upper", "band_index", "gram"} <= vars(plan).keys()
+    arrays, seen = [], set()
+
+    def walk(x):
+        if id(x) in seen:
+            return
+        seen.add(id(x))
+        if isinstance(x, np.ndarray):
+            arrays.append(x)
+        elif isinstance(x, (tuple, list)):
+            for y in x:
+                walk(y)
+        elif type(x).__module__.startswith("oscfred"):
+            for y in vars(x).values():
+                walk(y)
+
+    for obj in (plan, galerkin._layout(galerkin.CGM_MULTIPLIERS), galerkin._layout(galerkin.OPGM_MULTIPLIERS)):
+        walk(obj)
+    assert len(arrays) > 20
+    assert not [a.shape for a in arrays if a.flags.writeable]
+
+
 @pytest.mark.parametrize("method, N", [("cgm", 512), ("opgm", 128)])
-def test_assemble_matrix_peak_memory(method, N):
+def test_assemble_operator_peak_memory(method, N):
     # peak traced allocation in units of the n x n result: the generators
     # are written straight into it, so only O(n) tables come on top
     kern = OscKernel.polynomial([[1.0]], 5e4)
     space = lambda n: getattr(TrialSpace, method)(SplineSpace(make_uniform_knots(n, 2)), 5e4)
-    assemble_matrix(space(8), kern)  # fill the caches first
+    assemble_operator(space(8), kern)  # fill the caches first
     big = space(N)
     tracemalloc.start()
     try:
-        A = assemble_matrix(big, kern)
+        A = assemble_operator(big, kern)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -12,14 +12,15 @@ import numpy.testing as npt
 import pytest
 
 from oscfred import galerkin
-from oscfred.bspline import SplineSpace, make_knots, make_uniform_knots
+from oscfred.bspline import KnotVector, SplineSpace, make_knots, make_uniform_knots
 from oscfred.galerkin import (
     OscKernel,
     Polynomial,
     StructuredFunction,
     TrialSpace,
     assemble_leading_rows,
-    assemble_matrix,
+    assemble_mass,
+    assemble_operator,
     assemble_rhs,
     reflection_symmetric,
 )
@@ -167,7 +168,7 @@ KAPPA_CONSTRUCTORS = {
     "StructuredFunction": lambda k: StructuredFunction(k, {0: Polynomial([1.0])}),
     "TrialSpace": lambda k: TrialSpace.opgm(SplineSpace(make_uniform_knots(4, 2)), k),
     "OscProbeFunction": lambda k: OscProbeFunction(index=1, kappa=k),
-    "table1_experiment": lambda k: table1_experiment([k], interp_points=5, check_points=9),
+    "table1_experiment": lambda k: table1_experiment([k]),
     "paper_benchmark": paper_benchmark,
 }
 
@@ -237,25 +238,21 @@ def test_reused_mesh_plans_give_the_same_bits():
 def test_a_kappa_sweep_builds_its_mesh_plan_once(monkeypatch):
     # each run builds a fresh problem; the plan and its multiplier layout
     # are built by the first run alone
-    built, layouts = [], []
+    built = []
 
     class CountingPlan(galerkin.MeshPlan):
         def __init__(self, splines):
             built.append(splines.dimension)
             super().__init__(splines)
 
-    class CountingLayout(galerkin._Layout):
-        def __init__(self, multipliers, plan):
-            layouts.append(multipliers)
-            super().__init__(multipliers, plan)
-
     monkeypatch.setattr(galerkin, "MeshPlan", CountingPlan)
-    monkeypatch.setattr(galerkin, "_Layout", CountingLayout)
     galerkin._plan.cache_clear()
+    galerkin._layout.cache_clear()
     for kappa in np.geomspace(10.0, 1e4, 8):
         run_galerkin(paper_benchmark(kappa), "opgm", 24, compute_cond=True)
+    layouts = galerkin._layout.cache_info()
     galerkin._plan.cache_clear()
-    assert built == [26] and layouts == [galerkin.OPGM_MULTIPLIERS]
+    assert built == [26] and (layouts.misses, layouts.currsize) == (1, 1)
 
 
 def test_uniform_plan_is_the_mesh_plan_of_the_uniform_knots():
@@ -287,9 +284,10 @@ def test_assembly_cost_is_flat_over_the_kappa_range():
 
 def test_threads_sharing_mesh_plans_get_the_serial_bits():
     # four threads on two cores fill, reuse and evict the same plans (three
-    # meshes, two cached at a time) and fill each plan's layouts, band
-    # indices and Gram band while switching often; every result must equal
-    # the serial one
+    # meshes, two cached at a time) and the shared multiplier layouts, and
+    # build each plan's tables (band index, Gram band, e_N values) while
+    # switching often.  No lock guards them: a table built twice comes out
+    # the same and is read-only, so every result must equal the serial one
     factors = ([[1.0]], [[1.0, 0.0, 0.5], [0.0, 0.25, 0.0], [0.3, 0.0, 0.0]], [[1.0, 0.0, 0.5]])
     jobs = [(method, N, kappa, f) for method in ("cgm", "opgm") for N in (12, 13, 14)
             for kappa in (3.0, 70.0) for f in range(len(factors))]
@@ -381,7 +379,7 @@ def test_folded_solve_matches_the_whole_system(C, kappa):
             for N in (15, 16):
                 run = run_galerkin(prob, method, N, m, compute_cond=True)
                 assert reflection_symmetric(run.space, prob.kernel)
-                A = assemble_matrix(run.space, prob.kernel)
+                A = assemble_mass(run.space) - assemble_operator(run.space, prob.kernel)
                 f = assemble_rhs(run.space, prob.rhs)
                 assert np.linalg.norm(A @ run.coeffs - f) <= 1e-13 * np.linalg.norm(f)
                 c = cond2(A)
@@ -401,7 +399,7 @@ def test_asymmetric_kernel_runs_the_whole_system_bitwise():
     for method in ("cgm", "opgm"):
         run = run_galerkin(prob, method, 16, compute_cond=True)
         assert not reflection_symmetric(run.space, prob.kernel)
-        A = assemble_matrix(run.space, prob.kernel)
+        A = assemble_mass(run.space) - assemble_operator(run.space, prob.kernel)
         assert np.array_equal(assemble_leading_rows(run.space, prob.kernel), A)   # all n rows
         assert np.array_equal(run.coeffs, np.linalg.solve(A, assemble_rhs(run.space, prob.rhs)))
         assert run.cond == cond2(A)
@@ -419,6 +417,25 @@ def test_non_finite_kernel_factor_is_rejected_before_lapack():
         run_galerkin(Problem(kernel=kernel, rhs=prob.rhs, exact=prob.exact), "opgm", 8)
 
 
+def test_non_finite_right_hand_side_is_rejected_by_name():
+    # a callable load sampling to NaN fails in its fit, naming the
+    # right-hand side, not later in the solver's vector check
+    prob = paper_benchmark(50.0)
+    for bad in (lambda s: np.nan * s, lambda s: np.where(s > 0.5, np.inf, 1.0)):
+        with pytest.raises(ValueError, match="right-hand side must be finite"):
+            run_galerkin(Problem(kernel=prob.kernel, rhs=bad, exact=prob.exact), "opgm", 8)
+
+
+def test_unresolved_fits_name_their_degree_and_tail_bound():
+    # exp(-(s - t)^2) is smooth and non-oscillatory, yet its degree-16 fit
+    # leaves a tail above 1e-10: the message names the fit, not oscillation
+    with pytest.raises(ValueError, match=r"degree-16 tensor Chebyshev fit.*1e-10"):
+        OscKernel.smooth(lambda s, t: np.exp(-(s - t) ** 2), 5.0).coefficient_matrix()
+    prob = paper_benchmark(50.0)
+    with pytest.raises(ValueError, match=r"degree-12 Chebyshev fit per cell.*1e-10.*structured form"):
+        run_galerkin(Problem(kernel=prob.kernel, rhs=lambda s: np.exp(300j * s), exact=prob.exact), "opgm", 8)
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_reflection_symmetry_truth_table(m):
     mirror, skew = SplineSpace(make_knots([-0.6, 0.0, 0.6], m)), SplineSpace(make_knots([-0.6, 0.1, 0.6], m))
@@ -434,7 +451,7 @@ def test_reflection_symmetry_truth_table(m):
         (mirror, (-1, 0, 1), odd, False),
         (mirror, (0,), mixed, False),
         (skew, (-1, 0, 1), even, False),
-        (SplineSpace(make_knots([-0.6, 0.0, 0.6], m, (-1.0, 2.0))), (0,), even, False),
+        (SplineSpace(KnotVector(m, np.r_[[-1.0] * m, -0.6, 0.0, 0.6, [2.0] * m])), (0,), even, False),
         (mirror, (-1, 1, 0), even, False),
         (mirror, (0, 1), even, False),
     ]
