@@ -34,7 +34,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class KnotVector:
-    """Clamped knot sequence: ``order`` copies of each endpoint plus interior breakpoints."""
+    """Clamped knot sequence on I: ``order`` copies of -1 and of 1 plus interior breakpoints."""
 
     order: int
     knots: np.ndarray
@@ -48,6 +48,8 @@ class KnotVector:
             raise ValueError("knot sequence must contain at least 2*order entries")
         if not (np.all(k[:m] == k[0]) and np.all(k[-m:] == k[-1])):
             raise ValueError("first and last knots must each be repeated 'order' times")
+        if k[0] != -1.0 or k[-1] != 1.0:
+            raise ValueError(f"knots must be clamped at -1 and 1, not at {k[0]:g} and {k[-1]:g}")
         interior = k[m:-m] if len(k) > 2 * m else k[:0]
         full = np.concatenate(([k[0]], interior, [k[-1]]))
         if np.any(np.diff(full) <= 0):

@@ -9,11 +9,15 @@ verify        closed-form assembly self-test against quadrature oracles
 
 Output is CSV (default) or JSON with one row per run:
 ``method,kappa,N,order,error,co,cond,seconds``.  ``order`` is the order
-of the coefficient matrix (3*(N+m) for the enriched method, N+m for the
-conventional one), ``error`` the sampled relative error e_N, ``co`` the
-convergence order against the previous level (empty on the first).
-Numbers carry six significant digits and are deterministic across runs;
-only the ``seconds`` column varies.
+of the coefficient matrix (len(METHOD_MULTIPLIERS[method])*(N+m): 3*(N+m)
+for the enriched method, N+m for the conventional one), ``error`` the
+sampled relative error e_N, ``co`` the convergence order against the
+previous level (blank on the first).  A singular discrete system gives a
+row with blank ``error``, ``co`` and ``seconds`` and ``cond`` = inf, and
+the next level's ``co`` is blank.  CSV numbers carry six significant
+digits; JSON carries them in full, a blank field as ``null`` and an
+infinite one as the string ``"inf"``.  Everything but the ``seconds``
+column is deterministic across runs.
 
 Exit codes: 0 success, 1 failed verification, 2 invalid configuration,
 3 at least one singular discrete system (remaining rows still run).
@@ -25,7 +29,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,6 +36,7 @@ from . import galerkin, linalg
 from .bspline import SplineSpace, make_uniform_knots
 from .galerkin import OscKernel, TrialSpace
 from .problems import (
+    METHOD_MULTIPLIERS,
     Problem,
     manufactured,
     paper_benchmark,
@@ -41,7 +45,7 @@ from .problems import (
     table1_experiment,
 )
 
-__all__ = ["RunRecord", "build_parser", "main", "run_verify"]
+__all__ = ["build_parser", "main", "run_verify"]
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -77,40 +81,7 @@ def _check(args: argparse.Namespace) -> None:
 
 
 def _methods(args: argparse.Namespace) -> tuple[str, ...]:
-    return ("cgm", "opgm") if args.method == "both" else (args.method,)
-
-
-@dataclass
-class RunRecord:
-    method: str
-    kappa: float
-    N: int
-    order: int
-    error: float = float("nan")
-    co: float = float("nan")
-    cond: float = float("nan")
-    seconds: float = float("nan")
-    singular: bool = False
-
-    def as_row(self) -> list[str]:
-        return [
-            self.method,
-            _fmt(self.kappa),
-            str(self.N),
-            str(self.order),
-            _fmt(self.error),
-            _fmt(self.co),
-            _fmt(self.cond),
-            _fmt(self.seconds),
-        ]
-
-
-def _fmt(x: float) -> str:
-    if x != x:  # nan: blank field (first-level co, missing exact solution)
-        return ""
-    if math.isinf(x):
-        return "inf"
-    return f"{x:.6g}"
+    return tuple(METHOD_MULTIPLIERS) if args.method == "both" else (args.method,)
 
 
 def _load_file_problem(args: argparse.Namespace) -> Problem | None:
@@ -120,59 +91,58 @@ def _load_file_problem(args: argparse.Namespace) -> Problem | None:
         return problem_from_dict(json.load(fh))
 
 
-def _single_run(m: int, method: str, kappa: float, N: int, problem: Problem | None = None) -> RunRecord:
-    blocks = 3 if method == "opgm" else 1
-    record = RunRecord(method=method, kappa=kappa, N=N, order=blocks * (N + m))
+def _single_run(m: int, method: str, kappa: float, N: int, problem: Problem | None = None) -> dict:
+    """One row of ``_RUN_HEADER``; a singular system leaves error, co and seconds NaN and cond inf."""
+    nan = float("nan")
+    row = {"method": method, "kappa": kappa, "N": N, "order": len(METHOD_MULTIPLIERS[method]) * (N + m),
+           "error": nan, "co": nan, "cond": float("inf"), "seconds": nan}
     try:
-        if problem is None:
-            problem = paper_benchmark(kappa)
-        run = run_galerkin(problem, method, N, m, compute_cond=True)
+        run = run_galerkin(paper_benchmark(kappa) if problem is None else problem, method, N, m,
+                           compute_cond=True)
     except linalg.SingularMatrixError:
-        record.singular = True
-        record.cond = float("inf")
-        return record
-    record.error = run.e_N
-    record.cond = run.cond
-    record.seconds = run.seconds
-    return record
+        return row
+    row.update(error=run.e_N, cond=run.cond, seconds=run.seconds)
+    return row
 
 
-def cmd_convergence(args: argparse.Namespace) -> tuple[list[RunRecord], int]:
+def _runs_code(rows: list[dict]) -> int:
+    # only a singular system leaves a row without its solve time
+    return EXIT_SINGULAR if any(r["seconds"] != r["seconds"] for r in rows) else EXIT_OK
+
+
+def cmd_convergence(args: argparse.Namespace) -> tuple[list[dict], int]:
     # a problem file fixes the equation (and its wavenumber) for every level
     file_problem = _load_file_problem(args)
     kappas = (file_problem.kappa,) if file_problem is not None else args.kappa
-    records = []
+    rows = []
     for kappa in kappas:
         for method in _methods(args):
-            last = None  # convergence order against the previous level
+            last = float("nan")  # error of the previous level: no order against NaN
             for level in range(args.n_levels):
-                rec = _single_run(args.order, method, kappa, _BASE_N[method] * 2**level, file_problem)
-                if last is not None and last > 0 and rec.error > 0:
-                    rec.co = galerkin.convergence_order(last, rec.error)
-                last = rec.error
-                records.append(rec)
-    code = EXIT_SINGULAR if any(r.singular for r in records) else EXIT_OK
-    return records, code
+                row = _single_run(args.order, method, kappa, _BASE_N[method] * 2**level, file_problem)
+                if last > 0 and row["error"] > 0:
+                    row["co"] = galerkin.convergence_order(last, row["error"])
+                last = row["error"]
+                rows.append(row)
+    return rows, _runs_code(rows)
 
 
-def cmd_sweep(args: argparse.Namespace) -> tuple[list[RunRecord], int]:
+def cmd_sweep(args: argparse.Namespace) -> tuple[list[dict], int]:
     kappas = args.kappa
     if not kappas:
         lo, hi = _SWEEP_DEFAULT_RANGE
         kappas = tuple(np.geomspace(lo, hi, _SWEEP_DEFAULT_POINTS))
-    records = [_single_run(args.order, method, float(kappa), _SWEEP_DEFAULT_N[method])
-               for method in _methods(args) for kappa in kappas]
-    code = EXIT_SINGULAR if any(r.singular for r in records) else EXIT_OK
-    return records, code
+    rows = [_single_run(args.order, method, float(kappa), _SWEEP_DEFAULT_N[method])
+            for method in _methods(args) for kappa in kappas]
+    return rows, _runs_code(rows)
 
 
-def cmd_table1(args: argparse.Namespace) -> list[dict]:
+def cmd_table1(args: argparse.Namespace) -> tuple[list[dict], int]:
     kappas = args.kappa or _DEFAULT_TABLE1_KAPPAS
     errors = table1_experiment(list(kappas))
-    return [
-        {"kappa": float(k), "g1": float(e[0]), "g2": float(e[1]), "g3": float(e[2])}
-        for k, e in zip(kappas, errors)
-    ]
+    rows = [{"kappa": float(k), "g1": float(e[0]), "g2": float(e[1]), "g3": float(e[2])}
+            for k, e in zip(kappas, errors)]
+    return rows, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -222,38 +192,26 @@ def run_verify(out=None) -> int:
 # output plumbing
 # ---------------------------------------------------------------------------
 
-_RUN_HEADER = ["method", "kappa", "N", "order", "error", "co", "cond", "seconds"]
+def _fmt(x) -> str:
+    """CSV cell: a float to six significant digits, NaN as a blank field."""
+    if not isinstance(x, float):
+        return str(x)
+    return "" if x != x else f"{x:.6g}"
 
 
-def _emit_runs(records: list[RunRecord], args: argparse.Namespace) -> None:
+def _json_value(x):
+    """JSON value: a non-finite float as its CSV cell, so NaN -> null and inf -> "inf"."""
+    if isinstance(x, float) and not math.isfinite(x):
+        return _fmt(x) or None
+    return x
+
+
+def _emit(rows: list[dict], header: tuple[str, ...], args: argparse.Namespace) -> None:
     if args.fmt == "csv":
-        lines = [",".join(_RUN_HEADER)]
-        lines += [",".join(r.as_row()) for r in records]
+        lines = [",".join(header), *(",".join(_fmt(row[k]) for k in header) for row in rows)]
         text = "\n".join(lines) + "\n"
     else:
-        payload = []
-        for r in records:
-            payload.append({
-                "method": r.method,
-                "kappa": r.kappa,
-                "N": r.N,
-                "order": r.order,
-                "error": None if r.error != r.error else r.error,
-                "co": None if r.co != r.co else r.co,
-                "cond": None if r.cond != r.cond else ("inf" if math.isinf(r.cond) else r.cond),
-                "seconds": None if r.seconds != r.seconds else r.seconds,
-            })
-        text = json.dumps(payload, indent=2) + "\n"
-    _write(text, args.out)
-
-
-def _emit_table1(rows: list[dict], args: argparse.Namespace) -> None:
-    if args.fmt == "csv":
-        lines = ["kappa,g1,g2,g3"]
-        lines += [f"{_fmt(r['kappa'])},{_fmt(r['g1'])},{_fmt(r['g2'])},{_fmt(r['g3'])}" for r in rows]
-        text = "\n".join(lines) + "\n"
-    else:
-        text = json.dumps(rows, indent=2) + "\n"
+        text = json.dumps([{k: _json_value(row[k]) for k in header} for row in rows], indent=2) + "\n"
     _write(text, args.out)
 
 
@@ -280,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--kappa", action="append", type=float, default=[],
                        help="wavenumber (repeatable)")
         if with_method:
-            p.add_argument("--method", choices=["cgm", "opgm", "both"], default="both")
+            p.add_argument("--method", choices=[*METHOD_MULTIPLIERS, "both"], default="both")
             p.add_argument("--order", type=int, default=2, help="spline order m (default 2)")
             p.add_argument("--problem", dest="problem_path", default=None,
                            help="JSON problem description (defaults to the built-in benchmark)")
@@ -301,27 +259,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_RUN_HEADER = ("method", "kappa", "N", "order", "error", "co", "cond", "seconds")
+_COMMANDS = {
+    "convergence": (cmd_convergence, _RUN_HEADER),
+    "sweep": (cmd_sweep, _RUN_HEADER),
+    "table1": (cmd_table1, ("kappa", "g1", "g2", "g3")),
+}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "verify":
         return run_verify()
+    command, header = _COMMANDS[args.command]
     try:
         _check(args)
-        if args.command == "convergence":
-            records, code = cmd_convergence(args)
-            _emit_runs(records, args)
-            return code
-        if args.command == "sweep":
-            records, code = cmd_sweep(args)
-            _emit_runs(records, args)
-            return code
-        if args.command == "table1":
-            _emit_table1(cmd_table1(args), args)
-            return EXIT_OK
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+        rows, code = command(args)
+        _emit(rows, header, args)
+    except (OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    return EXIT_OK
+    return code
 
 
 if __name__ == "__main__":

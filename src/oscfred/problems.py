@@ -32,6 +32,7 @@ from .galerkin import (
 
 __all__ = [
     "GalerkinRun",
+    "METHOD_MULTIPLIERS",
     "OscProbeFunction",
     "Problem",
     "manufactured",
@@ -166,7 +167,7 @@ def table1_experiment(kappas: Sequence[float]) -> np.ndarray:
 # Single-run driver
 # ---------------------------------------------------------------------------
 
-_METHOD_MULTIPLIERS = {
+METHOD_MULTIPLIERS = {
     "cgm": galerkin.CGM_MULTIPLIERS,
     "opgm": galerkin.OPGM_MULTIPLIERS,
 }
@@ -232,10 +233,10 @@ def run_galerkin(
     system (or either half) is exactly singular.
     """
     method = method.lower()
-    if method not in _METHOD_MULTIPLIERS:
+    if method not in METHOD_MULTIPLIERS:
         raise ValueError(f"unknown method {method!r}; expected 'cgm' or 'opgm'")
     splines = galerkin.uniform_plan(N, spline_order).splines
-    space = TrialSpace(splines=splines, kappa=problem.kappa, multipliers=_METHOD_MULTIPLIERS[method])
+    space = TrialSpace(splines=splines, kappa=problem.kappa, multipliers=METHOD_MULTIPLIERS[method])
     t0 = time.perf_counter()
     f = galerkin.assemble_rhs(space, problem.rhs)
     t1 = time.perf_counter()

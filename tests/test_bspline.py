@@ -66,6 +66,13 @@ def test_knot_validation():
         KnotVector(order=2, knots=np.array([-1.0, 0.0, 1.0, 1.0]))  # boundary not repeated
 
 
+@pytest.mark.parametrize("knots, ends", [([0, 0, 1, 2, 2], "0 and 2"), ([-0.5, -0.5, 0, 0.5, 0.5], "-0.5 and 0.5")])
+def test_knots_off_the_interval_are_rejected(knots, ends):
+    # the equation lives on I = [-1, 1]: a clamped mesh of any other interval is refused by name
+    with pytest.raises(ValueError, match=f"clamped at -1 and 1, not at {ends}"):
+        KnotVector(order=2, knots=np.array(knots, dtype=float))
+
+
 # ---------------------------------------------------------------------------
 # basis evaluation
 # ---------------------------------------------------------------------------

@@ -2,11 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
-from oscfred import cli
+import oscfred
+from oscfred import cli, linalg
 from oscfred.problems import paper_benchmark, problem_to_dict
 
 
@@ -103,6 +108,30 @@ def test_convergence_json_format(tmp_path):
     payload = json.loads(out.read_text())
     assert payload[0]["co"] is None
     assert payload[1]["order"] == 102
+
+
+def test_singular_level_is_reported_and_the_rest_still_run(tmp_path, monkeypatch):
+    # a singular system gives exit code 3 and a row with no error, order or
+    # time and infinite cond; the next level has no order to compare against
+    real = cli.run_galerkin
+
+    def singular_at_32(problem, method, N, *args, **kwargs):
+        if N == 32:
+            raise linalg.SingularMatrixError("forced")
+        return real(problem, method, N, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_galerkin", singular_at_32)
+    args = ["convergence", "--kappa", "50", "--method", "opgm", "--n-levels", "3"]
+    out_csv, out_json = tmp_path / "conv.csv", tmp_path / "conv.json"
+    assert cli.main(args + ["--out", str(out_csv)]) == cli.EXIT_SINGULAR
+    assert cli.main(args + ["--format", "json", "--out", str(out_json)]) == cli.EXIT_SINGULAR
+    _, rows = read_rows(out_csv)
+    payload = json.loads(out_json.read_text())
+    assert [r["N"] for r in rows] == ["16", "32", "64"]
+    assert [rows[1][k] for k in ("error", "co", "seconds", "cond")] == ["", "", "", "inf"]
+    assert [payload[1][k] for k in ("error", "co", "seconds", "cond")] == [None, None, None, "inf"]
+    assert rows[2]["co"] == "" and payload[2]["co"] is None
+    assert float(rows[2]["error"]) > 0 and payload[2]["error"] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -219,3 +248,29 @@ def test_problem_file_schema_errors(tmp_path, capsys, edit):
     code = cli.main(["convergence", "--method", "opgm", "--n-levels", "2", "--problem", str(pfile)])
     assert code == cli.EXIT_BAD_CONFIG
     assert_one_line_error(capsys, "poly_st")
+
+
+# ---------------------------------------------------------------------------
+# python -m oscfred: the real entry point and exit path
+# ---------------------------------------------------------------------------
+
+def run_module(*argv):
+    src = str(Path(oscfred.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "oscfred", *argv], capture_output=True, text=True, env=env)
+
+
+def test_module_entry_point_runs_a_sweep():
+    proc = run_module("sweep", "--kappa", "400", "--method", "opgm")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "method,kappa,N,order,error,co,cond,seconds"
+    assert len(lines) == 2 and lines[1].startswith("opgm,400,64,198,")
+
+
+def test_module_entry_point_rejects_bad_input_in_one_line():
+    proc = run_module("sweep", "--kappa", "nan")
+    assert proc.returncode == cli.EXIT_BAD_CONFIG
+    assert proc.stdout == ""
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "Traceback" not in proc.stderr, proc.stderr

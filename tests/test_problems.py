@@ -451,12 +451,14 @@ def test_reflection_symmetry_truth_table(m):
         (mirror, (-1, 0, 1), odd, False),
         (mirror, (0,), mixed, False),
         (skew, (-1, 0, 1), even, False),
-        (SplineSpace(KnotVector(m, np.r_[[-1.0] * m, -0.6, 0.0, 0.6, [2.0] * m])), (0,), even, False),
         (mirror, (-1, 1, 0), even, False),
         (mirror, (0, 1), even, False),
     ]
     for sp, mults, kern, expected in cases:
         assert reflection_symmetric(TrialSpace(sp, 50.0, mults), kern) is expected, (mults, expected)
+    # a mesh of [-1, 2] is no longer a mesh of I at all; the skew mesh covers "not mirrored"
+    with pytest.raises(ValueError, match="clamped at -1 and 1"):
+        KnotVector(m, np.r_[[-1.0] * m, -0.6, 0.0, 0.6, [2.0] * m])
 
 
 @pytest.mark.parametrize("method, N, bound", [("opgm", 128, 0.8), ("cgm", 512, 0.8)])
