@@ -42,7 +42,6 @@ from .galerkin import (
     relative_error_eN,
 )
 from .linalg import (
-    LUFactorization,
     SingularMatrixError,
     cond2,
     lu_factor,

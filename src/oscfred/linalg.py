@@ -18,13 +18,13 @@ quarter of the unfolded one.  Any other matrix is the single block
   from the singular values, ``np.linalg.svd(compute_uv=False)`` (LAPACK
   ``gesdd`` without vectors), over :func:`fold_rows`'s blocks; :func:`cond2`
   over the blocks of one explicit matrix;
-* :func:`lu_factor` / :func:`lu_solve` -- a factorization of the blocks
-  kept for reuse through ``scipy.linalg`` (LAPACK ``getrf`` / ``getrs``);
-  they import scipy on first call, so nothing else pays for it.
+* :func:`lu_factor` / :func:`lu_solve` -- the same fold and ``gesv`` on an
+  explicit matrix.
 
 :func:`cond2` and :func:`lu_factor` take a whole matrix assembled outside
 the solve path (criterion 7b's Gram matrix, the benchmark's traced solve)
-and test it for exact centrosymmetry themselves.
+and test it for exact centrosymmetry themselves.  numpy's LAPACK is the
+only one the package calls.
 
 Matrices and vectors are plain complex ndarrays; the validators below
 enforce the construction invariants (shape, finiteness) at the public
@@ -34,13 +34,10 @@ entry points.
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "LUFactorization",
     "SingularMatrixError",
     "as_complex_matrix",
     "as_complex_vector",
@@ -154,45 +151,22 @@ def _split(v: np.ndarray, blocks: tuple[np.ndarray, ...]) -> tuple[np.ndarray, .
     return np.concatenate(((top + bottom) / _ROOT2, v[k:len(v) - k])), (top - bottom) / _ROOT2
 
 
-@dataclass(frozen=True)
-class LUFactorization:
-    """Packed LU factors (unit lower / upper in one array) plus pivot rows, one pair per block.
+def lu_factor(A) -> tuple[np.ndarray, ...]:
+    """The checked blocks of a square matrix A, for one :func:`lu_solve`: the halves of a centrosymmetric A, else ``(A,)``.
 
-    A centrosymmetric matrix has two blocks, its even and odd halves (see
-    :func:`fold_rows`); any other matrix has one, itself.
+    No factor is kept for reuse; the blocks are what :func:`cond2` takes
+    and what :func:`fold_rows` gives from A's leading rows.  Only the
+    benchmark's traced solve and a test helper call this pair, once per
+    system; ROADMAP item 1 deletes it when the harness reads
+    ``GalerkinRun.stages``.
     """
-
-    lu: tuple[np.ndarray, ...]
-    piv: tuple[np.ndarray, ...]
-
-    @property
-    def n(self) -> int:
-        return sum(lu.shape[0] for lu in self.lu)
+    return _blocks(_square(A))
 
 
-def lu_factor(A) -> LUFactorization:
-    """Partial-pivoted LU of each block of a square matrix; raises SingularMatrixError on a zero pivot."""
-    import scipy.linalg
-
-    lus, pivs = [], []
-    for M in _blocks(_square(A)):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            lu, piv = scipy.linalg.lu_factor(M, check_finite=False)
-        if np.any(np.diag(lu) == 0):
-            raise SingularMatrixError(_SINGULAR)
-        lus.append(lu)
-        pivs.append(piv)
-    return LUFactorization(lu=tuple(lus), piv=tuple(pivs))
-
-
-def lu_solve(fact: LUFactorization, b) -> np.ndarray:
-    """Solve A x = b from a factorization of A, block by block."""
-    import scipy.linalg
-
-    v = _matching_vector(fact.n, b)
-    return unfold([scipy.linalg.lu_solve(f, w, check_finite=False)
-                   for f, w in zip(zip(fact.lu, fact.piv), _split(v, fact.lu))])
+def lu_solve(blocks, b) -> np.ndarray:
+    """x with A x = b from ``lu_factor(A)``, by :func:`solve_blocks` (gesv); SingularMatrixError on a zero pivot."""
+    v = _matching_vector(sum(len(H) for H in blocks), b)
+    return solve_blocks(blocks, _split(v, blocks))
 
 
 def solve_blocks(blocks, loads) -> np.ndarray:

@@ -22,26 +22,6 @@ from oscfred.linalg import (
 )
 
 
-def unpack(fact):
-    """Block-diagonal P, L, U with P F = L U, F the block-diagonal matrix of the blocks factored."""
-    Ps, Ls, Us = [], [], []
-    for lu, piv in zip(fact.lu, fact.piv):
-        n = len(lu)
-        P = np.eye(n)
-        for k, p in enumerate(piv):
-            P[[k, p]] = P[[p, k]]
-        Ps.append(P)
-        Ls.append(np.tril(lu, -1) + np.eye(n))
-        Us.append(np.triu(lu))
-    return tuple(scipy.linalg.block_diag(*X) for X in (Ps, Ls, Us))
-
-
-def factored(A):
-    """The block-diagonal matrix lu_factor factors for a centrosymmetric A: its two halves."""
-    return scipy.linalg.block_diag(*fold_rows(np.array(A[:len(A) - len(A) // 2], dtype=complex),
-                                              np.zeros(len(A)))[0])
-
-
 def fold_solve(A, b):
     """x with A x = b by LAPACK gesv on A's rows as one block, A left unchanged."""
     return solve_blocks(*fold_rows(np.array(A, dtype=complex), b))
@@ -66,50 +46,27 @@ def test_validators_reject_bad_input():
 # LU factorization and solve
 # ---------------------------------------------------------------------------
 
-def test_lu_identity():
-    fact = lu_factor(np.eye(3))
-    P, L, U = unpack(fact)
-    npt.assert_array_equal(P, np.eye(3))
-    npt.assert_array_equal(L, np.eye(3))
-    npt.assert_array_equal(U, np.eye(3))
-
-
-def test_lu_permutation_matrix_pivots():
-    A = np.array([[0.0, 1.0], [2.0, 0.0]])
-    fact = lu_factor(A)  # must pivot, not fail
-    assert len(fact.lu) == 1 and list(fact.piv[0]) == [1, 1]
-    P, L, U = unpack(fact)
-    npt.assert_allclose(P @ A, L @ U)
-
-
 def test_lu_of_a_centrosymmetric_matrix_factors_its_halves():
-    # J itself folds to diag(1, -1); a random J A J = A of odd order to halves of orders 4 and 3
+    # J itself folds to diag(1, -1); a random J A J = A of odd order to halves of orders 4 and 3.
+    # lu_factor's blocks are fold_rows' halves of A's leading rows and lu_solve is their gesv, bit for bit
     rng = np.random.default_rng(5)
     X = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
     for A in (np.array([[0.0, 1.0], [1.0, 0.0]]), X + X[::-1, ::-1]):
-        fact = lu_factor(A)
-        assert [len(lu) for lu in fact.lu] == [(len(A) + 1) // 2, len(A) // 2]
-        P, L, U = unpack(fact)
-        npt.assert_allclose(P @ factored(A), L @ U, atol=1e-13 * np.max(np.abs(A)))
         b = rng.standard_normal(len(A)) + 1j * rng.standard_normal(len(A))
-        npt.assert_allclose(A @ lu_solve(fact, b), b, atol=1e-12)
-        npt.assert_allclose(lu_solve(fact, b), fold_solve(A, b), rtol=1e-12)
-
-
-def test_lu_random_reconstruction():
-    rng = np.random.default_rng(1)
-    A = rng.standard_normal((50, 50)) + 1j * rng.standard_normal((50, 50))
-    A /= np.max(np.abs(A))
-    P, L, U = unpack(lu_factor(A))
-    resid = np.linalg.norm(P @ A - L @ U) / np.linalg.norm(A)
-    assert resid <= 1e-13
+        blocks, loads = fold_rows(np.array(A[:len(A) - len(A) // 2], dtype=complex), b)
+        fact = lu_factor(A)
+        assert [len(H) for H in fact] == [(len(A) + 1) // 2, len(A) // 2]
+        assert all(np.array_equal(H, B) for H, B in zip(fact, blocks, strict=True))
+        x = lu_solve(fact, b)
+        assert np.array_equal(x, solve_blocks(blocks, loads))
+        npt.assert_allclose(A @ x, b, atol=1e-12)
+        npt.assert_allclose(x, fold_solve(A, b), rtol=1e-12)
 
 
 def test_lu_detects_exact_singularity():
-    # the factor-reuse path (scipy getrf) and the one-shot solve (numpy gesv)
-    # must both report the zero pivot
-    factor_or_solve = (lu_factor, lambda A: fold_solve(A, np.ones(len(A))))
-    for call in factor_or_solve:
+    # the explicit-matrix pair and the fold of assembled rows must both report the zero pivot
+    solvers = (lambda A: lu_solve(lu_factor(A), np.ones(len(A))), lambda A: fold_solve(A, np.ones(len(A))))
+    for call in solvers:
         with pytest.raises(SingularMatrixError):
             call(np.zeros((3, 3)))
         with pytest.raises(SingularMatrixError):
@@ -125,6 +82,8 @@ def test_solve_identity_and_diagonal():
     npt.assert_allclose(fold_solve(np.eye(4), np.arange(1.0, 5.0)), np.arange(1.0, 5.0))
     x = fold_solve(np.diag([2.0, 1j]), np.array([2.0, 1j]))
     npt.assert_allclose(x, [1.0, 1.0])
+    x = fold_solve(np.array([[0.0, 1.0], [2.0, 0.0]]), np.array([3.0, 4.0]))     # must pivot, not fail
+    npt.assert_allclose(x, [2.0, 3.0])
 
 
 def test_solve_manufactured_rhs():

@@ -341,14 +341,26 @@ def test_opgm_conditioning_as_kappa_h_shrinks(kappa, expected):
 
 
 def test_solve_path_does_not_import_scipy():
-    # a fresh interpreter: importing the package and the CLI and running a
-    # solve with its condition number must leave scipy unloaded
+    # a fresh interpreter: scipy is not a runtime dependency, so importing
+    # the package and the CLI, a solve with its condition number, the
+    # explicit-matrix solve and cond2, and the CLI's verify command must
+    # all leave it unloaded
     src = str(Path(__file__).resolve().parents[1] / "src")
     code = (
-        "import sys\n"
+        "import io, sys\n"
+        "import numpy as np\n"
         "import oscfred, oscfred.cli\n"
-        "run = oscfred.run_galerkin(oscfred.paper_benchmark(50.0), 'opgm', 8, compute_cond=True)\n"
+        "from oscfred import galerkin, linalg\n"
+        "problem = oscfred.paper_benchmark(50.0)\n"
+        "run = oscfred.run_galerkin(problem, 'opgm', 8, compute_cond=True)\n"
         "assert run.cond > 1 and run.e_N > 0\n"
+        "space = galerkin.TrialSpace.opgm(oscfred.SplineSpace(oscfred.make_uniform_knots(8, 2)), 50.0)\n"
+        "M = galerkin.assemble_mass(space) - galerkin.assemble_operator(space, problem.kernel)\n"
+        "b = galerkin.assemble_rhs(space, problem.rhs)\n"
+        "x = linalg.lu_solve(linalg.lu_factor(M), b)\n"
+        "assert np.linalg.norm(M @ x - b) <= 1e-12 * np.linalg.norm(b)\n"
+        "assert linalg.cond2(M) > 1\n"
+        "assert oscfred.cli.run_verify(io.StringIO()) == 0\n"
         "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
         "assert not loaded, loaded[:5]\n"
     )
