@@ -111,7 +111,9 @@ class SplineSpace:
     knot span [knots[j], knots[j + order]].  On any cell exactly ``order``
     basis functions are nonzero, with indices c..c+order-1 for cell c.
     ``pieces`` (read-only, shape (num_cells, order, order)) holds the exact
-    polynomial pieces of those functions on every cell; all state is
+    polynomial pieces of those functions on every cell: ``pieces[c, r]``
+    are the ascending coefficients of B_{c+r} in the local coordinate x,
+    where s = mid + half*x on cell c and x in [-1, 1].  All state is
     immutable after construction.
     """
 
@@ -177,23 +179,10 @@ class SplineSpace:
         out = np.where(alive, np.take_along_axis(vals, np.where(alive, r, 0)[:, None], 1)[:, 0], 0.0)
         return float(out[0]) if np.ndim(s) == 0 else out
 
-    # -- exact polynomial pieces --------------------------------------------
+    # -- cells ----------------------------------------------------------------
     def cell_bounds(self, c: int) -> tuple[float, float]:
         z = self.knots.breakpoints
         return float(z[c]), float(z[c + 1])
-
-    def cell_mid_half(self, c: int) -> tuple[float, float]:
-        zl, zr = self.cell_bounds(c)
-        return 0.5 * (zl + zr), 0.5 * (zr - zl)
-
-    def cell_pieces(self, c: int) -> np.ndarray:
-        """(order, order) coefficient rows of basis functions c..c+order-1 on cell c.
-
-        Row r holds ascending monomial coefficients in the normalized local
-        coordinate x, where s = mid + half*x and x in [-1, 1]; a view of
-        :attr:`pieces`.
-        """
-        return self.pieces[c]
 
     def cells_of_basis(self, j: int) -> range:
         """Indices of the cells on which basis function j is not identically zero."""
@@ -234,31 +223,26 @@ def _cell_pieces(knots: KnotVector) -> np.ndarray:
 
 
 def gram_matrix(space: SplineSpace) -> np.ndarray:
-    """Gram matrix G[l, j] = int B_l B_j, exact via per-cell Gauss-Legendre.
+    """Gram matrix G[l, j] = int B_l B_j, exact via per-cell Gauss-Legendre on pointwise values.
 
-    The integrand is a polynomial of degree <= 2*order - 2 on every cell,
-    so ``order`` Gauss nodes are exact.  The result is symmetric positive
-    definite and banded with bandwidth order - 1.
+    The basis is evaluated pointwise by :meth:`SplineSpace.eval_nonzero`,
+    not from the polynomial pieces the assembly integrates, so G is an
+    independent check of the assembled mass matrix.  The integrand is a
+    polynomial of degree <= 2*order - 2 on every cell, so ``order`` Gauss
+    nodes are exact.  Each cell's local matrix is symmetrised before it is
+    added in, so G == G.T exactly; G is positive definite and banded with
+    bandwidth order - 1.
     """
     m = space.order
-    d = space.dimension
     x, w = gauss_legendre_rule(m)
-    G = np.zeros((d, d))
-    for c in range(space.knots.num_cells):
-        _, h2 = space.cell_mid_half(c)
-        P = space.cell_pieces(c)
-        vals = np.empty((m, m))
-        for r in range(m):
-            acc = np.zeros_like(x)
-            for ck in P[r, ::-1]:
-                acc = acc * x + ck
-            vals[r] = acc
-        for r1 in range(m):
-            for r2 in range(r1, m):
-                v = h2 * float(np.sum(w * vals[r1] * vals[r2]))
-                G[c + r1, c + r2] += v
-                if r2 != r1:
-                    G[c + r2, c + r1] += v
+    z = space.knots.breakpoints
+    h2 = 0.5 * (z[1:] - z[:-1])[:, None]
+    j0, vals = space.eval_nonzero((0.5 * (z[1:] + z[:-1])[:, None] + h2 * x).ravel())
+    vals = vals.reshape(len(h2), m, m)                      # [cell, node, r]
+    local = np.einsum("cq,cqr,cqs->crs", h2 * w, vals, vals)
+    idx = j0[::m, None] + np.arange(m)
+    G = np.zeros((space.dimension, space.dimension))
+    np.add.at(G, (idx[:, :, None], idx[:, None, :]), 0.5 * (local + local.swapaxes(1, 2)))
     return G
 
 

@@ -65,7 +65,6 @@ from .oscquad import (
     _eval_on,
     _panels,
     _phase_rule,
-    _polyint,
     _polyval,
     _sigma_coeffs,
     _trim,
@@ -779,9 +778,8 @@ def _assemble(space: TrialSpace, kernel: OscKernel | None = None, mass: bool = F
     E - K), block row by block row: side 0 over every block, then side 1
     over l >= i + m through a Toeplitz view of 2d - 1 flags; the central
     diagonals last.  On reflection-symmetric data only the leading
-    ceil(n/2) rows are computed.  E - K is returned as those rows; K has
-    its trailing rows mirrored from them into the n x n result
-    (:func:`_mirror`).
+    ceil(n/2) rows are computed, and :func:`_mirror` fills in what the
+    buffer holds beyond them: E - K is returned as those rows, K as all n.
     """
     d, m, nb = space.block_dim, space.splines.order, len(space.multipliers)
     n = nb * d
@@ -815,21 +813,22 @@ def _assemble(space: TrialSpace, kernel: OscKernel | None = None, mass: bool = F
             keep = i < r
             diagonals, i, j = diagonals[:, keep], i[keep], j[keep]
         rows[i, :, j] = diagonals.T
-    if h < len(A):
-        _mirror(A)
+    if h < n:
+        _mirror(A, n)
     return A
 
 
-def _mirror(A: np.ndarray) -> None:
-    """Overwrite A's trailing rows with its leading rows reversed, so J A J = A exactly.
+def _mirror(A: np.ndarray, n: int) -> None:
+    """Complete the rows A holds of an order-n matrix from its leading ceil(n/2), so J A J = A exactly.
 
-    With E exactly centrosymmetric (see :func:`_mass_band`), this commutes
-    with forming E - K: the trailing rows of E - K are those of E minus
-    the mirrored ones of K, bit for bit.
+    Rows past ceil(n/2), if A has them, become the leading rows reversed,
+    and for odd n the middle row's trailing floor(n/2) entries its leading
+    ones reversed.  With E exactly centrosymmetric (see :func:`_mass_band`),
+    this commutes with forming E - K: every entry of E - K is that of E
+    minus the mirrored one of K, bit for bit.
     """
-    n = A.shape[0]
     k, h = n // 2, n - n // 2
-    A[h:] = A[:k][::-1, ::-1]
+    A[h:] = A[:len(A) - h][::-1, ::-1]
     if h > k:
         A[k, h:] = A[k, :k][::-1]
 
@@ -853,13 +852,10 @@ def assemble_operator(space: TrialSpace, kernel: OscKernel) -> np.ndarray:
 def assemble_leading_rows(space: TrialSpace, kernel: OscKernel) -> np.ndarray:
     """The rows of E - K that determine it: the leading ceil(n/2) on reflection-symmetric data, else all n.
 
-    All n rows are ``assemble_mass - assemble_operator`` bit for bit.  On
-    reflection-symmetric data (:func:`reflection_symmetric`),
-    J (E - K) J = E - K exactly, and the leading rows are its rows bit for
-    bit except, for odd n, the middle row's trailing floor(n/2) entries,
-    which :func:`assemble_operator` mirrors from the leading ones and
-    :func:`oscfred.linalg.fold_rows` does not read.  ``fold_rows`` takes
-    either.
+    The rows are those of ``assemble_mass - assemble_operator`` bit for
+    bit.  On reflection-symmetric data (:func:`reflection_symmetric`),
+    J (E - K) J = E - K exactly, so the leading rows determine it.
+    :func:`oscfred.linalg.fold_rows` takes either.
     """
     _check_kappa(space, kernel.kappa)
     return _assemble(space, kernel, mass=True)
@@ -969,11 +965,6 @@ def convergence_order(e_N: float, e_2N: float) -> float:
 # Closed-form application of the integral operator to structured functions
 # ---------------------------------------------------------------------------
 
-def _times_power(coeffs: np.ndarray, a: int) -> np.ndarray:
-    """Coefficients of s^a times the polynomial ``coeffs``."""
-    return np.concatenate((np.zeros(a, dtype=complex), coeffs))
-
-
 def apply_kernel_structured(kernel: OscKernel, y: StructuredFunction) -> StructuredFunction:
     """Closed-form K y for a polynomial kernel factor and structured y.
 
@@ -1002,28 +993,19 @@ def apply_kernel_structured(kernel: OscKernel, y: StructuredFunction) -> Structu
             if not np.any(row):
                 continue
             pa = np.convolve(_trim(row), w.coeffs)
-            # lower part: e^{i*kappa*s} * int_{-1}^{s} pa(t) e^{i*mu*t} dt
-            mu = (tau - 1) * kappa
-            if mu == 0.0:
-                P = _polyint(pa)
-                poly = P.copy()
-                poly[0] -= _polyval(P, -1.0)
-                pieces.append((1, _times_power(poly, a)))
-            else:
-                sg = _sigma_coeffs(pa, mu)
-                pieces.append((tau, _times_power(sg, a)))
-                pieces.append((1, _times_power(np.array([-np.exp(-1j * mu) * _polyval(sg, -1.0)]), a)))
-            # upper part: e^{-i*kappa*s} * int_{s}^{1} pa(t) e^{i*nu*t} dt
-            nu = (tau + 1) * kappa
-            if nu == 0.0:
-                P = _polyint(pa)
-                poly = -P
-                poly[0] += _polyval(P, 1.0)
-                pieces.append((-1, _times_power(poly, a)))
-            else:
-                sg = _sigma_coeffs(pa, nu)
-                pieces.append((-1, _times_power(np.array([np.exp(1j * nu) * _polyval(sg, 1.0)]), a)))
-                pieces.append((tau, _times_power(-sg, a)))
+            shift = np.zeros(a, dtype=complex)              # times s^a
+            # side t < s is e^{i*kappa*s} int_{-1}^{s} pa(t) e^{i*mu*t} dt, side t > s is
+            # e^{-i*kappa*s} int_{s}^{1} (p = -pa carries its sign); each is F(s) e^{i*tau*kappa*s}
+            # plus a constant times the carrier, -e^{i*mu*end} F(end)
+            for carrier, end, p in ((1, -1.0, pa), (-1, 1.0, -pa)):
+                mu = (tau - carrier) * kappa
+                if mu == 0.0:                               # tau is the carrier: F is an antiderivative
+                    F = np.concatenate(([0.0], p / np.arange(1, len(p) + 1)))
+                    F[0] -= _polyval(F, end)
+                else:
+                    F = _sigma_coeffs(p, mu)
+                    pieces.append((carrier, np.concatenate((shift, [-np.exp(1j * mu * end) * _polyval(F, end)]))))
+                pieces.append((tau, np.concatenate((shift, F))))
     image = StructuredFunction(kappa, pieces)
     for tau, p in image.terms:
         if p.degree > _MAX_AMPLITUDE_DEGREE:

@@ -146,19 +146,6 @@ def _polyval(c: np.ndarray, t):
     return acc
 
 
-def _polyder(c: np.ndarray) -> np.ndarray:
-    if len(c) <= 1:
-        return np.zeros(1, dtype=complex)
-    return c[1:] * np.arange(1, len(c))
-
-
-def _polyint(c: np.ndarray) -> np.ndarray:
-    out = np.empty(len(c) + 1, dtype=complex)
-    out[0] = 0.0
-    out[1:] = c / np.arange(1, len(c) + 1)
-    return out
-
-
 class Polynomial:
     """Dense univariate polynomial with complex coefficients.
 
@@ -222,7 +209,7 @@ def _sigma_coeffs(c: np.ndarray, omega: float) -> np.ndarray:
         out[: len(work)] += work
         if len(work) == 1:
             break
-        work = _polyder(work) * (-inv)
+        work = work[1:] * np.arange(1, len(work)) * (-inv)
     return out
 
 

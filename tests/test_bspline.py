@@ -136,8 +136,9 @@ def test_cell_pieces_match_pointwise_recurrence(m, breakpoints):
     sp = space(5, m) if breakpoints is None else SplineSpace(make_knots(breakpoints, m))
     rng = np.random.default_rng(3)
     for c in range(sp.knots.num_cells):
-        s0, h2 = sp.cell_mid_half(c)
-        P = sp.cell_pieces(c)
+        zl, zr = sp.cell_bounds(c)
+        s0, h2 = 0.5 * (zl + zr), 0.5 * (zr - zl)
+        P = sp.pieces[c]
         for x in rng.uniform(-1.0, 1.0, 7):
             s = s0 + h2 * x
             for r in range(m):
@@ -214,9 +215,9 @@ def test_gram_symmetric_positive_definite(m):
     assert np.min(np.linalg.eigvalsh(G)) > 0
 
 
-@pytest.mark.parametrize("N,m", [(2, 2), (5, 3), (8, 2)])
+@pytest.mark.parametrize("N,m", [(2, 2), (5, 3), (8, 2), pytest.param(None, 3, id="nonuniform-3")])
 def test_gram_matches_midpoint_bruteforce(N, m):
-    sp = space(N, m)
+    sp = space(N, m) if N is not None else SplineSpace(make_knots(NONUNIFORM_BREAKPOINTS, m))
     d = sp.dimension
     n_panels = 10_000
     mids = -1.0 + (np.arange(n_panels) + 0.5) * (2.0 / n_panels)

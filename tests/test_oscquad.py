@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from oscfred.oscquad import (
     Polynomial,
-    _polyder,
     _sigma_coeffs,
     _unit_moments,
     _zero_moments,
@@ -88,7 +87,7 @@ def test_sigma_polynomial_is_antiderivative_factor():
     p = Polynomial([1.0, -0.5, 2.0])
     omega = 3.0
     sg = Polynomial(_sigma_coeffs(p.coeffs, omega))
-    q = Polynomial(_polyder(sg.coeffs)) + Polynomial(sg.coeffs * (1j * omega))
+    q = Polynomial(np.polynomial.polynomial.polyder(sg.coeffs)) + Polynomial(sg.coeffs * (1j * omega))
     npt.assert_allclose(q.coeffs, p.coeffs, atol=1e-14)
 
 
