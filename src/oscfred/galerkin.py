@@ -25,6 +25,8 @@ Assembly is exact (up to roundoff) for polynomial kernel factors and
 structured right-hand sides: the inner t-integral of every entry is split
 at t = s, where the phase has its kink, and each piece collapses to
 polynomial-times-exponential moments whose cost does not depend on kappa.
+Those moments and their regime switches live in :mod:`oscfred.oscquad`;
+this module only assembles them.
 Smooth non-polynomial data is reduced to the same path by Chebyshev
 interpolation (a Filon-type approximation of the amplitude), which keeps
 assembly kappa-independent but requires the data itself to be
@@ -63,13 +65,13 @@ from .oscquad import (
     _as_coeffs,
     _composite_rule,
     _eval_on,
+    _frozen,
     _panels,
-    _phase_rule,
     _polyval,
-    _sigma_coeffs,
+    _sigma_rule,
+    _triangle_moments,
     _trim,
     _unit_moments,
-    _zero_moments,
     oscillatory_quad,
 )
 
@@ -132,6 +134,8 @@ class StructuredFunction:
         items = terms.items() if isinstance(terms, Mapping) else terms
         merged: dict[int, Polynomial] = {}
         for tau, amp in items:
+            if not isinstance(tau, numbers.Integral) or isinstance(tau, bool):
+                raise ValueError(f"carrier index must be an integer, got {tau!r}")
             tau = int(tau)
             if abs(tau) > _STRUCTURE_RANGE:
                 raise ValueError(f"carrier index {tau} outside [-{_STRUCTURE_RANGE}, {_STRUCTURE_RANGE}]")
@@ -148,7 +152,7 @@ class StructuredFunction:
         s = np.asarray(s, dtype=float)
         out = np.zeros(s.shape, dtype=complex) if s.ndim else 0.0 + 0.0j
         for tau, p in self.terms:
-            out = out + p(s) * np.exp(1j * tau * self.kappa * s)
+            out = out + (p(s) * np.exp(1j * tau * self.kappa * s) if tau else p(s))
         return out
 
     def __add__(self, other: "StructuredFunction") -> "StructuredFunction":
@@ -441,13 +445,6 @@ class MeshPlan:
         return band
 
 
-def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The arrays, made read-only: a cache hands them to every caller."""
-    for a in arrays:
-        a.setflags(write=False)
-    return arrays
-
-
 @lru_cache(maxsize=_PLANS)
 def _plan(order: int, knots: bytes) -> MeshPlan:
     return MeshPlan(SplineSpace(KnotVector(order, np.frombuffer(knots))))
@@ -519,97 +516,6 @@ def _band(pairs: np.ndarray) -> np.ndarray:
         for o in range(2 * m - 1):
             band[o, a:a + nc] += cols[a + x0 - m + 1 + o, a]
     return np.moveaxis(band, (0, 1), (-2, -1))
-
-
-@lru_cache(maxsize=None)
-def _collapsed_rule(D: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The collapsed (Duffy) tensor Gauss rule of :func:`_triangle_moments` at degree D - 1 per variable.
-
-    With v = -1 + (u + 1)(y + 1)/2 the triangle -1 <= v <= u <= 1 is the
-    square in (u, y), and dv = (u + 1)/2 dy.  Below the switch both phases
-    are under T = max(1, D - 1), so the u-integrand has degree 2D - 1 and
-    total phase under 4T, and the y-integrand degree D - 1 and total phase
-    under 2T.  Returns u[i], v[i, j], Up[a, i] = weight_i (u_i + 1)/2 u_i^a
-    and Vp[i, j, b] = weight_j v_ij^b.  Callers must not mutate them.
-    """
-    T = max(1.0, D - 1.0)
-    u, wu = _phase_rule(2 * D - 1, 4.0 * T)
-    y, wy = _phase_rule(D - 1, 2.0 * T)
-    v = -1.0 + np.outer(u + 1.0, y + 1.0) / 2.0
-    rule = (u, v, (wu * (u + 1.0) / 2.0) * u ** np.arange(D)[:, None],
-            (wy[:, None] * v[..., None] ** np.arange(D)).astype(complex))
-    for a in rule:
-        a.setflags(write=False)
-    return rule
-
-
-@lru_cache(maxsize=None)
-def _sigma_rule(D: int) -> tuple[np.ndarray, ...]:
-    """The degree-fixed tables of :func:`_triangle_moments` at D = max(A, B).
-
-    ratio[b, n] = (-1)^(b-n) b!/n! (0 for n > b) and its power index
-    power[b, n] = max(b - n, 0) + 1, so s_b[n] = ratio (i*lt)^-power;
-    sign[b] = (-1)^b, flip[a, b] = (-1)^(a+b), the window index
-    window[a, n] = a + n into the 1-d moments, and mu(0, 0), the limit
-    both regimes share, (Z[a+b+1] + (-1)^b Z[a]) / (b+1) with
-    Z[k] = int_{-1}^{1} x^k dx (:func:`_zero_moments`).  Callers must not
-    mutate them.
-    """
-    b = np.arange(D)
-    k = b[:, None] - b                                      # [b, n] = b - n
-    fact = np.array([math.factorial(i) for i in b], dtype=float)
-    window = np.add.outer(b, b)
-    Z = _zero_moments(2 * D - 1)
-    return _frozen(np.where(k >= 0, (-1.0) ** k * fact[:, None] / fact, 0.0), np.maximum(k, 0) + 1,
-                   (-1.0) ** b, (-1.0) ** window, window, (Z[window + 1] + (-1.0) ** b * Z[:D, None]) / (b + 1))
-
-
-def _triangle_moments(ls: np.ndarray, lt: np.ndarray, A: int, B: int) -> np.ndarray:
-    """mu[e, a, b] = int_{-1}^{1} du int_{-1}^{u} u^a v^b e^{i(ls[e]*u + lt[e]*v)} dv.
-
-    Two regimes, each at a cost fixed by D = max(A, B), so it does not
-    depend on the phases.  Once |lt| reaches T = max(1, D - 1), the inner
-    integral g_b(u) = int_{-1}^{u} v^b e^{i*lt*v} dv is its boundary (sigma)
-    expansion e^{i*lt*u} s_b(u) - e^{-i*lt} s_b(-1), with
-    s_b[n] = (-1)^(b-n) (i*lt)^-(b-n+1) b!/n! at most 1/|lt| in size, so mu
-    follows from the 1-d moments of :func:`_unit_moments` at ls + lt and ls.
-    When |ls| reaches T instead, the reflection (u, v) -> (-v, -u) gives
-    mu(ls, lt)[a, b] = (-1)^(a+b) mu(-lt, -ls)[b, a], the same expansion
-    with the phases swapped.  Below T in both, the collapsed Gauss rule of
-    :func:`_collapsed_rule`, except at ls = lt = 0, which takes the exact
-    limit of :func:`_sigma_rule`.  Each row is its own product, so row e
-    does not depend on the rest of the batch.
-    """
-    D = max(A, B)
-    T = max(1.0, D - 1.0)
-    swap = np.abs(lt) < T
-    sigma = ~swap | (np.abs(ls) >= T)
-    zero = (ls == 0) & (lt == 0)
-    gauss = ~(sigma | zero)
-    nsigma = np.count_nonzero(sigma)
-    ratio, power, sign, flip, window, limit = _sigma_rule(D)
-    mu = np.empty((len(ls), D, D), dtype=complex)
-    if nsigma:
-        whole = nsigma == len(ls)                           # the branch covers the batch
-        lu, lv, rev = (ls, lt, swap) if whole else (ls[sigma], lt[sigma], swap[sigma])
-        reflect = np.count_nonzero(rev)
-        if reflect:
-            lu, lv = np.where(rev, -lv, lu), np.where(rev, -lu, lv)
-        s = ratio * (1.0 / (1j * lv))[:, None, None] ** power                  # [e, b, n] = s_b[n]
-        const = -np.exp(-1j * lv)[:, None] * (s @ sign)
-        mom = _unit_moments(np.concatenate([lu + lv, lu]), 2 * D - 2)
-        out = mom[:len(lu), window] @ s.swapaxes(1, 2) + mom[len(lu):, :D, None] * const[:, None, :]
-        if reflect:
-            out[rev] = flip * out[rev].swapaxes(1, 2)
-        if whole:
-            return out[:, :A, :B]
-        mu[sigma] = out
-    mu[zero] = limit
-    if np.count_nonzero(gauss):
-        u, v, Up, Vp = _collapsed_rule(D)
-        G = np.matmul(np.exp(1j * np.multiply.outer(lt[gauss], v))[:, :, None, :], Vp)[:, :, 0]   # [e, i, b]
-        mu[gauss] = (Up * np.exp(1j * np.multiply.outer(ls[gauss], u))[:, None, :]) @ G
-    return mu[:, :A, :B]
 
 
 def _chebfit_cells(func: Callable, s0: np.ndarray, h2: np.ndarray, deg: int) -> np.ndarray:
@@ -969,7 +875,8 @@ def apply_kernel_structured(kernel: OscKernel, y: StructuredFunction) -> Structu
     """Closed-form K y for a polynomial kernel factor and structured y.
 
     Splitting the integral at t = s turns each term w(t) e^{i*tau*kappa*t}
-    into boundary-expansion polynomials, so the image is again structured:
+    into boundary-expansion polynomials (the tables of
+    :func:`oscfred.oscquad._sigma_rule`), so the image is again structured:
     the pieces on each carrier are summed, in the order they arise, by
     :class:`StructuredFunction`.  Raises if the kernel is not polynomial
     or an amplitude degree would exceed 16.
@@ -1003,7 +910,8 @@ def apply_kernel_structured(kernel: OscKernel, y: StructuredFunction) -> Structu
                     F = np.concatenate(([0.0], p / np.arange(1, len(p) + 1)))
                     F[0] -= _polyval(F, end)
                 else:
-                    F = _sigma_coeffs(p, mu)
+                    ratio, power = _sigma_rule(len(p))[:2]
+                    F = p @ (ratio * (1.0 / (1j * mu)) ** power)
                     pieces.append((carrier, np.concatenate((shift, [-np.exp(1j * mu * end) * _polyval(F, end)]))))
                 pieces.append((tau, np.concatenate((shift, F))))
     image = StructuredFunction(kappa, pieces)

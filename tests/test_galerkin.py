@@ -28,7 +28,7 @@ from oscfred.galerkin import (
     relative_error_eN,
     rhs_entry_quadrature,
 )
-from oscfred import galerkin
+from oscfred import galerkin, oscquad
 from oscfred.linalg import lu_factor, lu_solve
 from oscfred.oscquad import oscillatory_quad
 
@@ -91,8 +91,11 @@ def test_structured_function_evaluation_and_algebra():
 
 
 def test_structured_function_carrier_range():
-    with pytest.raises(ValueError):
-        StructuredFunction(5.0, {3: Polynomial([1.0])})
+    # a carrier index is an integer in [-2, 2]: neither truncated (1.5 would read
+    # e^{i*kappa*s}) nor taken from a bool
+    for tau in (3, 1.5, True):
+        with pytest.raises(ValueError):
+            StructuredFunction(5.0, {tau: Polynomial([1.0])})
 
 
 def test_structured_function_kappa_mismatch():
@@ -207,7 +210,7 @@ def test_assemble_matrix_is_mass_minus_operator_exactly(kappa, m, mesh):
 
 
 def collapsed_gauss_reference(ls, lt, A, B):
-    """mu[a, b] of galerkin._triangle_moments by a composite 20-point Gauss rule in (u, y).
+    """mu[a, b] of oscquad._triangle_moments by a composite 20-point Gauss rule in (u, y).
 
     With v = -1 + (u + 1)(y + 1)/2 the triangle -1 <= v <= u <= 1 is the
     square; each axis takes at least 60 + 2(|ls| + |lt|) nodes.
@@ -235,12 +238,12 @@ def test_triangle_moments_match_collapsed_gauss_reference(A, B):
     ls, lt = (a.ravel() for a in np.meshgrid(grid, grid))
     ls = np.append(ls, T * np.array([10.0, -10.0, 0.3]))
     lt = np.append(lt, T * np.array([0.0, 0.3, -10.0]))
-    mu = galerkin._triangle_moments(ls, lt, A, B)
+    mu = oscquad._triangle_moments(ls, lt, A, B)
     scale = 2.0 / (np.add.outer(np.arange(A), np.arange(B)) + 1)
     for e in range(len(ls)):
         err = np.abs(mu[e] - collapsed_gauss_reference(ls[e], lt[e], A, B)) / scale
         assert np.max(err) <= 1e-12, (ls[e], lt[e])
-        assert np.array_equal(mu[e], galerkin._triangle_moments(ls[e:e + 1], lt[e:e + 1], A, B)[0])
+        assert np.array_equal(mu[e], oscquad._triangle_moments(ls[e:e + 1], lt[e:e + 1], A, B)[0])
 
 
 @pytest.mark.parametrize("A, B", [(1, 1), (2, 2), (3, 5), (6, 3), (10, 10), (20, 20)])
@@ -255,15 +258,15 @@ def test_triangle_moments_at_zero_phases_are_the_exact_limit(A, B):
     scale = 2.0 / (np.add.outer(np.arange(A), np.arange(B)) + 1)
     T = max(1.0, max(A, B) - 1.0)
     for ls, lt in (([0.0], [0.0]), ([0.5 * T, 0.0, 0.0], [0.0, 0.0, -0.0]), ([3.0 * T, 0.0], [T, 0.0])):
-        mu = galerkin._triangle_moments(np.array(ls), np.array(lt), A, B)[-1]
+        mu = oscquad._triangle_moments(np.array(ls), np.array(lt), A, B)[-1]
         assert np.max(np.abs(mu - exact) / scale) <= 1e-15
         assert max(A, B) > 10 or np.max(np.abs(mu - ref) / scale) <= 1e-14
 
 
 @pytest.mark.parametrize("D", [1, 2, 5, 20])
 def test_sigma_rule_tables_are_read_only(D):
-    rule = galerkin._sigma_rule(D)
-    assert rule is galerkin._sigma_rule(D)
+    rule = oscquad._sigma_rule(D)
+    assert rule is oscquad._sigma_rule(D)
     assert not any(t.flags.writeable for t in rule)
 
 

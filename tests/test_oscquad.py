@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 
 from oscfred.oscquad import (
     Polynomial,
-    _sigma_coeffs,
+    _sigma_rule,
+    _triangle_moments,
     _unit_moments,
     _zero_moments,
     gauss_legendre_rule,
     oscillatory_quad,
 )
+from test_galerkin import collapsed_gauss_reference
 
 
 def osc_ref(c, a, b, omega):
@@ -82,13 +84,16 @@ def test_polynomial_arithmetic():
 # sigma expansions
 # ---------------------------------------------------------------------------
 
+def sigma_residual(c, omega):
+    """F' + i*omega*F - p for F = sigma[p] from the tables of _sigma_rule: zero up to roundoff."""
+    ratio, power = _sigma_rule(len(c))[:2]
+    F = c @ (ratio * (1.0 / (1j * omega)) ** power)
+    return np.append(F[1:] * np.arange(1, len(F)), 0.0) + 1j * omega * F - c
+
+
 def test_sigma_polynomial_is_antiderivative_factor():
     # d/dt [e^{iwt} sigma[p](t)] = p(t) e^{iwt}
-    p = Polynomial([1.0, -0.5, 2.0])
-    omega = 3.0
-    sg = Polynomial(_sigma_coeffs(p.coeffs, omega))
-    q = Polynomial(np.polynomial.polynomial.polyder(sg.coeffs)) + Polynomial(sg.coeffs * (1j * omega))
-    npt.assert_allclose(q.coeffs, p.coeffs, atol=1e-14)
+    npt.assert_allclose(sigma_residual(np.array([1.0, -0.5, 2.0], dtype=complex), 3.0), 0.0, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -163,3 +168,51 @@ def test_unit_moments_rows_do_not_depend_on_the_batch(K, f, sign):
     M = _unit_moments(w, K)
     for i in range(len(w)):
         assert np.array_equal(M[i], _unit_moments(w[i:i + 1], K)[0]), (K, w[i])
+
+
+# ---------------------------------------------------------------------------
+# the moment kernel across its regime switches
+# ---------------------------------------------------------------------------
+
+SWITCH_FACTORS = (0.0, 1.0 - 1e-9, 1.0 + 1e-9, 0.9, 1.1)   # an exact zero, 1e-9 and 10% either side
+
+
+def near(*switches):
+    """A phase of either sign at an exact zero or near one of the switches."""
+    return st.builds(lambda f, x, sign: sign * f * x, st.sampled_from(SWITCH_FACTORS),
+                     st.sampled_from(switches), st.sampled_from((-1.0, 1.0)))
+
+
+@st.composite
+def moment_cases(draw):
+    """(A, B, ls, lt, rates, c, omega): the triangle degrees, phase pairs with their reflections, unit
+    rates at the switch of degree 2D - 2 (the triangles' sigma branch), and a polynomial with |omega| >= its degree."""
+    D = draw(st.integers(1, 6))
+    other = draw(st.integers(1, D))
+    A, B = draw(st.sampled_from([(D, other), (other, D)]))
+    T, S = max(1.0, D - 1.0), max(0.5, 2 * D - 2)           # the triangles' switch and the unit moments'
+    pairs = draw(st.lists(st.tuples(near(T, S), near(T, S)), min_size=1, max_size=4))
+    ls = np.array([u for u, _ in pairs] + [-v for _, v in pairs] + [0.0])   # (ls, lt), (-lt, -ls), (0, 0)
+    lt = np.array([v for _, v in pairs] + [-u for u, _ in pairs] + [0.0])
+    rates = np.array(draw(st.lists(near(S), min_size=1, max_size=3)) + [0.0])
+    part = st.floats(-1.0, 1.0)
+    c = np.array(draw(st.lists(st.builds(complex, part, part), min_size=1, max_size=17)))
+    omega = draw(st.sampled_from((-1.0, 1.0))) * max(1, len(c) - 1) * draw(st.floats(1.0, 1e3))
+    return A, B, ls, lt, rates, c, omega
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=moment_cases())
+def test_moment_kernel_matches_its_references_at_every_switch(case):
+    A, B, ls, lt, rates, c, omega = case
+    mu = _triangle_moments(ls, lt, A, B)
+    scale = 2.0 / (np.add.outer(np.arange(A), np.arange(B)) + 1)
+    for e in range(len(ls)):
+        assert np.max(np.abs(mu[e] - collapsed_gauss_reference(ls[e], lt[e], A, B)) / scale) <= 1e-12, (ls[e], lt[e])
+        assert np.array_equal(mu[e], _triangle_moments(ls[e:e + 1], lt[e:e + 1], A, B)[0])
+    K = 2 * max(A, B) - 2
+    M = _unit_moments(rates, K)
+    for e, w in enumerate(rates):
+        for k in range(K + 1):
+            assert abs(M[e, k] - oscillatory_quad(lambda x: x**k * np.exp(1j * w * x), -1.0, 1.0, w)) <= 1e-13, (w, k)
+    assert np.max(np.abs(sigma_residual(c, omega))) <= 1e-13 * max(1.0, np.max(np.abs(c)))
