@@ -249,6 +249,6 @@ def gram_matrix(space: SplineSpace) -> np.ndarray:
 def max_error_on_grid(f: Callable, approx: Callable, n: int) -> float:
     """max_j |f(s_j) - approx(s_j)| over the uniform closed n-point grid of [-1, 1]."""
     s = np.linspace(-1.0, 1.0, n)
-    fv = np.asarray(f(s)) if callable(f) else np.asarray(f)
+    fv = np.asarray(f(s))
     av = np.asarray(approx(s))
     return float(np.max(np.abs(fv - av)))

@@ -273,10 +273,12 @@ def main(argv=None) -> int:
         return run_verify()
     command, header = _COMMANDS[args.command]
     try:
-        _check(args)
-        rows, code = command(args)
-        _emit(rows, header, args)
-    except (OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
+        # an overflow or NaN in the numerics is bad input too: raise it, rather than warn and go on
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            _check(args)
+            rows, code = command(args)
+            _emit(rows, header, args)
+    except (OSError, ValueError, FloatingPointError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     return code

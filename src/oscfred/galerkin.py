@@ -117,6 +117,11 @@ _PLANS = 2          # meshes whose kappa-independent tables stay cached (see mes
 # Domain types
 # ---------------------------------------------------------------------------
 
+def _check_kappa(a: float, b: float) -> None:
+    if not math.isclose(a, b, rel_tol=1e-12):
+        raise ValueError(f"wavenumber mismatch: {a} against {b}")
+
+
 class StructuredFunction:
     """Finite sum  sum_tau w_tau(s) e^{i*tau*kappa*s}  with polynomial amplitudes.
 
@@ -171,8 +176,7 @@ class StructuredFunction:
     def _check_compatible(self, other: "StructuredFunction") -> None:
         if not isinstance(other, StructuredFunction):
             raise TypeError("expected a StructuredFunction")
-        if not math.isclose(self.kappa, other.kappa, rel_tol=1e-12):
-            raise ValueError("structured functions carry different wavenumbers")
+        _check_kappa(self.kappa, other.kappa)
 
     def __repr__(self) -> str:
         taus = [t for t, _ in self.terms]
@@ -252,7 +256,7 @@ class TrialSpace:
     def __post_init__(self):
         if not (math.isfinite(self.kappa) and self.kappa > 0):
             raise ValueError("wavenumber must be positive and finite")
-        eps = tuple(int(e) for e in self.multipliers if isinstance(e, numbers.Integral))
+        eps = tuple(int(e) for e in self.multipliers if isinstance(e, numbers.Integral) and not isinstance(e, bool))
         if len(eps) != len(self.multipliers) or len(set(eps)) != len(eps) or not eps:
             raise ValueError("multipliers must be a nonempty set of distinct integers")
         object.__setattr__(self, "multipliers", eps)
@@ -288,10 +292,6 @@ class DiscreteSystem:
         """E - K, formed on first access and kept read-only: copy it before any in-place routine."""
         M, = _frozen(self.mass - self.operator)
         return M
-
-    @property
-    def order(self) -> int:
-        return self.mass.shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -540,11 +540,6 @@ def _chebfit_cells(func: Callable, s0: np.ndarray, h2: np.ndarray, deg: int) -> 
 # Assembly
 # ---------------------------------------------------------------------------
 
-def _check_kappa(space: TrialSpace, kappa: float) -> None:
-    if not math.isclose(space.kappa, kappa, rel_tol=1e-12):
-        raise ValueError(f"wavenumber mismatch: trial space has {space.kappa}, data has {kappa}")
-
-
 class _Layout:
     """The rates and index arrays of one multiplier set, built by :func:`_layout`.
 
@@ -751,7 +746,7 @@ def assemble_operator(space: TrialSpace, kernel: OscKernel) -> np.ndarray:
     comes in closed form from batched moments whose cost does not depend
     on kappa (see :func:`_operator_parts`).
     """
-    _check_kappa(space, kernel.kappa)
+    _check_kappa(space.kappa, kernel.kappa)
     return _assemble(space, kernel)
 
 
@@ -761,9 +756,9 @@ def assemble_leading_rows(space: TrialSpace, kernel: OscKernel) -> np.ndarray:
     The rows are those of ``assemble_mass - assemble_operator`` bit for
     bit.  On reflection-symmetric data (:func:`reflection_symmetric`),
     J (E - K) J = E - K exactly, so the leading rows determine it.
-    :func:`oscfred.linalg.fold_rows` takes either.
+    :func:`oscfred.linalg.lu_factor` takes either.
     """
-    _check_kappa(space, kernel.kappa)
+    _check_kappa(space.kappa, kernel.kappa)
     return _assemble(space, kernel, mass=True)
 
 
@@ -795,7 +790,7 @@ def assemble_rhs(space: TrialSpace, f) -> np.ndarray:
     cells = mesh_plan(space.splines.knots).cells
     s0, h2 = cells[:2]
     if isinstance(f, StructuredFunction):
-        _check_kappa(space, f.kappa)
+        _check_kappa(space.kappa, f.kappa)
         if not f.terms:
             return np.zeros(space.dimension, dtype=complex)
         taus = np.array([tau for tau, _ in f.terms])
@@ -889,8 +884,7 @@ def apply_kernel_structured(kernel: OscKernel, y: StructuredFunction) -> Structu
     """
     if not kernel.is_polynomial:
         raise ValueError("closed-form operator application needs a polynomial kernel factor")
-    if not math.isclose(kernel.kappa, y.kappa, rel_tol=1e-12):
-        raise ValueError("kernel and structured function carry different wavenumbers")
+    _check_kappa(kernel.kappa, y.kappa)
     C = kernel.coefficient_matrix()
     kappa = kernel.kappa
     pieces: list[tuple[int, np.ndarray]] = []

@@ -8,27 +8,22 @@ SVD flops, so a folded solve with its condition number costs about a
 quarter of the unfolded one.  Any other matrix is the single block
 ``(A,)`` and runs through the same calls.
 
-* :func:`fold_rows` / :func:`unfold` -- the blocks of A x = b from the
-  rows of A that assembly computes: the halves, written in place into A's
-  leading ceil(n/2) rows, or all n rows as one block; and the map of the
-  blocks' solutions back to x;
-* :func:`solve_blocks` -- partial-pivoted LU solve, ``np.linalg.solve``
-  (LAPACK ``gesv``), on each of :func:`fold_rows`'s blocks;
+* :func:`lu_factor` -- the blocks of A x = b, from a square A or from the
+  leading ceil(n/2) rows of a centrosymmetric A that assembly computes,
+  folded in place;
+* :func:`lu_solve` -- partial-pivoted LU solve, ``np.linalg.solve``
+  (LAPACK ``gesv``), on each block, and the map of the blocks' solutions
+  back to x;
 * :func:`cond2_blocks` -- exact 2-norm condition number sigma_max/sigma_min
   from the singular values, ``np.linalg.svd(compute_uv=False)`` (LAPACK
-  ``gesdd`` without vectors), over :func:`fold_rows`'s blocks; :func:`cond2`
-  over the blocks of one explicit matrix;
-* :func:`lu_factor` / :func:`lu_solve` -- the same fold and ``gesv`` on an
-  explicit matrix.
+  ``gesdd`` without vectors), over the same blocks; :func:`cond2` over the
+  blocks of one square matrix.
 
-:func:`cond2` and :func:`lu_factor` take a whole matrix assembled outside
-the solve path (criterion 7b's Gram matrix, the benchmark's traced solve)
-and test it for exact centrosymmetry themselves.  numpy's LAPACK is the
-only one the package calls.
-
-Matrices and vectors are plain complex ndarrays; the validators below
-enforce the construction invariants (shape, finiteness) at the public
-entry points.
+A square matrix is tested for exact centrosymmetry, so one assembled
+outside the solve path (criterion 7b's Gram matrix, the benchmark's traced
+solve) is folded as well.  numpy's LAPACK is the only one the package
+calls.  Matrices and vectors are plain complex ndarrays, checked for shape
+and finiteness at the entry points.
 """
 
 from __future__ import annotations
@@ -37,18 +32,8 @@ import math
 
 import numpy as np
 
-__all__ = [
-    "SingularMatrixError",
-    "as_complex_matrix",
-    "as_complex_vector",
-    "cond2",
-    "cond2_blocks",
-    "fold_rows",
-    "lu_factor",
-    "lu_solve",
-    "solve_blocks",
-    "unfold",
-]
+__all__ = ["SingularMatrixError", "cond2", "cond2_blocks", "lu_factor", "lu_solve"]
+
 
 class SingularMatrixError(np.linalg.LinAlgError):
     """Raised when a zero pivot survives partial pivoting.
@@ -58,38 +43,24 @@ class SingularMatrixError(np.linalg.LinAlgError):
     """
 
 
-def as_complex_matrix(A) -> np.ndarray:
+_SINGULAR = "exactly singular matrix: zero pivot after partial pivoting"
+
+
+def _square(A) -> np.ndarray:
     M = np.asarray(A, dtype=complex)
-    if M.ndim != 2 or M.shape[0] < 1 or M.shape[1] < 1:
-        raise ValueError(f"expected a 2-d matrix with positive dimensions, got shape {M.shape}")
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or len(M) < 1:
+        raise ValueError(f"expected a square matrix of positive order, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
         raise ValueError("matrix entries must be finite")
     return M
 
 
-def as_complex_vector(b) -> np.ndarray:
+def _matching_vector(n: int, b) -> np.ndarray:
     v = np.asarray(b, dtype=complex)
-    if v.ndim != 1 or len(v) < 1:
-        raise ValueError(f"expected a 1-d vector of positive length, got shape {v.shape}")
+    if v.shape != (n,):
+        raise ValueError(f"dimension mismatch: matrix is {n}x{n}, vector has shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ValueError("vector entries must be finite")
-    return v
-
-
-_SINGULAR = "exactly singular matrix: zero pivot after partial pivoting"
-
-
-def _square(A) -> np.ndarray:
-    M = as_complex_matrix(A)
-    if M.shape[0] != M.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {M.shape}")
-    return M
-
-
-def _matching_vector(n: int, b) -> np.ndarray:
-    v = as_complex_vector(b)
-    if len(v) != n:
-        raise ValueError(f"dimension mismatch: matrix is {n}x{n}, vector has length {len(v)}")
     return v
 
 
@@ -105,7 +76,7 @@ _FOLD_CHUNK_BYTES = 1 << 15
 
 
 def _halves(M: np.ndarray) -> tuple[np.ndarray, ...]:
-    """:func:`fold_rows`'s halves, made in place in M[:ceil(n/2)], n = M.shape[1]; later rows are not read.
+    """:func:`lu_factor`'s halves, made in place in M[:ceil(n/2)], n = M.shape[1]; later rows are not read.
 
     The rows of B go in chunks of about 32 KiB (at least 8 rows) through a
     contiguous work array holding B, CJ and the even half's rows in turn; a
@@ -152,27 +123,39 @@ def _split(v: np.ndarray, blocks: tuple[np.ndarray, ...]) -> tuple[np.ndarray, .
 
 
 def lu_factor(A) -> tuple[np.ndarray, ...]:
-    """The checked blocks of a square matrix A, for one :func:`lu_solve`: the halves of a centrosymmetric A, else ``(A,)``.
+    """The checked blocks of A x = b for :func:`lu_solve`, from a square A or the leading rows of a centrosymmetric one.
 
-    No factor is kept for reuse; the blocks are what :func:`cond2` takes
-    and what :func:`fold_rows` gives from A's leading rows.  Only the
-    benchmark's traced solve and a test helper call this pair, once per
-    system; ROADMAP item 1 deletes it when the harness reads
-    ``GalerkinRun.stages``.
+    A square A is not written: the halves of a copy of its leading rows
+    when it is exactly centrosymmetric, else the single block ``(A,)``.
+    An array of shape (ceil(n/2), n), n >= 2, is the leading rows of an A
+    that is centrosymmetric by construction, as
+    :func:`oscfred.galerkin.assemble_leading_rows` gives them.  For
+    n = 2k or 2k + 1 those rows read [B, c, C] (the column c for odd n
+    only) and, for odd n, row k reads [r, alpha, .].  The orthogonal
+    transform to the vectors (e_i +- e_{n-1-i})/sqrt(2), i < k, and the
+    middle unit vector takes A to diag(even, odd) with
+
+        even = [[B + CJ, sqrt(2) c], [sqrt(2) r, alpha]]   (order n - k)
+        odd  = B - CJ                                       (order k)
+
+    The halves are written over the rows, even over [B, c] and odd over
+    C, and returned as views: a complex128 array is overwritten, any other
+    is converted first and left unchanged.  Every block is checked to be
+    finite; any other shape raises ValueError.  No factor is kept for
+    reuse: :func:`lu_solve` runs gesv on the blocks, and
+    :func:`cond2_blocks` takes the same blocks.
     """
-    return _blocks(_square(A))
+    M = np.asarray(A, dtype=complex)
+    if M.ndim == 2 and M.shape[0] == M.shape[1] - M.shape[1] // 2 < M.shape[1]:
+        return _halves(M)
+    return _blocks(_square(M))
 
 
 def lu_solve(blocks, b) -> np.ndarray:
-    """x with A x = b from ``lu_factor(A)``, by :func:`solve_blocks` (gesv); SingularMatrixError on a zero pivot."""
+    """x with A x = b from ``lu_factor(A)``: gesv on each block; SingularMatrixError on a zero pivot."""
     v = _matching_vector(sum(len(H) for H in blocks), b)
-    return solve_blocks(blocks, _split(v, blocks))
-
-
-def solve_blocks(blocks, loads) -> np.ndarray:
-    """x from :func:`fold_rows`'s checked blocks, solved as they are (gesv); SingularMatrixError on a zero pivot."""
     try:
-        return unfold([np.linalg.solve(H, w) for H, w in zip(blocks, loads)])
+        return _unfold([np.linalg.solve(H, w) for H, w in zip(blocks, _split(v, blocks))])
     except np.linalg.LinAlgError:
         raise SingularMatrixError(_SINGULAR) from None
 
@@ -195,38 +178,8 @@ def cond2(A) -> float:
     return cond2_blocks(_blocks(_square(A)))
 
 
-def fold_rows(S, b) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """Blocks of A x = b and their loads, from the rows S of A that :func:`oscfred.galerkin.assemble_leading_rows` gives.
-
-    With n = len(b), S is either all n rows of A, the single block
-    ``((S,), (b,))``, or the leading ceil(n/2) rows of an A that is
-    centrosymmetric by construction.  For n = 2k or 2k + 1 those rows read
-    [B, c, C] (the column c for odd n only) and, for odd n, row k reads
-    [r, alpha, .].  The orthogonal transform to the vectors
-    (e_i +- e_{n-1-i})/sqrt(2), i < k, and the middle unit vector takes A
-    to diag(even, odd) with
-
-        even = [[B + CJ, sqrt(2) c], [sqrt(2) r, alpha]]   (order n - k)
-        odd  = B - CJ                                       (order k)
-
-    The halves are written over S, even over [B, c] and odd over C, and
-    returned as views; b is not modified.  So a complex128 S is
-    overwritten, while any other S is converted first, S itself left
-    unchanged.  Each block is checked to be finite.
-    """
-    v, M, n = as_complex_vector(b), np.asarray(S, dtype=complex), len(b)
-    if M.shape == (n, n):
-        blocks = (as_complex_matrix(M),)
-    elif M.shape == (n - n // 2, n):
-        blocks = _halves(M)
-    else:
-        raise ValueError(f"dimension mismatch: a load of length {n} needs all {n} or the leading "
-                         f"{n - n // 2} rows of the matrix, got shape {M.shape}")
-    return blocks, _split(v, blocks)
-
-
-def unfold(xs) -> np.ndarray:
-    """Solution of A x = b from the solutions of :func:`fold_rows`'s halves; a single block's as it is."""
+def _unfold(xs) -> np.ndarray:
+    """Solution of A x = b from the solutions of :func:`lu_factor`'s halves; a single block's as it is."""
     if len(xs) == 1:
         return xs[0]
     even, odd = xs

@@ -1,14 +1,18 @@
 """Tests of the command-line experiment runner."""
 
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import oscfred
 from oscfred import cli, linalg
@@ -239,15 +243,82 @@ def _three_element_coefficient(d):
     d["kernel"]["poly_st"] = [[[1.0, 0.0, 2.0]]]
 
 
-@pytest.mark.parametrize("edit", [_drop_poly_st, _ragged_poly_st, _three_element_coefficient])
-def test_problem_file_schema_errors(tmp_path, capsys, edit):
+def _overflowing_poly_st(d):
+    d["kernel"]["poly_st"] = [[1e308, 1e308], [1e308, -1e308]]
+
+
+def _overflowing_rhs(d):
+    d["rhs"]["terms"][0]["coeffs"] = [1e308, 1e308]
+
+
+# finite entries whose assembly overflows fail as bad input too, not with numpy warnings
+_SCHEMA_ERRORS = [(_drop_poly_st, "poly_st"), (_ragged_poly_st, "poly_st"), (_three_element_coefficient, "poly_st"),
+                  (_overflowing_poly_st, "encountered"), (_overflowing_rhs, "encountered")]
+
+
+@pytest.mark.parametrize("edit, word", _SCHEMA_ERRORS, ids=[edit.__name__ for edit, _ in _SCHEMA_ERRORS])
+def test_problem_file_schema_errors(tmp_path, capsys, edit, word):
     d = problem_to_dict(paper_benchmark(75.0))
     edit(d)
     pfile = tmp_path / "prob.json"
     pfile.write_text(json.dumps(d))
     code = cli.main(["convergence", "--method", "opgm", "--n-levels", "2", "--problem", str(pfile)])
     assert code == cli.EXIT_BAD_CONFIG
-    assert_one_line_error(capsys, "poly_st")
+    assert_one_line_error(capsys, word)
+
+
+def _edited(edit):
+    d = problem_to_dict(paper_benchmark(75.0))
+    edit(d)
+    return d
+
+
+def _slots(node):
+    """Every (container, key) pair inside a JSON value, parents before children."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in list(items):
+        yield node, key
+        yield from _slots(value)
+
+
+_KAPPAS = st.floats(1.0, 1e308, exclude_min=True)
+_COEFFS = st.floats(1e-320, 1e308) | st.floats(-1e308, -1e-320)
+_JUNK = st.sampled_from([None, True, "x", [], {}, [1.0, 2.0, 3.0], -2])
+
+
+@st.composite
+def problem_files(draw):
+    """The paper benchmark's problem file with one to three keys dropped, retyped or redrawn.
+
+    Its own wavenumber stays below 1e300, where paper_benchmark's e^{2i kappa} is finite.
+    """
+    d = problem_to_dict(paper_benchmark(draw(st.floats(1.0, 1e300, exclude_min=True))))
+    for _ in range(draw(st.integers(1, 3))):
+        container, key = draw(st.sampled_from(list(_slots(d))))
+        action = draw(st.sampled_from(("drop", "swap", "redraw")))
+        if action == "drop":
+            del container[key]
+        elif action == "swap":
+            container[key] = draw(_JUNK)
+        else:
+            container[key] = draw(st.integers(-3, 3) if key == "tau" else _KAPPAS if key == "kappa" else _COEFFS)
+    return d
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(d=problem_files())
+@example(d=_edited(_overflowing_poly_st))
+@example(d=_edited(_overflowing_rhs))
+@example(d=_edited(lambda d: d.update(kappa=1e308)))
+def test_any_problem_file_runs_or_fails_in_one_line(tmp_path, d):
+    pfile = tmp_path / "prob.json"
+    pfile.write_text(json.dumps(d))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(["convergence", "--problem", str(pfile), "--n-levels", "2", "--method", "both"])
+    assert code in (cli.EXIT_OK, cli.EXIT_BAD_CONFIG, cli.EXIT_SINGULAR)
+    assert len(err.getvalue().splitlines()) <= 1, err.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +340,9 @@ def test_module_entry_point_runs_a_sweep():
 
 
 def test_module_entry_point_rejects_bad_input_in_one_line():
-    proc = run_module("sweep", "--kappa", "nan")
-    assert proc.returncode == cli.EXIT_BAD_CONFIG
-    assert proc.stdout == ""
-    err = proc.stderr.splitlines()
-    assert len(err) == 1 and err[0].startswith("error:") and "Traceback" not in proc.stderr, proc.stderr
+    for kappa in ("nan", "1e308"):          # 1e308 passes the checks, then overflows in the numerics
+        proc = run_module("sweep", "--kappa", kappa, "--method", "opgm")
+        assert proc.returncode == cli.EXIT_BAD_CONFIG
+        assert proc.stdout == ""
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "Traceback" not in proc.stderr, proc.stderr

@@ -127,7 +127,7 @@ def test_trial_space_keeps_its_multipliers_as_a_tuple_of_ints():
     sp = SplineSpace(make_uniform_knots(3, 2))
     space = TrialSpace(sp, 5.0, np.array([-1, 0, 1]))
     assert space.multipliers == (-1, 0, 1) and all(type(e) is int for e in space.multipliers)
-    for bad in ((), (1, 1), (0.5,), (1.0,), (float("inf"),), ("a",)):
+    for bad in ((), (1, 1), (0.5,), (1.0,), (float("inf"),), ("a",), (True, False), (True,)):
         with pytest.raises(ValueError, match="distinct integers"):
             TrialSpace(sp, 5.0, bad)
 

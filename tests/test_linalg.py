@@ -9,22 +9,12 @@ import pytest
 import scipy.linalg
 
 from oscfred import linalg
-from oscfred.linalg import (
-    SingularMatrixError,
-    as_complex_matrix,
-    as_complex_vector,
-    cond2,
-    cond2_blocks,
-    fold_rows,
-    lu_factor,
-    lu_solve,
-    solve_blocks,
-)
+from oscfred.linalg import SingularMatrixError, cond2, cond2_blocks, lu_factor, lu_solve
 
 
-def fold_solve(A, b):
-    """x with A x = b by LAPACK gesv on A's rows as one block, A left unchanged."""
-    return solve_blocks(*fold_rows(np.array(A, dtype=complex), b))
+def solve(A, b):
+    """x with A x = b by lu_factor/lu_solve."""
+    return lu_solve(lu_factor(A), b)
 
 
 # ---------------------------------------------------------------------------
@@ -33,13 +23,16 @@ def fold_solve(A, b):
 
 def test_validators_reject_bad_input():
     with pytest.raises(ValueError):
-        as_complex_matrix(np.array([1.0, 2.0]))
+        lu_factor(np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
-        as_complex_matrix(np.array([[np.nan, 0], [0, 1]]))
+        cond2(np.array([1.0, 2.0]))
+    for call in (lu_factor, cond2):
+        with pytest.raises(ValueError, match="must be finite"):
+            call(np.array([[np.nan, 0], [0, 1]]))
     with pytest.raises(ValueError):
-        as_complex_vector(np.array([[1.0]]))
-    with pytest.raises(ValueError):
-        as_complex_vector(np.array([np.inf]))
+        lu_solve(lu_factor(np.eye(1)), np.array([[1.0]]))
+    with pytest.raises(ValueError, match="must be finite"):
+        lu_solve(lu_factor(np.eye(1)), np.array([np.inf]))
 
 
 # ---------------------------------------------------------------------------
@@ -48,41 +41,42 @@ def test_validators_reject_bad_input():
 
 def test_lu_of_a_centrosymmetric_matrix_factors_its_halves():
     # J itself folds to diag(1, -1); a random J A J = A of odd order to halves of orders 4 and 3.
-    # lu_factor's blocks are fold_rows' halves of A's leading rows and lu_solve is their gesv, bit for bit
+    # A square A is left unchanged, and its blocks are those of its leading rows folded in place, bit for bit
     rng = np.random.default_rng(5)
     X = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
-    for A in (np.array([[0.0, 1.0], [1.0, 0.0]]), X + X[::-1, ::-1]):
+    for A in (np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex), X + X[::-1, ::-1]):
+        A0 = A.copy()
         b = rng.standard_normal(len(A)) + 1j * rng.standard_normal(len(A))
-        blocks, loads = fold_rows(np.array(A[:len(A) - len(A) // 2], dtype=complex), b)
+        blocks = lu_factor(A[:len(A) - len(A) // 2].copy())
         fact = lu_factor(A)
+        assert np.array_equal(A, A0)
         assert [len(H) for H in fact] == [(len(A) + 1) // 2, len(A) // 2]
         assert all(np.array_equal(H, B) for H, B in zip(fact, blocks, strict=True))
         x = lu_solve(fact, b)
-        assert np.array_equal(x, solve_blocks(blocks, loads))
+        assert np.array_equal(x, lu_solve(blocks, b))
         npt.assert_allclose(A @ x, b, atol=1e-12)
-        npt.assert_allclose(x, fold_solve(A, b), rtol=1e-12)
+        npt.assert_allclose(x, np.linalg.solve(A, b), rtol=1e-12)
 
 
 def test_lu_detects_exact_singularity():
-    # the explicit-matrix pair and the fold of assembled rows must both report the zero pivot
-    solvers = (lambda A: lu_solve(lu_factor(A), np.ones(len(A))), lambda A: fold_solve(A, np.ones(len(A))))
-    for call in solvers:
+    # a whole matrix, folded (zeros) or not, and the leading rows of a folded one report the zero pivot
+    for A in (np.zeros((3, 3)), np.array([[1.0, 2.0], [2.0, 4.0]]), np.zeros((2, 3))):
         with pytest.raises(SingularMatrixError):
-            call(np.zeros((3, 3)))
-        with pytest.raises(SingularMatrixError):
-            call(np.array([[1.0, 2.0], [2.0, 4.0]]))
+            solve(A, np.ones(A.shape[1]))
 
 
 def test_lu_requires_square():
-    with pytest.raises(ValueError):
-        lu_factor(np.ones((2, 3)))
+    # neither square nor the leading ceil(n/2) rows of an n x n matrix
+    for shape in ((3, 2), (1, 3), (0, 0)):
+        with pytest.raises(ValueError):
+            lu_factor(np.ones(shape))
 
 
 def test_solve_identity_and_diagonal():
-    npt.assert_allclose(fold_solve(np.eye(4), np.arange(1.0, 5.0)), np.arange(1.0, 5.0))
-    x = fold_solve(np.diag([2.0, 1j]), np.array([2.0, 1j]))
+    npt.assert_allclose(solve(np.eye(4), np.arange(1.0, 5.0)), np.arange(1.0, 5.0))
+    x = solve(np.diag([2.0, 1j]), np.array([2.0, 1j]))
     npt.assert_allclose(x, [1.0, 1.0])
-    x = fold_solve(np.array([[0.0, 1.0], [2.0, 0.0]]), np.array([3.0, 4.0]))     # must pivot, not fail
+    x = solve(np.array([[0.0, 1.0], [2.0, 0.0]]), np.array([3.0, 4.0]))     # must pivot, not fail
     npt.assert_allclose(x, [2.0, 3.0])
 
 
@@ -90,16 +84,14 @@ def test_solve_manufactured_rhs():
     rng = np.random.default_rng(2)
     A = rng.standard_normal((100, 100)) + 1j * rng.standard_normal((100, 100))
     x_star = rng.standard_normal(100) + 1j * rng.standard_normal(100)
-    x = fold_solve(A, A @ x_star)
+    x = solve(A, A @ x_star)
     assert np.linalg.norm(x - x_star) / np.linalg.norm(x_star) <= 1e-10
 
 
 def test_solve_dimension_mismatch():
-    fact = lu_factor(np.eye(3))
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        lu_solve(fact, np.ones(4))
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        fold_solve(np.eye(3), np.ones(4))
+    for A in (np.eye(3), np.diag([1.0, 2.0, 3.0])):     # folded and whole
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            solve(A, np.ones(4))
 
 
 def test_backward_stable_residuals_many_sizes():
@@ -109,7 +101,7 @@ def test_backward_stable_residuals_many_sizes():
         n = int(rng.integers(2, 301))
         A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        x = fold_solve(A, b)
+        x = solve(A, b)
         resid = np.linalg.norm(A @ x - b)
         bound = 100.0 * n * eps * np.linalg.norm(A, 2) * np.linalg.norm(x)
         assert resid <= bound
@@ -173,9 +165,9 @@ def centrosymmetric(n, seed):
 def test_fold_solves_and_conditions_like_the_whole(n):
     A, b = centrosymmetric(n, n)
     x, c = np.linalg.solve(A, b), cond2(A)
-    blocks, loads = fold_rows(A[:n - n // 2].copy(), b)
+    blocks = lu_factor(A[:n - n // 2].copy())
     assert [M.shape[0] for M in blocks] == ([1] if n == 1 else [(n + 1) // 2, n // 2])
-    y = solve_blocks(blocks, loads)
+    y = lu_solve(blocks, b)
     assert np.linalg.norm(A @ y - b) <= 1e-13 * np.linalg.norm(A, 2) * np.linalg.norm(y)
     npt.assert_allclose(y, x, rtol=1e-12 * c)
     assert cond2_blocks(blocks) == pytest.approx(c, rel=1e-12)
@@ -184,8 +176,9 @@ def test_fold_solves_and_conditions_like_the_whole(n):
 def test_fold_writes_the_halves_into_the_buffer_and_keeps_the_load():
     A, b = centrosymmetric(7, 1)
     b0, rows = b.copy(), A[:4].copy()
-    blocks, _ = fold_rows(rows, b)
+    blocks = lu_factor(rows)
     assert all(np.shares_memory(M, rows) for M in blocks)
+    lu_solve(blocks, b)
     assert np.array_equal(b, b0)
 
 
@@ -195,7 +188,8 @@ def test_fold_reads_only_the_leading_rows(n):
     # changes nothing, and they are the defining formulas bit for bit
     A, b = centrosymmetric(n, n + 100)
     h = n - n // 2
-    blocks, loads = fold_rows(A[:h].copy(), b)
+    blocks = lu_factor(A[:h].copy())
+    loads = linalg._split(b, blocks)
     M = A.copy()
     M[h:] = np.nan
     halves = linalg._halves(M)
@@ -219,7 +213,7 @@ def test_fold_rows_transient_is_a_twentieth_of_the_matrix(n):
     rows = A[:h].copy()
     tracemalloc.start()
     try:
-        blocks, loads = fold_rows(rows, b)
+        blocks = lu_factor(rows)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -233,25 +227,28 @@ def test_fold_rows_transient_is_a_twentieth_of_the_matrix(n):
 
 def test_fold_rows_validates_shape_and_finiteness():
     A, b = centrosymmetric(6, 5)
-    blocks, loads = fold_rows(A, b)             # all n rows: the single block, as it is
-    assert len(blocks) == 1 and blocks[0] is A and loads[0] is b
+    C = A.copy()
+    C[0, 0] += 1.0                              # all n rows of a matrix that is not centrosymmetric
+    blocks = lu_factor(C)                       # the single block, as it is
+    assert len(blocks) == 1 and blocks[0] is C
     S = A.copy()
     S[5, 0] = np.inf
     with pytest.raises(ValueError):
-        fold_rows(S, b)
-    for shape in ((4, 6), (2, 6), (6, 5), (3, 5), (6, 7)):    # neither all 6 rows nor the leading 3
+        lu_factor(S)
+    for shape in ((4, 6), (2, 6), (6, 5), (6, 7)):    # neither square nor the leading ceil(n/2) rows
         with pytest.raises(ValueError):
-            fold_rows(np.ones(shape, dtype=complex), b)
-    with pytest.raises(ValueError):
-        fold_rows(A[:3], b[:5])
+            lu_factor(np.ones(shape, dtype=complex))
+    for rows, load in ((np.ones((3, 5), dtype=complex), b), (A[:3].copy(), b[:5])):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            lu_solve(lu_factor(rows), load)
     S = A[:3].copy()
     S[0, 0] = np.inf
     with pytest.raises(ValueError):
-        fold_rows(S, b)
+        lu_factor(S)
     S = A[:3].copy()
     S[0, 0], S[0, -1] = 1e308, 1e308            # finite rows whose even half overflows
     with np.errstate(over="ignore"), pytest.raises(ValueError):
-        fold_rows(S, b)
+        lu_factor(S)
 
 
 def test_cond2_of_blocks_is_the_block_diagonal_condition():
@@ -264,7 +261,7 @@ def test_cond2_of_blocks_is_the_block_diagonal_condition():
 def test_singular_half_raises():
     # J A J = A with the invertible even half [[2, sqrt(2)], [sqrt(2), 3]] and the odd half B - CJ = 0
     A = np.array([[1.0, 1.0, 1.0], [1.0, 3.0, 1.0], [1.0, 1.0, 1.0]])
-    blocks, loads = fold_rows(A[:2], np.ones(3))
+    blocks = lu_factor(A[:2])
     assert cond2_blocks(blocks) == np.inf
     with pytest.raises(SingularMatrixError):
-        solve_blocks(blocks, loads)
+        lu_solve(blocks, np.ones(3))
