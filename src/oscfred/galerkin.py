@@ -39,13 +39,14 @@ tables, mass, load, shared-cell triangles) takes one batched moment call
 over its rates and distinct cell widths -- a few for a uniform mesh -- and
 one contraction.  Off the 2m - 1 central diagonals of each block, E - K is
 a rank-R product of generators (per-basis sums of the operator's cell
-tables, R the kernel factor's rank), written straight into the one
-buffer, which holds only the leading ceil(n/2) rows on reflection-symmetric
-data; only the central diagonals take single cell pairs.  What depends on
-the mesh alone sits in an immutable :class:`MeshPlan`, shared by the
+tables, R the kernel factor's rank), written straight into the one buffer,
+which holds only the leading ceil(n/2) rows on reflection-symmetric data;
+only the central diagonals take single cell pairs and the shared-cell
+triangles, which read the generators' rank-R cell products.  What depends
+on the mesh alone sits in an immutable :class:`MeshPlan`, shared by the
 solves at every wavenumber.  The quadrature oracles at the bottom of the
-module integrate the defining formulas numerically and exist to
-cross-check the closed forms.
+module integrate the defining formulas numerically and exist to cross-check
+the closed forms.
 """
 
 from __future__ import annotations
@@ -161,22 +162,16 @@ class StructuredFunction:
         return out
 
     def __add__(self, other: "StructuredFunction") -> "StructuredFunction":
-        self._check_compatible(other)
-        terms = list(self.terms) + list(other.terms)
-        return StructuredFunction(self.kappa, terms)
-
-    def __sub__(self, other: "StructuredFunction") -> "StructuredFunction":
-        self._check_compatible(other)
-        terms = list(self.terms) + [(t, -p) for t, p in other.terms]
-        return StructuredFunction(self.kappa, terms)
-
-    def __neg__(self) -> "StructuredFunction":
-        return StructuredFunction(self.kappa, [(t, -p) for t, p in self.terms])
-
-    def _check_compatible(self, other: "StructuredFunction") -> None:
         if not isinstance(other, StructuredFunction):
             raise TypeError("expected a StructuredFunction")
         _check_kappa(self.kappa, other.kappa)
+        return StructuredFunction(self.kappa, list(self.terms) + list(other.terms))
+
+    def __sub__(self, other: "StructuredFunction") -> "StructuredFunction":
+        return self + (-other)
+
+    def __neg__(self) -> "StructuredFunction":
+        return StructuredFunction(self.kappa, [(t, -p) for t, p in self.terms])
 
     def __repr__(self) -> str:
         taus = [t for t, _ in self.terms]
@@ -370,12 +365,22 @@ def _cells(sp: SplineSpace):
     return s0, h2, widths[leads], merged[group], np.ascontiguousarray(np.moveaxis(sp.pieces, 0, -1))
 
 
-def _shift_scale(deg: int, s0: np.ndarray, h2: np.ndarray) -> np.ndarray:
-    """T[k, a, c] = coefficient of x^k in (s0[c] + h2[c]*x)^a: p(s0 + h2*x) = sum_k (p @ T[k]) x^k."""
-    a = np.arange(deg + 1)
+def _to_cells(s0: np.ndarray, h2: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """local[k, l, c] = coefficient of x^k in amp_l(s0 + h2*x) on cell c, amp_l(s) = sum_a coeffs[a, l] s^a."""
+    a = np.arange(len(coeffs))
     binom = np.array([[math.comb(j, k) for j in a] for k in a], dtype=float)
-    s0_powers = np.vander(s0, deg + 1, increasing=True).T[np.maximum(a - a[:, None], 0)]
-    return binom[:, :, None] * s0_powers * np.vander(h2, deg + 1, increasing=True).T[:, None]
+    s0_powers = np.vander(s0, len(a), increasing=True).T[np.maximum(a - a[:, None], 0)]
+    T = binom[:, :, None] * s0_powers * np.vander(h2, len(a), increasing=True).T[:, None]   # [k, a, c]
+    return np.einsum("kac,al->klc", T, coeffs)
+
+
+def _with_pieces(pieces: np.ndarray, local: np.ndarray) -> np.ndarray:
+    """prod[n, l, r, c] = coefficient of x^n in amp_l B_{c+r} on cell c, ``local`` as :func:`_to_cells` gives it."""
+    m, nc = pieces.shape[1:]
+    prod = np.zeros((len(local) + m - 1, local.shape[1], m, nc), dtype=complex)
+    for i in range(m):
+        prod[i:i + len(local)] += local[:, :, None] * pieces[:, i]
+    return prod
 
 
 class MeshPlan:
@@ -464,25 +469,20 @@ def uniform_plan(N: int, m: int) -> MeshPlan:
     return _plan(m, _uniform_knots(N, m).tobytes())
 
 
-def _cell_tables(cells, local: np.ndarray, rates: np.ndarray) -> np.ndarray:
+def _cell_tables(cells, prod: np.ndarray, rates: np.ndarray) -> np.ndarray:
     """V[k, l, r, c] = int_{cell c} amp_l(s) B_{c+r}(s) e^{i*rates[k, l]*s} ds for all k, l, r, c.
 
-    ``local[:, l, c]`` holds the coefficients of amp_l in cell c's local
-    coordinate x (s = s0 + h2*x).  ``rates`` is (K, L), pairing each rate
-    with its amplitude, or (K, 1) for every rate against every amplitude.
-    One moment call covers every (rate, cell width).
+    ``prod`` holds the products amp_l B_{c+r} of :func:`_with_pieces`.
+    ``rates`` is (K, L), pairing each rate with its amplitude, or (K, 1)
+    for every rate against every amplitude.  One moment call covers every
+    (rate, cell width).
     """
-    s0, h2, widths, group, pieces = cells
-    m, nc = pieces.shape[1:]
-    D, L = local.shape[:2]
-    prod = np.zeros((m + D - 1, L, m, nc), dtype=complex)  # [n, l, r, c]: x^n coefficient of amp_l B_{c+r}
-    for i in range(m):
-        prod[i:i + D] += local[:, :, None] * pieces[:, i]
-    mom = _unit_moments(np.multiply.outer(rates, widths).ravel(), m + D - 2)
-    mom = mom.T.reshape((m + D - 1,) + rates.shape + (len(widths),))   # [n, k, l, width]
+    s0, h2, widths, group = cells[:4]
+    mom = _unit_moments(np.multiply.outer(rates, widths).ravel(), len(prod) - 1)
+    mom = mom.T.reshape((len(prod),) + rates.shape + (len(widths),))   # [n, k, l, width]
     if len(widths) > 1:
         mom = mom[..., group]                               # [n, k, l, c]; a single width broadcasts
-    V = sum(mom[n][:, :, None] * prod[n] for n in range(m + D - 1))
+    V = sum(mom[n][:, :, None] * prod[n] for n in range(len(prod)))
     pre = h2 * np.exp(1j * rates[..., None] * s0)
     return pre[:, :, None] * V
 
@@ -591,7 +591,8 @@ def _mass_band(plan: MeshPlan, multipliers: tuple[int, ...], kappa: float) -> np
     rates, at = lay.mass
     m = plan.splines.order
     pieces = plan.cells[4]
-    tables = _cell_tables(plan.cells, pieces.swapaxes(0, 1), rates[:, None] * kappa)     # [k, b, a, c]
+    prod = _with_pieces(pieces, pieces.swapaxes(0, 1))                          # [n, b, a, c]
+    tables = _cell_tables(plan.cells, prod, rates[:, None] * kappa)             # [k, b, a, c]
     local = tables.swapaxes(1, 2)[at]                                           # [q, p, a, b, c]
     pairs = np.zeros((m, 2 * m - 1, m, pieces.shape[-1]) + at.shape, dtype=complex)   # [b, x, a, c, q, p]
     pairs[:, m - 1] = (0.5 * (local + local.swapaxes(2, 3))).transpose(3, 2, 4, 0, 1)
@@ -614,8 +615,8 @@ def _operator_parts(space: TrialSpace, kernel: OscKernel, plan: MeshPlan):
     l <= i - m every cell of B_l lies below every cell of B_i, so entry
     (i, l) of block (q, p) is sum_r x[0, r, q, i] S[0, r, p, l]; likewise
     side 1 when l >= i + m.  The 2m - 1 central diagonals take the cell
-    pairs less than 2m - 1 apart and the shared-cell triangles, which are
-    linear in each cell's coefficient tensor W.
+    pairs less than 2m - 1 apart and the shared-cell triangles, whose tensor
+    W sums over r the cell products phi_r B_{c+j} psi_r B_{c+l} the tables take.
     """
     C = kernel.coefficient_matrix()
     if not np.any(C):
@@ -626,20 +627,25 @@ def _operator_parts(space: TrialSpace, kernel: OscKernel, plan: MeshPlan):
     lay = _layout(space.multipliers)
 
     U, sv, Vh = np.linalg.svd(C, full_matrices=False)
+    if not np.isfinite(sv[0]):
+        raise ValueError("kernel factor poly_st is too large: its largest singular value overflows")
+    k = math.frexp(sv[0])[1] // 2       # phi_r, psi_r carry 2^-k: W's sums stay in range, and 2^k moves no bit
     keep = sv > sv[0] * 1e-15
-    roots = np.sqrt(sv[keep])
+    roots = np.sqrt(sv[keep]) * 2.0 ** -k
     R = len(roots)
-    A0, B0 = C.shape
-    T = _shift_scale(max(A0, B0) - 1, s0, h2)
-    local = np.zeros((max(A0, B0), 2 * R, nc), dtype=complex)
-    local[:A0, :R] = np.einsum("kac,ar->krc", T[:A0, :A0], U[:, keep] * roots)   # phi_r, local coordinates
-    local[:B0, R:] = np.einsum("kbc,br->krc", T[:B0, :B0], Vh[keep].T * roots)   # psi_r
+    coeffs = np.zeros((max(C.shape), 2 * R), dtype=complex)
+    coeffs[:C.shape[0], :R] = U[:, keep] * roots            # phi_r
+    coeffs[:C.shape[1], R:] = Vh[keep].T * roots            # psi_r
+    prod = _with_pieces(P, _to_cells(s0, h2, coeffs))       # [n, r, j, c]
 
     rates, at = lay.sides
-    tables = _cell_tables(plan.cells, local, rates[:, None] * kappa)      # [k, l, r, c]
+    tables = _cell_tables(plan.cells, prod, rates[:, None] * kappa)   # [k, l, r, c]
     X = tables[at[0], :R]                                   # [side, q, r, a, c]
     Y = tables[at[1], R:]                                   # [side, p, r, b, c]
-    gens = (_fold(X).swapaxes(1, 2), _fold(Y).swapaxes(1, 2))
+    gens = (_fold(X).swapaxes(1, 2) * 2.0 ** k, _fold(Y).swapaxes(1, 2) * 2.0 ** k)
+    # shared cells: W[j, l, a, b, c] = coefficient of u^a v^b in 4^-k K(s, t) B_{c+j}(s) B_{c+l}(t) on cell c
+    W = np.einsum("arjc,brlc->jlabc", prod[:, :R], prod[:, R:])
+    del prod                                                # a fitted factor's largest table
 
     # cell pairs (c, c + x - (2m-2)) from side 0 below and side 1 above; the shared cells replace x = 2m-2
     side, shift = plan.pair_index
@@ -652,24 +658,18 @@ def _operator_parts(space: TrialSpace, kernel: OscKernel, plan: MeshPlan):
     for r in range(1, R):
         pairs += Xx[..., r] * Yx[..., r]
 
-    # shared cells: W[rj, rl, a, b, c] = local kernel factor times pieces rj (in u) and rl (in v)
-    Cc = np.einsum("kac,ab,lbc->klc", T[:A0, :A0], C, T[:B0, :B0])
-    W = np.zeros((m, m, A0 + m - 1, B0 + m - 1, nc), dtype=complex)
-    for i in range(m):
-        for j in range(m):
-            W[:, :, i:i + A0, j:j + B0] += P[:, None, i, None, None] * P[None, :, j, None, None] * Cc
-    A, B = W.shape[2:4]
+    A = W.shape[2]
     # the upper triangle (t > s) at phases (ls, lt) is the lower one at (-ls, -lt)
     # under (u, v) -> (-u, -v), with the sign (-1)^(a+b)
     (ls, ils), (lt, ilt) = lay.ls, lay.lt
     mu = _triangle_moments(np.multiply.outer(lay.pairs[0] * kappa, widths).ravel(),
-                           np.multiply.outer(lay.pairs[1] * kappa, widths).ravel(), A, B)
-    mu = mu.reshape(len(ls), len(lt), len(widths), A, B).transpose(0, 1, 3, 4, 2)
-    flip = (-1.0) ** np.add.outer(np.arange(A), np.arange(B))[..., None]
+                           np.multiply.outer(lay.pairs[1] * kappa, widths).ravel(), A, A)
+    mu = mu.reshape(len(ls), len(lt), len(widths), A, A).transpose(0, 1, 3, 4, 2)
+    flip = (-1.0) ** np.add.outer(np.arange(A), np.arange(A))[..., None]
     tri = (mu[ils[0], ilt[0]] + flip * mu[ils[1], ilt[1]])[..., group]   # [q, p, a, b, c]
     pre = h2 * h2 * np.exp(1j * np.multiply.outer(lay.diff * kappa, s0))
     pairs[:, 2 * m - 2] = (np.einsum("jlabc,qpabc->qpjlc", W, tri) * pre[:, :, None, None]).transpose(3, 2, 4, 0, 1)
-    return gens, _band(pairs)
+    return gens, _band(pairs) * 2.0 ** k * 2.0 ** k
 
 
 def _assemble(space: TrialSpace, kernel: OscKernel | None = None, mass: bool = False) -> np.ndarray:
@@ -797,14 +797,14 @@ def assemble_rhs(space: TrialSpace, f) -> np.ndarray:
         coeffs = np.zeros((f.max_degree + 1, len(taus)), dtype=complex)
         for t, (_, w) in enumerate(f.terms):
             coeffs[:w.degree + 1, t] = w.coeffs
-        local = np.einsum("kac,at->ktc", _shift_scale(f.max_degree, s0, h2), coeffs)
+        local = _to_cells(s0, h2, coeffs)
     else:
         if not callable(f):
             raise TypeError("right-hand side must be a StructuredFunction or a callable")
         taus = np.zeros(1, dtype=int)
         local = _chebfit_cells(f, s0, h2, _RHS_FIT_DEGREE)[:, None]
     rates = taus - np.array(space.multipliers)[:, None]     # [q, t]: tau_t - eps_q
-    return _fold(_cell_tables(cells, local, rates * space.kappa).sum(axis=1)).ravel()
+    return _fold(_cell_tables(cells, _with_pieces(cells[4], local), rates * space.kappa).sum(axis=1)).ravel()
 
 
 def eval_solution(space: TrialSpace, a, s):

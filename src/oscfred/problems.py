@@ -79,8 +79,8 @@ def paper_benchmark(kappa: float) -> Problem:
     4*sqrt(7)/7 for every kappa (the oscillatory cross term integrates to
     zero by parity).
     """
-    if not (math.isfinite(kappa) and kappa > 1.0):
-        raise ValueError("wavenumber must be finite and exceed 1")
+    if not (math.isfinite(2.0 * kappa) and kappa > 1.0):   # the load carries e^{2i*kappa}
+        raise ValueError(f"wavenumber must exceed 1 and twice it must be finite, got {kappa!r}")
     k = float(kappa)
     u = 1.0 / k                     # powers of 1/k, not of k, so no coefficient overflows
     eik = np.exp(1j * k)
@@ -137,6 +137,13 @@ class OscProbeFunction:
             raise ValueError("probe index must be 1, 2, or 3")
         if not (math.isfinite(self.kappa) and self.kappa > 0):
             raise ValueError("wavenumber must be positive and finite")
+        try:
+            scale = self.kappa ** (self.index - 1)
+        except OverflowError:
+            scale = math.inf
+        if not 0.0 < scale < math.inf:
+            raise ValueError(f"probe g_{self.index} divides by kappa^{self.index - 1}, "
+                             f"which leaves the float range at kappa = {self.kappa!r}")
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)

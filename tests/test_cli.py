@@ -244,7 +244,8 @@ def _three_element_coefficient(d):
 
 
 def _overflowing_poly_st(d):
-    d["kernel"]["poly_st"] = [[1e308, 1e308], [1e308, -1e308]]
+    # finite entries of rank one whose singular value 2e308 overflows
+    d["kernel"]["poly_st"] = [[1e308, 1e308], [1e308, 1e308]]
 
 
 def _overflowing_rhs(d):
@@ -253,7 +254,7 @@ def _overflowing_rhs(d):
 
 # finite entries whose assembly overflows fail as bad input too, not with numpy warnings
 _SCHEMA_ERRORS = [(_drop_poly_st, "poly_st"), (_ragged_poly_st, "poly_st"), (_three_element_coefficient, "poly_st"),
-                  (_overflowing_poly_st, "encountered"), (_overflowing_rhs, "encountered")]
+                  (_overflowing_poly_st, "singular value"), (_overflowing_rhs, "encountered")]
 
 
 @pytest.mark.parametrize("edit, word", _SCHEMA_ERRORS, ids=[edit.__name__ for edit, _ in _SCHEMA_ERRORS])
@@ -340,8 +341,10 @@ def test_module_entry_point_runs_a_sweep():
 
 
 def test_module_entry_point_rejects_bad_input_in_one_line():
-    for kappa in ("nan", "1e308"):          # 1e308 passes the checks, then overflows in the numerics
-        proc = run_module("sweep", "--kappa", kappa, "--method", "opgm")
+    # 1e308 passes the flag checks, but the load's e^{2i*kappa} overflows; 1e300 squared overflows in g_3
+    for argv in (("sweep", "--kappa", "nan", "--method", "opgm"), ("sweep", "--kappa", "1e308", "--method", "opgm"),
+                 ("table1", "--kappa", "1e300")):
+        proc = run_module(*argv)
         assert proc.returncode == cli.EXIT_BAD_CONFIG
         assert proc.stdout == ""
         err = proc.stderr.splitlines()

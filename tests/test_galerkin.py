@@ -440,14 +440,42 @@ def test_operator_entries_match_oracle_cgm():
             assert abs(K[r, c] - operator_entry_quadrature(cgm, kern, r, c)) <= 1e-10
 
 
-@pytest.mark.parametrize(
-    "knots, kappa", [pytest.param(make_uniform_knots(3, 2), 7.0, id="m2"), *REGIME_MESHES])
-def test_operator_entries_match_oracle_polynomial_kernel(knots, kappa):
+POLY_32 = [[0.5, -0.25], [1.0, 0.0], [0.0, 0.75]]
+
+
+ORACLE_MESHES = [pytest.param(make_uniform_knots(3, 2), 7.0, id="m2"), *REGIME_MESHES]
+
+
+# the 3 x 2 factor and its transpose: the shared cells pad the t degree up to the s degree, then the other way
+@pytest.mark.parametrize("knots, kappa, coeffs", [pytest.param(*p.values, POLY_32, id=p.id) for p in ORACLE_MESHES]
+                         + [pytest.param(*p.values, np.transpose(POLY_32), id=f"{p.id}-transposed")
+                            for p in ORACLE_MESHES])
+def test_operator_entries_match_oracle_polynomial_kernel(knots, kappa, coeffs):
     opgm = TrialSpace.opgm(SplineSpace(knots), kappa)
-    kern = OscKernel.polynomial([[0.5, -0.25], [1.0, 0.0], [0.0, 0.75]], kappa)
+    kern = OscKernel.polynomial(coeffs, kappa)
     K = assemble_operator(opgm, kern)
     for r, c in sampled_entries(opgm, 30, seed=11):
         assert abs(K[r, c] - operator_entry_quadrature(opgm, kern, r, c)) <= 1e-10
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("kappa", [1.5, 75.0, 5e4])
+def test_operator_is_linear_in_a_factor_near_overflow(kappa, m):
+    # the factor reaches -2e308 at s = t = -1, yet no entry does: assembly
+    # forms no sum of its coefficients and contracts the shared cells at a
+    # power-of-two scale, so K(C) = 1e308 K(C / 1e308) to roundoff
+    C = np.array([[1e308, 1e308], [1e308, -1e308]])
+    for space in spaces(8, m, kappa):
+        K = assemble_operator(space, OscKernel.polynomial(C, kappa))
+        ref = 1e308 * assemble_operator(space, OscKernel.polynomial(C / 1e308, kappa))
+        assert np.all(np.isfinite(K))
+        assert np.max(np.abs(K - ref)) <= 2e-15 * np.max(np.abs(ref))
+
+
+def test_operator_rejects_a_factor_whose_singular_value_overflows():
+    kern = OscKernel.polynomial([[1e308, 1e308], [1e308, 1e308]], 75.0)
+    with pytest.raises(ValueError, match="singular value"):
+        assemble_operator(spaces(8, 2, 75.0)[1], kern)
 
 
 def test_operator_smooth_kernel_path():

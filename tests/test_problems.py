@@ -80,6 +80,8 @@ def test_benchmark_consistency_residual():
 def test_benchmark_requires_kappa_above_one():
     with pytest.raises(ValueError):
         paper_benchmark(1.0)
+    with pytest.raises(ValueError):             # finite, but its load's e^{2i*kappa} is not
+        paper_benchmark(1e308)
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +144,8 @@ def test_probe_validation():
         OscProbeFunction(index=4, kappa=10.0)
     with pytest.raises(ValueError):
         OscProbeFunction(index=1, kappa=-1.0)
+    with pytest.raises(ValueError):             # kappa^2 overflows
+        OscProbeFunction(index=3, kappa=1e300)
 
 
 def test_table1_reference_rows():
