@@ -16,12 +16,12 @@ from oscfred import Polynomial, oscillatory_quad
 from oscfred.oscquad import _unit_moments
 
 p = Polynomial([0.5, -1.0, 0.0, 2.0])  # 0.5 - t + 2 t^3
-_unit_moments(np.zeros(1), p.degree)  # builds the cached Gauss rule outside the timings
+_unit_moments(np.ones(1), p.degree())  # a nonzero rate below the switch builds the cached Gauss rule untimed
 
 print("int_{-1}^{1} p(t) e^{i w t} dt")
 for omega in (0.3, 5.0, 300.0, 2e4):
     t0 = time.perf_counter()
-    exact = complex(_unit_moments(np.array([omega]), p.degree)[0] @ p.coeffs)
+    exact = complex(_unit_moments(np.array([omega]), p.degree())[0] @ p.coef)
     dt_exact = time.perf_counter() - t0
     t0 = time.perf_counter()
     ref = oscillatory_quad(lambda t: p(t) * np.exp(1j * omega * t), -1.0, 1.0, omega)

@@ -18,6 +18,8 @@ problems  benchmark problem, manufactured solutions, oscillation experiment
 cli       batch experiment runner (``oscfred`` command)
 """
 
+from numpy.polynomial import Polynomial  # amplitudes of StructuredFunction may be numpy series
+
 from .bspline import (
     KnotVector,
     SplineSpace,
@@ -48,10 +50,7 @@ from .linalg import (
     lu_factor,
     lu_solve,
 )
-from .oscquad import (
-    Polynomial,
-    oscillatory_quad,
-)
+from .oscquad import oscillatory_quad
 from .problems import (
     GalerkinRun,
     OscProbeFunction,

@@ -278,8 +278,9 @@ def main(argv=None) -> int:
             _check(args)
             rows, code = command(args)
             _emit(rows, header, args)
-    except (OSError, ValueError, FloatingPointError) as exc:  # json.JSONDecodeError is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, ValueError, FloatingPointError, MemoryError) as exc:
+        # json.JSONDecodeError is a ValueError; MemoryError: an array too large for the host (a large --order)
+        print(f"error: {exc or type(exc).__name__}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     return code
 

@@ -59,19 +59,19 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+from numpy.polynomial import Polynomial
+from numpy.polynomial import polynomial as npp
+from numpy.polynomial._polybase import ABCPolyBase
+from numpy.polynomial.polyutils import trimseq
 
 from .bspline import KnotVector, SplineSpace, _uniform_knots
 from .oscquad import (
-    Polynomial,
-    _as_coeffs,
     _composite_rule,
     _eval_on,
     _frozen,
     _panels,
-    _polyval,
     _sigma_rule,
     _triangle_moments,
-    _trim,
     _unit_moments,
     oscillatory_quad,
 )
@@ -123,13 +123,29 @@ def _check_kappa(a: float, b: float) -> None:
         raise ValueError(f"wavenumber mismatch: {a} against {b}")
 
 
+def _amplitude(amp) -> np.ndarray:
+    """Power-basis coefficients of an amplitude (sequence or numpy series), as a trimmed complex copy."""
+    if isinstance(amp, ABCPolyBase):
+        # a Polynomial whose domain is its window holds them already; convert() costs about 0.15 ms
+        if not (isinstance(amp, Polynomial) and np.array_equal(amp.domain, amp.window)):
+            amp = amp.convert(kind=Polynomial)
+        amp = amp.coef
+    c = np.array(amp, dtype=complex, ndmin=1)
+    if c.ndim != 1 or not len(c):
+        raise ValueError("amplitude coefficients must be a nonempty one-dimensional sequence")
+    return trimseq(c)
+
+
 class StructuredFunction:
     """Finite sum  sum_tau w_tau(s) e^{i*tau*kappa*s}  with polynomial amplitudes.
 
     This is the closed-form representation of oscillatory data: the
     carriers e^{i*tau*kappa*s} are explicit, the amplitudes are smooth
     polynomials, so all Galerkin integrals against it reduce to exact
-    moments.  At most one term per tau, with tau in [-2, 2].
+    moments.  Amplitudes are power-basis coefficient sequences (ascending)
+    or :mod:`numpy.polynomial` series; ``terms`` holds (tau, trimmed read-only
+    complex array) pairs sorted by tau in [-2, 2], repeated carriers summed
+    and zero amplitudes dropped.
     """
 
     __slots__ = ("kappa", "terms")
@@ -138,27 +154,28 @@ class StructuredFunction:
         if not (math.isfinite(kappa) and kappa > 0):
             raise ValueError("wavenumber must be positive and finite")
         items = terms.items() if isinstance(terms, Mapping) else terms
-        merged: dict[int, Polynomial] = {}
+        merged: dict[int, np.ndarray] = {}
         for tau, amp in items:
             if not isinstance(tau, numbers.Integral) or isinstance(tau, bool):
                 raise ValueError(f"carrier index must be an integer, got {tau!r}")
             tau = int(tau)
             if abs(tau) > _STRUCTURE_RANGE:
                 raise ValueError(f"carrier index {tau} outside [-{_STRUCTURE_RANGE}, {_STRUCTURE_RANGE}]")
-            p = amp if isinstance(amp, Polynomial) else Polynomial(_as_coeffs(amp))
-            merged[tau] = merged[tau] + p if tau in merged else p
+            c = _amplitude(amp)
+            merged[tau] = npp.polyadd(merged[tau], c) if tau in merged else c
         self.kappa = float(kappa)
-        self.terms = tuple(sorted((t, p) for t, p in merged.items() if not p.is_zero()))
+        self.terms = tuple(sorted((t, *_frozen(c)) for t, c in merged.items() if len(c) > 1 or c[0]))
 
     @property
     def max_degree(self) -> int:
-        return max((p.degree for _, p in self.terms), default=0)
+        return max((len(c) - 1 for _, c in self.terms), default=0)
 
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
         out = np.zeros(s.shape, dtype=complex) if s.ndim else 0.0 + 0.0j
-        for tau, p in self.terms:
-            out = out + (p(s) * np.exp(1j * tau * self.kappa * s) if tau else p(s))
+        for tau, c in self.terms:
+            w = npp.polyval(s, c)
+            out = out + (w * np.exp(1j * tau * self.kappa * s) if tau else w)
         return out
 
     def __add__(self, other: "StructuredFunction") -> "StructuredFunction":
@@ -171,7 +188,7 @@ class StructuredFunction:
         return self + (-other)
 
     def __neg__(self) -> "StructuredFunction":
-        return StructuredFunction(self.kappa, [(t, -p) for t, p in self.terms])
+        return StructuredFunction(self.kappa, [(t, -c) for t, c in self.terms])
 
     def __repr__(self) -> str:
         taus = [t for t, _ in self.terms]
@@ -796,7 +813,7 @@ def assemble_rhs(space: TrialSpace, f) -> np.ndarray:
         taus = np.array([tau for tau, _ in f.terms])
         coeffs = np.zeros((f.max_degree + 1, len(taus)), dtype=complex)
         for t, (_, w) in enumerate(f.terms):
-            coeffs[:w.degree + 1, t] = w.coeffs
+            coeffs[:len(w), t] = w
         local = _to_cells(s0, h2, coeffs)
     else:
         if not callable(f):
@@ -893,7 +910,7 @@ def apply_kernel_structured(kernel: OscKernel, y: StructuredFunction) -> Structu
             row = C[a, :]
             if not np.any(row):
                 continue
-            pa = np.convolve(_trim(row), w.coeffs)
+            pa = np.convolve(trimseq(row), w)
             shift = np.zeros(a, dtype=complex)              # times s^a
             # side t < s is e^{i*kappa*s} int_{-1}^{s} pa(t) e^{i*mu*t} dt, side t > s is
             # e^{-i*kappa*s} int_{s}^{1} (p = -pa carries its sign); each is F(s) e^{i*tau*kappa*s}
@@ -901,17 +918,16 @@ def apply_kernel_structured(kernel: OscKernel, y: StructuredFunction) -> Structu
             for carrier, end, p in ((1, -1.0, pa), (-1, 1.0, -pa)):
                 mu = (tau - carrier) * kappa
                 if mu == 0.0:                               # tau is the carrier: F is an antiderivative
-                    F = np.concatenate(([0.0], p / np.arange(1, len(p) + 1)))
-                    F[0] -= _polyval(F, end)
+                    F = npp.polyint(p, lbnd=end)
                 else:
                     ratio, power = _sigma_rule(len(p))[:2]
                     F = p @ (ratio * (1.0 / (1j * mu)) ** power)
-                    pieces.append((carrier, np.concatenate((shift, [-np.exp(1j * mu * end) * _polyval(F, end)]))))
+                    pieces.append((carrier, np.concatenate((shift, [-np.exp(1j * mu * end) * npp.polyval(end, F)]))))
                 pieces.append((tau, np.concatenate((shift, F))))
     image = StructuredFunction(kappa, pieces)
     for tau, p in image.terms:
-        if p.degree > _MAX_AMPLITUDE_DEGREE:
-            raise ValueError(f"amplitude degree {p.degree} on carrier {tau} exceeds the cap {_MAX_AMPLITUDE_DEGREE}")
+        if len(p) - 1 > _MAX_AMPLITUDE_DEGREE:
+            raise ValueError(f"amplitude degree {len(p) - 1} on carrier {tau} exceeds the cap {_MAX_AMPLITUDE_DEGREE}")
     return image
 
 

@@ -16,7 +16,9 @@ Galerkin assembly, whose cost does not depend on the phases:
 A brute-force panelized Gauss-Legendre integrator (:func:`oscillatory_quad`)
 resolves the oscillation node by node and is the independent reference for
 everything else.  One composite rule (:func:`_composite_rule`) builds its
-panels, the operator oracle's and the moments' Gauss rules.
+panels, the operator oracle's and the moments' Gauss rules.  The module
+holds quadrature and moments only: polynomial amplitudes are plain
+coefficient arrays, handled by :mod:`numpy.polynomial.polynomial`.
 
 The boundary form divides by powers of the phase and so loses accuracy as
 the phase falls below the degree; the moments switch to Gauss-Legendre
@@ -28,13 +30,12 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 __all__ = [
     "MAX_GAUSS_NODES",
-    "Polynomial",
     "gauss_legendre_rule",
     "oscillatory_quad",
 ]
@@ -125,81 +126,6 @@ def oscillatory_quad(f: Callable, a: float, b: float, omega: float, *, target: f
         f"oscillatory_quad did not stabilize after {_MAX_DOUBLINGS} doublings "
         f"({panels // 2} panels); integrand rougher than its phase hint?"
     )
-
-
-# ---------------------------------------------------------------------------
-# Polynomial amplitudes
-# ---------------------------------------------------------------------------
-
-def _trim(c: np.ndarray) -> np.ndarray:
-    """Drop trailing exact zeros, keeping at least one coefficient."""
-    n = len(c)
-    while n > 1 and c[n - 1] == 0:
-        n -= 1
-    return c[:n]
-
-
-def _as_coeffs(p) -> np.ndarray:
-    if isinstance(p, Polynomial):
-        return p.coeffs
-    c = np.atleast_1d(np.asarray(p, dtype=complex))
-    if c.ndim != 1:
-        raise ValueError("polynomial coefficients must be one-dimensional")
-    return _trim(c)
-
-
-def _polyval(c: np.ndarray, t):
-    """Horner evaluation; ``t`` may be a scalar or an ndarray."""
-    acc = np.zeros_like(np.asarray(t, dtype=complex)) if np.ndim(t) else 0.0 + 0.0j
-    for ck in c[::-1]:
-        acc = acc * t + ck
-    return acc
-
-
-class Polynomial:
-    """Dense univariate polynomial with complex coefficients.
-
-    Coefficients are stored ascending: ``p(t) = c[0] + c[1] t + ...``.
-    Trailing exact zeros are trimmed on construction, so ``degree`` is
-    meaningful except for the zero polynomial (degree 0 with c = [0]).
-    Instances are immutable; ``+`` and unary ``-`` return new objects.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Sequence[complex] | np.ndarray):
-        c = np.atleast_1d(np.asarray(coeffs, dtype=complex))
-        if c.ndim != 1:
-            raise ValueError("coefficients must be one-dimensional")
-        c = _trim(c.copy())
-        c.setflags(write=False)
-        self.coeffs = c
-
-    # -- basic protocol ----------------------------------------------------
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return len(self.coeffs) == 1 and self.coeffs[0] == 0
-
-    def __call__(self, t):
-        return _polyval(self.coeffs, t)
-
-    def __repr__(self) -> str:
-        return f"Polynomial({np.array2string(self.coeffs, precision=6)})"
-
-    # -- arithmetic ---------------------------------------------------------
-    def __add__(self, other) -> "Polynomial":
-        a, b = self.coeffs, _as_coeffs(other)
-        n = max(len(a), len(b))
-        out = np.zeros(n, dtype=complex)
-        out[: len(a)] += a
-        out[: len(b)] += b
-        return Polynomial(out)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(-self.coeffs)
 
 
 # ---------------------------------------------------------------------------

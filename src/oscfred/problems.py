@@ -22,7 +22,6 @@ from .bspline import max_error_on_grid
 from .galerkin import (
     EN_GRID,
     OscKernel,
-    Polynomial,
     StructuredFunction,
     TrialSpace,
     apply_kernel_structured,
@@ -84,19 +83,16 @@ def paper_benchmark(kappa: float) -> Problem:
     k = float(kappa)
     u = 1.0 / k                     # powers of 1/k, not of k, so no coefficient overflows
     eik = np.exp(1j * k)
-    w_plus = Polynomial([
+    w_plus = [
         0.25 - 0.375 * u**4 + 1j * eik * u,
         0.75j * u**3,
         0.75 * u**2,
         1.0 - 0.5j * u,
         -0.25,
-    ])
-    w_minus = Polynomial([
-        -(np.exp(2j * k) * (-3.0 * u**4 + 6j * u**3 + 6.0 * u**2 - 4j * u) / 8.0 - 1j * eik * u)
-    ])
-    w_zero = Polynomial([1.0 - 2j * u])
-    f = StructuredFunction(k, {1: w_plus, -1: w_minus, 0: w_zero})
-    y = StructuredFunction(k, {0: Polynomial([1.0]), 1: Polynomial([0.0, 0.0, 0.0, 1.0])})
+    ]
+    w_minus = [-(np.exp(2j * k) * (-3.0 * u**4 + 6j * u**3 + 6.0 * u**2 - 4j * u) / 8.0 - 1j * eik * u)]
+    f = StructuredFunction(k, {1: w_plus, -1: w_minus, 0: [1.0 - 2j * u]})
+    y = StructuredFunction(k, {0: [1.0], 1: [0.0, 0.0, 0.0, 1.0]})
     return Problem(
         kernel=OscKernel.polynomial([[1.0]], k),
         rhs=f,
@@ -301,29 +297,37 @@ def _field(d, key: str, where: str):
     return d[key]
 
 
+def _no_other_keys(d: dict, keys: tuple[str, ...], where: str) -> None:
+    unknown = [k for k in d if k not in keys]
+    if unknown:
+        raise ValueError(f"problem file: unknown key {where}{unknown[0]}")
+
+
 def _structured_to_dict(f: StructuredFunction) -> dict:
     return {
         "terms": [
-            {"tau": tau, "coeffs": [_coeff_to_json(c) for c in p.coeffs]}
-            for tau, p in f.terms
+            {"tau": tau, "coeffs": [_coeff_to_json(c) for c in w]}
+            for tau, w in f.terms
         ]
     }
 
 
 def _structured_from_dict(d: dict, kappa: float, where: str) -> StructuredFunction:
     items = _field(d, "terms", f"{where}.")
+    _no_other_keys(d, ("terms",), f"{where}.")
     if not isinstance(items, list):
         raise ValueError(f"problem file: {where}.terms must be a list")
-    terms = {}
+    terms = []
     for i, item in enumerate(items):
         at = f"{where}.terms[{i}]."
         coeffs = _field(item, "coeffs", at)
+        _no_other_keys(item, ("tau", "coeffs"), at)
         if not isinstance(coeffs, list) or not coeffs:
             raise ValueError(f"problem file: {at}coeffs must be a nonempty list")
         tau = _field(item, "tau", at)
         if not isinstance(tau, int) or isinstance(tau, bool):
             raise ValueError(f"problem file: {at}tau must be an integer, got {tau!r}")
-        terms[tau] = Polynomial([_coeff_from_json(v, f"{at}coeffs") for v in coeffs])
+        terms.append((tau, [_coeff_from_json(v, f"{at}coeffs") for v in coeffs]))
     return StructuredFunction(kappa, terms)
 
 
@@ -344,9 +348,12 @@ def problem_to_dict(problem: Problem) -> dict:
 def problem_from_dict(d: dict) -> Problem:
     """Problem from its JSON description; a malformed one raises ValueError naming the field."""
     kappa = _field(d, "kappa", "")
+    _no_other_keys(d, ("kappa", "kernel", "rhs", "exact"), "")
     if not (isinstance(kappa, (int, float)) and math.isfinite(kappa) and kappa > 1.0):
         raise ValueError(f"problem file: kappa must be a finite number above 1, got {kappa!r}")
-    rows = _field(_field(d, "kernel", ""), "poly_st", "kernel.")
+    spec = _field(d, "kernel", "")
+    rows = _field(spec, "poly_st", "kernel.")
+    _no_other_keys(spec, ("poly_st",), "kernel.")
     if not (isinstance(rows, list) and rows and all(isinstance(r, list) and r for r in rows)
             and len({len(r) for r in rows}) == 1):
         raise ValueError("problem file: kernel.poly_st must be a nonempty rectangular list of rows")

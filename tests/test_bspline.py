@@ -64,6 +64,8 @@ def test_knot_validation():
         make_knots([0.5, 0.5], 2)  # repeated interior breakpoint
     with pytest.raises(ValueError):
         KnotVector(order=2, knots=np.array([-1.0, 0.0, 1.0, 1.0]))  # boundary not repeated
+    with pytest.raises(ValueError, match="2\\*order entries"):
+        KnotVector(order=2, knots=np.array([-1.0, 1.0]))  # too few knots for the order
 
 
 @pytest.mark.parametrize("knots, ends", [([0, 0, 1, 2, 2], "0 and 2"), ([-0.5, -0.5, 0, 0.5, 0.5], "-0.5 and 0.5")])

@@ -14,9 +14,13 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import numpy as np
+
 import oscfred
 from oscfred import cli, linalg
-from oscfred.problems import paper_benchmark, problem_to_dict
+from oscfred.bspline import SplineSpace, make_uniform_knots
+from oscfred.galerkin import TrialSpace, assemble_rhs
+from oscfred.problems import paper_benchmark, problem_from_dict, problem_to_dict
 
 
 def read_rows(path):
@@ -74,6 +78,12 @@ def test_convergence_requires_kappa(tmp_path):
     out = tmp_path / "never.csv"
     assert cli.main(["convergence", "--out", str(out)]) == cli.EXIT_BAD_CONFIG
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value, word", [("--order", "0", "order"), ("--n-levels", "1", "levels")])
+def test_convergence_rejects_a_bad_order_or_level_count(capsys, flag, value, word):
+    assert cli.main(["convergence", "--kappa", "50", flag, value]) == cli.EXIT_BAD_CONFIG
+    assert_one_line_error(capsys, word)
 
 
 def test_convergence_rejects_small_kappa():
@@ -152,6 +162,16 @@ def test_sweep_single_point(tmp_path):
     assert float(rows[0]["cond"]) > 1.0
 
 
+def test_sweep_default_grid(tmp_path):
+    out = tmp_path / "sweep.json"
+    assert cli.main(["sweep", "--format", "json", "--out", str(out)]) == cli.EXIT_OK
+    rows = json.loads(out.read_text())
+    assert len(rows) == 80
+    kappas = [r["kappa"] for r in rows if r["method"] == "opgm"]
+    assert len(kappas) == 40 and kappas[0] == pytest.approx(10.0) and kappas[-1] == pytest.approx(1e4)
+    assert all(r["error"] is not None and r["error"] > 0 for r in rows)
+
+
 def test_sweep_huge_kappa(tmp_path):
     # the benchmark's coefficients are built from 1/kappa: kappa**4 would overflow
     out = tmp_path / "sweep.csv"
@@ -209,6 +229,18 @@ def test_rejects_non_finite_kappa(capsys, command, kappa):
     assert_one_line_error(capsys, "finite")
 
 
+def test_an_allocation_too_large_for_the_host_is_bad_configuration(capsys, monkeypatch):
+    # stands in for the shared-cell tensor of a large --order; a real allocation is not tried,
+    # since a host that overcommits memory may kill the process instead of refusing it
+    def too_large(*args, **kwargs):
+        raise MemoryError("Unable to allocate 23.3 GiB for an array with shape (70, 70, 70, 70, 65)")
+
+    monkeypatch.setattr(cli, "run_galerkin", too_large)
+    assert cli.main(["convergence", "--kappa", "50", "--order", "70", "--n-levels", "2",
+                     "--method", "cgm"]) == cli.EXIT_BAD_CONFIG
+    assert_one_line_error(capsys, "Unable to allocate")
+
+
 def test_convergence_rejects_kappa_with_problem_file(tmp_path, capsys):
     pfile = tmp_path / "prob.json"
     pfile.write_text(json.dumps(problem_to_dict(paper_benchmark(50.0))))
@@ -252,9 +284,38 @@ def _overflowing_rhs(d):
     d["rhs"]["terms"][0]["coeffs"] = [1e308, 1e308]
 
 
-# finite entries whose assembly overflows fail as bad input too, not with numpy warnings
+def _fractional_tau(d):
+    d["rhs"]["terms"][0]["tau"] = 0.5
+
+
+def _kappa_below_one(d):
+    d["kappa"] = 0.5
+
+
+def _misspelled_exact(d):
+    d["exat"] = d.pop("exact")
+
+
+def _unknown_kernel_key(d):
+    d["kernel"]["func"] = "exp"
+
+
+def _unknown_rhs_key(d):
+    d["rhs"]["term"] = []
+
+
+def _unknown_term_key(d):
+    d["exact"]["terms"][1]["coef"] = [1.0]
+
+
+# finite entries whose assembly overflows fail as bad input too, not with numpy warnings;
+# a key the schema does not know is named by its path, at every level
 _SCHEMA_ERRORS = [(_drop_poly_st, "poly_st"), (_ragged_poly_st, "poly_st"), (_three_element_coefficient, "poly_st"),
-                  (_overflowing_poly_st, "singular value"), (_overflowing_rhs, "encountered")]
+                  (_overflowing_poly_st, "singular value"), (_overflowing_rhs, "encountered"),
+                  (_fractional_tau, "rhs.terms[0].tau"), (_kappa_below_one, "kappa"),
+                  (_misspelled_exact, "unknown key exat"), (_unknown_kernel_key, "unknown key kernel.func"),
+                  (_unknown_rhs_key, "unknown key rhs.term"),
+                  (_unknown_term_key, "unknown key exact.terms[1].coef")]
 
 
 @pytest.mark.parametrize("edit, word", _SCHEMA_ERRORS, ids=[edit.__name__ for edit, _ in _SCHEMA_ERRORS])
@@ -266,6 +327,27 @@ def test_problem_file_schema_errors(tmp_path, capsys, edit, word):
     code = cli.main(["convergence", "--method", "opgm", "--n-levels", "2", "--problem", str(pfile)])
     assert code == cli.EXIT_BAD_CONFIG
     assert_one_line_error(capsys, word)
+
+
+def test_a_repeated_carrier_is_summed_not_overwritten(tmp_path):
+    # the paper benchmark's e^{i*kappa*s} amplitude split into its constant and the rest
+    merged = problem_to_dict(paper_benchmark(75.0))
+    split = json.loads(json.dumps(merged))
+    terms = split["rhs"]["terms"]
+    (plus,) = [t for t in terms if t["tau"] == 1]
+    terms += [{"tau": 1, "coeffs": [0.0, *plus["coeffs"][1:]]}]
+    plus["coeffs"] = plus["coeffs"][:1]
+    space = TrialSpace.opgm(SplineSpace(make_uniform_knots(16, 2)), 75.0)
+    loads, rows = [], []
+    for name, d in (("merged", merged), ("split", split)):
+        loads.append(assemble_rhs(space, problem_from_dict(d).rhs))
+        pfile, out = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+        pfile.write_text(json.dumps(d))
+        assert cli.main(["convergence", "--problem", str(pfile), "--method", "opgm", "--n-levels", "2",
+                         "--out", str(out)]) == cli.EXIT_OK
+        rows.append([ln.rsplit(",", 1)[0] for ln in out.read_text().splitlines()])
+    assert np.array_equal(*loads)
+    assert rows[0] == rows[1]
 
 
 def _edited(edit):

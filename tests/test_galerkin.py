@@ -82,6 +82,7 @@ def sampled_entries(space, count, seed):
 
 def test_structured_function_evaluation_and_algebra():
     f = StructuredFunction(10.0, {0: Polynomial([1.0]), 1: Polynomial([0.0, 2.0])})
+    assert repr(f) == "StructuredFunction(kappa=10.0, carriers=[0, 1])"
     s = np.linspace(-1, 1, 11)
     npt.assert_allclose(f(s), 1.0 + 2.0 * s * np.exp(10j * s), atol=1e-15)
     g = f - f
@@ -103,6 +104,56 @@ def test_structured_function_kappa_mismatch():
     g = StructuredFunction(6.0, {0: Polynomial([1.0])})
     with pytest.raises(ValueError):
         f + g
+    with pytest.raises(TypeError):
+        f + 1.0
+
+
+def test_amplitudes_are_trimmed_read_only_arrays():
+    coeffs = np.array([1.0, 2.0, 0.0, 0.0])
+    f = StructuredFunction(5.0, {0: coeffs, 1: [3.0]})
+    (_, w0), (_, w1) = f.terms
+    assert w0.dtype == complex and np.array_equal(w0, [1.0, 2.0]) and np.array_equal(w1, [3.0])
+    assert f.max_degree == 1
+    with pytest.raises(ValueError):
+        w0[0] = 7.0
+    coeffs[0] = 7.0                                         # the stored amplitude is a copy
+    assert w0[0] == 1.0
+    for bad in ([], [[1.0, 2.0]]):
+        with pytest.raises(ValueError):
+            StructuredFunction(5.0, {0: bad})
+
+
+def test_repeated_carriers_are_summed_and_zero_amplitudes_dropped():
+    p, q = [1.0, 1.0], [0.0, 0.0, 1.0]
+    f = StructuredFunction(5.0, [(0, p), (1, [0.5]), (0, q)])
+    assert [t for t, _ in f.terms] == [0, 1]
+    assert np.array_equal(f.terms[0][1], [1.0, 1.0, 1.0])
+    s = np.linspace(-1, 1, 7)
+    npt.assert_allclose(f(s), 1.0 + s + s**2 + 0.5 * np.exp(5j * s), rtol=0, atol=1e-15)
+    assert StructuredFunction(5.0, [(0, p), (0, [-1.0, -1.0]), (2, [0.0, 0.0])]).terms == ()
+    assert (f + (-f)).terms == ()
+
+
+def test_amplitude_evaluation_matches_numpy_polyval():
+    rng = np.random.default_rng(5)
+    t = rng.uniform(-1, 1, 32)
+    for deg in (0, 3, 17, 30):
+        c = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
+        ref = np.polynomial.polynomial.polyval(t, c)
+        assert np.array_equal(StructuredFunction(5.0, {0: c})(t), ref)
+        assert np.array_equal(StructuredFunction(5.0, {-1: c})(t), ref * np.exp(-5j * t))
+
+
+@pytest.mark.parametrize("series, power", [
+    (np.polynomial.Polynomial([1.0, 2.0], domain=[0.0, 1.0]), [-1.0, 4.0]),
+    (np.polynomial.Polynomial([0.5, 0.0, -2.0j, 0.0]), [0.5, 0.0, -2.0j]),
+    (np.polynomial.Chebyshev([1.0, 2.0, 3.0]), [-2.0, 2.0, 6.0]),
+], ids=["shifted-domain", "polynomial", "chebyshev"])
+def test_numpy_series_amplitudes_evaluate_to_their_own_values(series, power):
+    s = np.linspace(-1, 1, 13)
+    f = StructuredFunction(5.0, {0: series, 1: series})
+    npt.assert_allclose(f.terms[0][1], power, rtol=0, atol=1e-15)
+    npt.assert_allclose(f(s), series(s) * (1.0 + np.exp(5j * s)), rtol=1e-14, atol=1e-14)
 
 
 def test_kernel_validation():
@@ -110,6 +161,8 @@ def test_kernel_validation():
         OscKernel.polynomial([[1.0]], kappa=0.5)  # wavenumber must exceed 1
     with pytest.raises(ValueError):
         OscKernel(kappa=5.0)  # neither polynomial nor callable
+    with pytest.raises(ValueError, match="2-d"):
+        OscKernel.polynomial(np.ones((2, 2, 2)), kappa=5.0)
     k = OscKernel.polynomial([[1.0, 2.0]], kappa=5.0)
     assert k.is_polynomial
     assert k.eval_grid(0.5, 0.25) == pytest.approx(1.5)
@@ -535,6 +588,14 @@ def test_rhs_carrier_cancellation():
     npt.assert_allclose(block_plus.imag, 0.0, atol=1e-15)
 
 
+def test_rhs_of_no_terms_is_zero_and_a_non_callable_load_is_rejected():
+    _, opgm = spaces(5, 2, 35.0)
+    F = assemble_rhs(opgm, StructuredFunction(35.0, {0: [0.0]}))
+    assert F.shape == (opgm.dimension,) and not np.any(F)
+    with pytest.raises(TypeError, match="callable"):
+        assemble_rhs(opgm, 1.0)
+
+
 @pytest.mark.parametrize(
     "knots, kappa", [pytest.param(make_uniform_knots(16, 2), 50.0, id="m2"), *REGIME_MESHES])
 def test_rhs_vs_oracle_structured(knots, kappa):
@@ -617,22 +678,23 @@ def test_eval_solution_zero_and_single_basis():
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_eval_solution_matches_pointwise_recurrence(m):
     # breakpoints (including s = -1 and s = 1) and random points of a
-    # non-uniform mesh, against per-point Cox-de Boor
+    # non-uniform mesh, against per-point Cox-de Boor; the carriers e^{+-2i*kappa*s}
+    # take their own exponential
     sp = SplineSpace(make_knots([-0.7, -0.35, 0.1, 0.2, 0.6], m))
-    space = TrialSpace.opgm(sp, 30.0)
     rng = np.random.default_rng(m)
-    a = rng.standard_normal(space.dimension) + 1j * rng.standard_normal(space.dimension)
     s = np.concatenate((sp.knots.breakpoints, rng.uniform(-1.0, 1.0, 50)))
     d = sp.dimension
-    expect = np.zeros(len(s), dtype=complex)
-    for i, si in enumerate(s):
-        j0, vals = sp.eval_nonzero(si)
-        for bi, eps in enumerate(space.multipliers):
-            expect[i] += (vals @ a[bi * d + j0: bi * d + j0 + m]) * np.exp(1j * eps * 30.0 * si)
-    npt.assert_allclose(eval_solution(space, a, s), expect, rtol=0, atol=1e-14)
-    assert eval_solution(space, a, 1.0) == pytest.approx(expect[len(sp.knots.breakpoints) - 1], abs=1e-14)
-    with pytest.raises(ValueError):
-        eval_solution(space, a, np.array([0.0, 1.5]))
+    for space in (TrialSpace.opgm(sp, 30.0), TrialSpace(sp, 30.0, (-2, 0, 2))):
+        a = rng.standard_normal(space.dimension) + 1j * rng.standard_normal(space.dimension)
+        expect = np.zeros(len(s), dtype=complex)
+        for i, si in enumerate(s):
+            j0, vals = sp.eval_nonzero(si)
+            for bi, eps in enumerate(space.multipliers):
+                expect[i] += (vals @ a[bi * d + j0: bi * d + j0 + m]) * np.exp(1j * eps * 30.0 * si)
+        npt.assert_allclose(eval_solution(space, a, s), expect, rtol=0, atol=1e-14)
+        assert eval_solution(space, a, 1.0) == pytest.approx(expect[len(sp.knots.breakpoints) - 1], abs=1e-14)
+        with pytest.raises(ValueError):
+            eval_solution(space, a, np.array([0.0, 1.5]))
 
 
 def test_eval_solution_dimension_check():

@@ -1,5 +1,7 @@
 """Tests of the oscillatory quadrature engine."""
 
+import math
+
 import mpmath
 import numpy as np
 import numpy.testing as npt
@@ -8,7 +10,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oscfred.oscquad import (
-    Polynomial,
     _sigma_rule,
     _triangle_moments,
     _unit_moments,
@@ -21,8 +22,7 @@ from test_galerkin import collapsed_gauss_reference
 
 def osc_ref(c, a, b, omega):
     """Brute-force reference for int p(t) e^{i omega t} dt."""
-    p = Polynomial(c)
-    return oscillatory_quad(lambda t: p(t) * np.exp(1j * omega * t), a, b, omega)
+    return oscillatory_quad(lambda t: np.polynomial.polynomial.polyval(t, c) * np.exp(1j * omega * t), a, b, omega)
 
 
 # ---------------------------------------------------------------------------
@@ -54,30 +54,23 @@ def test_gauss_legendre_node_count_validated(q):
 
 
 # ---------------------------------------------------------------------------
-# Polynomial type
+# reference integrator
 # ---------------------------------------------------------------------------
 
-def test_polynomial_trims_trailing_zeros():
-    p = Polynomial([1.0, 2.0, 0.0, 0.0])
-    assert p.degree == 1
-    assert Polynomial([0.0, 0.0]).is_zero()
+def test_oscillatory_quad_calls_a_scalar_integrand_point_by_point():
+    # math.cos takes no arrays, so the integrand is called node by node
+    assert oscillatory_quad(math.cos, 0.0, 1.0, 1.0) == pytest.approx(math.sin(1.0), abs=1e-15)
 
 
-def test_polynomial_evaluation_matches_numpy_horner():
-    rng = np.random.default_rng(5)
-    for deg in (0, 3, 17, 30):
-        c = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
-        p = Polynomial(c)
-        t = rng.uniform(-1, 1, 32)
-        ref = np.polynomial.polynomial.polyval(t, c)
-        npt.assert_allclose(p(t), ref, rtol=1e-12, atol=1e-14)
+def test_oscillatory_quad_interval_ends():
+    assert oscillatory_quad(np.cos, 0.5, 0.5, 1.0) == 0.0
+    with pytest.raises(ValueError, match="a <= b"):
+        oscillatory_quad(np.cos, 1.0, 0.5, 1.0)
 
 
-def test_polynomial_arithmetic():
-    p = Polynomial([1.0, 1.0])
-    q = Polynomial([0.0, 0.0, 1.0])
-    assert (p + q)(2.0) == pytest.approx(p(2.0) + q(2.0))
-    assert (p + (-p)).is_zero()
+def test_oscillatory_quad_reports_an_integrand_faster_than_its_phase_hint():
+    with pytest.raises(RuntimeError, match="did not stabilize"):
+        oscillatory_quad(lambda t: np.exp(1e6j * t), 0.0, 1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

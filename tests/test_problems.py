@@ -543,6 +543,14 @@ def test_problem_json_round_trip():
     assert back.kappa == prob.kappa
 
 
+def test_problem_json_refuses_what_it_cannot_write():
+    prob = paper_benchmark(20.0)
+    with pytest.raises(ValueError, match="structured"):
+        problem_to_dict(type(prob)(kernel=prob.kernel, rhs=lambda t: t))
+    with pytest.raises(ValueError, match="polynomial"):
+        problem_to_dict(type(prob)(kernel=OscKernel.smooth(lambda s, t: np.exp(s * t), 20.0), rhs=prob.rhs))
+
+
 def test_problem_json_without_exact():
     kern = OscKernel.polynomial([[1.0]], 20.0)
     f = StructuredFunction(20.0, {0: Polynomial([1.0])})
