@@ -10,9 +10,8 @@ Modules
 -------
 bspline   knot vectors on I, B-spline bases, Gram matrices, grid error measure
 oscquad   oscillatory quadrature: exact unit moments, reference rule
-linalg    dense LU solve (lu_factor/lu_solve) on the even/odd halves of symmetric systems, exact 2-norm
-          condition number
-galerkin  trial spaces, per-mesh plans, assembly of E, K and the leading rows of E - K, solution evaluation,
+linalg    even/odd halves folded from row chunks, dense LU solve (lu_factor/lu_solve), exact cond2
+galerkin  trial spaces, per-mesh plans, assembly of E, K and the rows of E - K on request, solution evaluation,
           error metrics, quadrature oracles
 problems  benchmark problem, manufactured solutions, oscillation experiment
 cli       batch experiment runner (``oscfred`` command)

@@ -19,8 +19,9 @@ digits; JSON carries them in full, a blank field as ``null`` and an
 infinite one as the string ``"inf"``.  Everything but the ``seconds``
 column is deterministic across runs.
 
-Exit codes: 0 success, 1 failed verification, 2 invalid configuration,
-3 at least one singular discrete system (remaining rows still run).
+Exit codes: 0 success, 1 failed verification, 2 invalid configuration
+(a command line the parser refuses included; one line on stderr), 3 at
+least one singular discrete system (remaining rows still run).
 """
 
 from __future__ import annotations
@@ -227,8 +228,13 @@ def _write(text: str, out: str | None) -> None:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):                   # a bad command line is bad input: one line, exit code 2
+        self.exit(EXIT_BAD_CONFIG, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="oscfred",
         description="Benchmark runner for oscillatory Fredholm solvers",
     )

@@ -39,9 +39,9 @@ tables, mass, load, shared-cell triangles) takes one batched moment call
 over its rates and distinct cell widths -- a few for a uniform mesh -- and
 one contraction.  Off the 2m - 1 central diagonals of each block, E - K is
 a rank-R product of generators (per-basis sums of the operator's cell
-tables, R the kernel factor's rank), written straight into the one buffer,
-which holds only the leading ceil(n/2) rows on reflection-symmetric data;
-only the central diagonals take single cell pairs and the shared-cell
+tables, R the kernel factor's rank), written straight into the rows that
+:func:`system_rows` builds on request from the band and generators; only
+the central diagonals take single cell pairs and the shared-cell
 triangles, which read the generators' rank-R cell products.  What depends
 on the mesh alone sits in an immutable :class:`MeshPlan`, shared by the
 solves at every wavenumber.  The quadrature oracles at the bottom of the
@@ -85,7 +85,6 @@ __all__ = [
     "StructuredFunction",
     "TrialSpace",
     "apply_kernel_structured",
-    "assemble_leading_rows",
     "assemble_mass",
     "assemble_operator",
     "assemble_rhs",
@@ -97,6 +96,7 @@ __all__ = [
     "reflection_symmetric",
     "relative_error_eN",
     "rhs_entry_quadrature",
+    "system_rows",
 ]
 
 CGM_MULTIPLIERS = (0,)
@@ -444,19 +444,19 @@ class MeshPlan:
 
     @cached_property
     def upper(self) -> np.ndarray:
-        """upper[i, 0, l] = l - i >= m: where side 1's generators hold within a block (:func:`_assemble`)."""
+        """upper[i, 0, l] = l - i >= m: where side 1's generators hold within a block (:func:`_rows`)."""
         d, m = self.splines.dimension, self.splines.order
         return sliding_window_view(np.arange(1 - d, d) >= m, d)[::-1, None]
 
     @cached_property
     def band_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(inside, i, j)``: the central-diagonal entries (i, j) of a block.
+        """``(inside, i, j)``: the central-diagonal entries (i, j) of a block, row by row.
 
-        inside[m-1+o, i] flags the entries (i, i+o) that lie in the block.
+        inside[i, m-1+o] flags the entries (i, i+o) that lie in the block.
         """
         d, m = self.splines.dimension, self.splines.order
-        i = np.arange(d)
-        j = i + np.arange(1 - m, m)[:, None]                        # j[m-1+o, i] = i + o
+        i = np.arange(d)[:, None]
+        j = i + np.arange(1 - m, m)                                 # j[i, m-1+o] = i + o
         inside = (j >= 0) & (j < d)
         return _frozen(inside, np.broadcast_to(i, j.shape)[inside], j[inside])
 
@@ -689,19 +689,20 @@ def _operator_parts(space: TrialSpace, kernel: OscKernel, plan: MeshPlan):
     return gens, _band(pairs) * 2.0 ** k * 2.0 ** k
 
 
-def _assemble(space: TrialSpace, kernel: OscKernel | None = None, mass: bool = False) -> np.ndarray:
-    """E (no kernel), K (``mass`` false) or the rows of E - K that determine it, written once into one buffer.
+def _rows(space: TrialSpace, kernel: OscKernel | None = None, mass: bool = False):
+    """``(fill, h)``: ``fill(out, lo)`` writes rows lo.. of E (no kernel), K (``mass`` false) or E - K into out.
 
-    The generators' products go straight into the buffer (negated for
-    E - K), block row by block row: side 0 over every block, then side 1
-    over l >= i + m through a Toeplitz view of 2d - 1 flags; the central
-    diagonals last.  On reflection-symmetric data only the leading
-    ceil(n/2) rows are computed, and :func:`_mirror` fills in what the
-    buffer holds beyond them: E - K is returned as those rows, K as all n.
+    The band and the generators are formed here once.  Their products go
+    in (negated for E - K) block row by block row: side 0 over every
+    block, then side 1 over l >= i + m through a Toeplitz view of 2d - 1
+    flags; the central diagonals last.  The leading h rows determine the
+    matrix: ceil(n/2) on reflection-symmetric data (the odd middle row's
+    trailing floor(n/2) entries mirrored from its leading ones), else n.
     """
     d, m, nb = space.block_dim, space.splines.order, len(space.multipliers)
     n = nb * d
-    h = n - n // 2 if kernel is not None and reflection_symmetric(space, kernel) else n
+    k = n // 2
+    h = n - k if kernel is not None and reflection_symmetric(space, kernel) else n
     plan = mesh_plan(space.splines.knots)
     parts = None if kernel is None else _operator_parts(space, kernel, plan)
     if not mass:
@@ -710,50 +711,54 @@ def _assemble(space: TrialSpace, kernel: OscKernel | None = None, mass: bool = F
         band = plan.gram
     else:
         band = _mass_band(plan, space.multipliers, space.kappa)
-    A = (np.zeros if parts is None else np.empty)((h if mass else n, n), dtype=complex)
     if parts is not None:
         (x, S), op_band = parts
         if mass:
             x = -x
         band = band - op_band if mass else op_band
     inside, i, j = plan.band_index
-    for q in range(-(-h // d)):
-        r = min(h - q * d, d)                               # rows of block row q that are computed
-        rows = A[q * d:q * d + r].reshape(r, nb, d)
-        if parts is not None:
-            for side, where in enumerate((True, plan.upper[:r])):
-                xs, Ss = x[side, :, q, :r, None, None], S[side, :, None]
-                np.multiply(xs[0], Ss[0], out=rows, where=where)
-                for xr, Sr in zip(xs[1:], Ss[1:]):
-                    np.add(rows, xr * Sr, out=rows, where=where)
-        diagonals = band[q][:, inside]
-        if r < d:                                           # the last, partial block row
-            keep = i < r
-            diagonals, i, j = diagonals[:, keep], i[keep], j[keep]
-        rows[i, :, j] = diagonals.T
-    if h < n:
-        _mirror(A, n)
-    return A
+    rows_of, cols = (np.arange(nb)[:, None] * d + i).ravel(), np.tile(j, nb)   # the diagonals' entries, by row
+    diagonals = band.swapaxes(2, 3)[:, :, inside].transpose(0, 2, 1).reshape(len(rows_of), nb)
+
+    def fill(out: np.ndarray, lo: int) -> np.ndarray:
+        hi = lo + len(out)
+        rows = out.reshape(len(out), nb, d)
+        if parts is None:
+            rows[...] = 0.0
+        else:
+            for q in range(lo // d, -(-hi // d)):
+                a, b = max(lo - q * d, 0), min(hi - q * d, d)              # the rows of block row q
+                block = rows[q * d + a - lo:q * d + b - lo]
+                for side, where in enumerate((True, plan.upper[a:b])):
+                    xs, Ss = x[side, :, q, a:b, None, None], S[side, :, None]
+                    np.multiply(xs[0], Ss[0], out=block, where=where)
+                    for xr, Sr in zip(xs[1:], Ss[1:]):
+                        np.add(block, xr * Sr, out=block, where=where)
+        at = slice(*np.searchsorted(rows_of, (lo, hi)))
+        rows[rows_of[at] - lo, :, cols[at]] = diagonals[at]
+        if k < h < n and lo <= k < hi:
+            out[k - lo, h:] = out[k - lo, :k][::-1]
+        return out
+
+    return fill, h
 
 
-def _mirror(A: np.ndarray, n: int) -> None:
-    """Complete the rows A holds of an order-n matrix from its leading ceil(n/2), so J A J = A exactly.
+def _assemble(space: TrialSpace, kernel: OscKernel | None = None) -> np.ndarray:
+    """E (no kernel) or K; rows past the leading h of :func:`_rows` are those rows reversed, so J K J = K exactly.
 
-    Rows past ceil(n/2), if A has them, become the leading rows reversed,
-    and for odd n the middle row's trailing floor(n/2) entries its leading
-    ones reversed.  With E exactly centrosymmetric (see :func:`_mass_band`),
-    this commutes with forming E - K: every entry of E - K is that of E
-    minus the mirrored one of K, bit for bit.
+    As J E J = E exactly (:func:`_mass_band`), each entry of E - K is E's minus the mirrored one of K, bit for bit.
     """
-    k, h = n // 2, n - n // 2
-    A[h:] = A[:len(A) - h][::-1, ::-1]
-    if h > k:
-        A[k, h:] = A[k, :k][::-1]
+    n = space.dimension
+    fill, h = _rows(space, kernel, mass=kernel is None)
+    A = np.empty((n, n), dtype=complex)
+    fill(A[:h], 0)
+    A[h:] = A[:n - h][::-1, ::-1]
+    return A
 
 
 def assemble_mass(space: TrialSpace) -> np.ndarray:
     """Block Gram matrix E of the trial basis (Hermitian, diagonal blocks real)."""
-    return _assemble(space, mass=True)
+    return _assemble(space)
 
 
 def assemble_operator(space: TrialSpace, kernel: OscKernel) -> np.ndarray:
@@ -767,16 +772,17 @@ def assemble_operator(space: TrialSpace, kernel: OscKernel) -> np.ndarray:
     return _assemble(space, kernel)
 
 
-def assemble_leading_rows(space: TrialSpace, kernel: OscKernel) -> np.ndarray:
-    """The rows of E - K that determine it: the leading ceil(n/2) on reflection-symmetric data, else all n.
+def system_rows(space: TrialSpace, kernel: OscKernel) -> tuple[Callable[[int, int], np.ndarray], int]:
+    """``(rows, h)``: ``rows(lo, hi)`` builds rows lo..hi-1 of E - K afresh from a band and generators formed once.
 
-    The rows are those of ``assemble_mass - assemble_operator`` bit for
-    bit.  On reflection-symmetric data (:func:`reflection_symmetric`),
-    J (E - K) J = E - K exactly, so the leading rows determine it.
-    :func:`oscfred.linalg.lu_factor` takes either.
+    The leading h rows determine E - K and are those of ``assemble_mass -
+    assemble_operator`` bit for bit: ceil(n/2) on reflection-symmetric
+    data (:func:`reflection_symmetric`), where J (E - K) J = E - K
+    exactly, else n.  :func:`oscfred.linalg.fold` takes ``rows`` as it is.
     """
     _check_kappa(space.kappa, kernel.kappa)
-    return _assemble(space, kernel, mass=True)
+    fill, h = _rows(space, kernel, mass=True)
+    return (lambda lo, hi: fill(np.empty((hi - lo, space.dimension), dtype=complex), lo)), h
 
 
 def reflection_symmetric(space: TrialSpace, kernel: OscKernel) -> bool:

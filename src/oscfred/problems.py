@@ -67,7 +67,10 @@ class Problem:
         if self.exact is None:
             raise ValueError("problem has no exact solution to normalize against")
         vals = np.asarray(self.exact(EN_GRID))
-        return float(np.sqrt(np.mean(np.abs(vals) ** 2)))
+        norm = float(np.sqrt(np.mean(np.abs(vals) ** 2)))
+        if not norm > 0:
+            raise ValueError("the exact solution is zero, so no error relative to it is defined")
+        return norm
 
 
 def paper_benchmark(kappa: float) -> Problem:
@@ -216,58 +219,74 @@ def run_galerkin(
 ) -> GalerkinRun:
     """Assemble and solve one discretization of ``problem``.
 
-    Every input takes the same calls: :func:`oscfred.galerkin.assemble_leading_rows`
-    gives the rows of E - K that determine it, :func:`oscfred.linalg.lu_factor`
-    their blocks, and :func:`oscfred.linalg.lu_solve` solves each.  When
-    the discrete problem is invariant under s -> -s
-    (:func:`oscfred.galerkin.reflection_symmetric`), E - K is exactly
-    centrosymmetric: those are its leading ceil(n/2) rows, folded in place
-    into an even and an odd half, so no n x n array is allocated.  Any
-    other input gives all n rows, which ``lu_factor`` scans for exact
-    centrosymmetry and otherwise solves as one block.  The mesh's
-    kappa-independent tables come from its :func:`oscfred.galerkin.uniform_plan`,
-    so a sweep over kappa on one mesh builds them once.
+    Every input takes the same calls: :func:`oscfred.galerkin.system_rows`
+    forms E - K's band and generators once, and each block of E - K in
+    turn is folded from the rows they give (:func:`oscfred.linalg.fold`),
+    solved (gesv) and, with ``compute_cond``, reduced to its extreme
+    singular values (values-only gesdd) before the next is built.  On
+    input invariant under s -> -s (:func:`oscfred.galerkin.reflection_symmetric`)
+    the blocks are E - K's even and odd halves, so a solve holds one half
+    and LAPACK's copy of it; both come from one build of the leading rows
+    when those fit one chunk.  Any other input is one n x n block.
 
-    ``seconds`` measures assembly plus solve; e_N and the optional
-    condition number (the exact 2-norm condition number of E - K, taken
-    over the halves' singular values) are timed separately, in ``stages``.
-    Raises :class:`oscfred.linalg.SingularMatrixError` if the discrete
-    system (or either half) is exactly singular.
+    ``stages`` sums each stage over the blocks; ``seconds`` is rhs +
+    matrix + fold + solve.  Raises ValueError on a non-finite entry and
+    :class:`oscfred.linalg.SingularMatrixError` on an exactly singular
+    block, each before the next block is built.
     """
     method = method.lower()
     if method not in METHOD_MULTIPLIERS:
         raise ValueError(f"unknown method {method!r}; expected 'cgm' or 'opgm'")
     splines = galerkin.uniform_plan(N, spline_order).splines
     space = TrialSpace(splines=splines, kappa=problem.kappa, multipliers=METHOD_MULTIPLIERS[method])
-    t0 = time.perf_counter()
+    n = space.dimension
+    clock = time.perf_counter
+    t0 = clock()
     f = galerkin.assemble_rhs(space, problem.rhs)
-    t1 = time.perf_counter()
-    A = galerkin.assemble_leading_rows(space, problem.kernel)
-    t2 = time.perf_counter()
-    blocks = linalg.lu_factor(A)
-    t3 = time.perf_counter()
-    coeffs = linalg.lu_solve(blocks, f)
-    t4 = time.perf_counter()
-    stages = {"rhs": t1 - t0, "matrix": t2 - t1, "fold": t3 - t2, "solve": t4 - t3, "error": 0.0, "cond": 0.0}
+    t1 = clock()
+    rows, h = galerkin.system_rows(space, problem.kernel)
+    stages = {"rhs": t1 - t0, "matrix": clock() - t1, "fold": 0.0, "solve": 0.0, "error": 0.0, "cond": 0.0}
+
+    def timed_rows(lo: int, hi: int) -> np.ndarray:
+        t = clock()
+        out = rows(lo, hi)
+        stages["matrix"] += clock() - t
+        return out
+
+    passes = linalg.passes(n, h)
+    buf = np.empty(h * h, dtype=complex) if len(passes) == 2 else None   # the even half, then the odd over it
+    loads = iter(linalg.split(f, 1 if h == n else 2))
+    xs, top, low = [], 0.0, math.inf
+    for parities in passes:
+        t0, built = clock(), stages["matrix"]
+        blocks = linalg.fold(timed_rows, n, parities, buf)
+        stages["fold"] += clock() - t0 - (stages["matrix"] - built)
+        for H, w in zip(blocks, loads):
+            t1 = clock()
+            xs.append(linalg.lu_solve((H,), w))
+            t2 = clock()
+            stages["solve"] += t2 - t1
+            if compute_cond:
+                s = np.linalg.svd(H, compute_uv=False)
+                top, low = max(top, s[0]), min(low, s[-1])
+                stages["cond"] += clock() - t2
     run = GalerkinRun(
         method=method,
         kappa=problem.kappa,
         N=N,
         spline_order=spline_order,
-        matrix_order=space.dimension,
-        coeffs=coeffs,
+        matrix_order=n,
+        coeffs=linalg.unfold(xs),
         space=space,
-        seconds=t4 - t0,
+        seconds=stages["rhs"] + stages["matrix"] + stages["fold"] + stages["solve"],
         stages=stages,
     )
-    if problem.exact is not None:
-        t0 = time.perf_counter()
-        run.e_N = relative_error_eN(run.evaluate, problem.exact, problem.norm_y())
-        stages["error"] = time.perf_counter() - t0
     if compute_cond:
-        t0 = time.perf_counter()
-        run.cond = linalg.cond2_blocks(blocks)
-        stages["cond"] = time.perf_counter() - t0
+        run.cond = math.inf if low == 0.0 else float(top / low)
+    if problem.exact is not None:
+        t0 = clock()
+        run.e_N = relative_error_eN(run.evaluate, problem.exact, problem.norm_y())
+        stages["error"] = clock() - t0
     return run
 
 
@@ -363,4 +382,6 @@ def problem_from_dict(d: dict) -> Problem:
     exact = None
     if d.get("exact") is not None:
         exact = _structured_from_dict(d["exact"], kernel.kappa, "exact")
+        if not exact.terms:
+            raise ValueError("problem file: exact is zero, and errors are relative to it; omit it instead")
     return Problem(kernel=kernel, rhs=rhs, exact=exact)

@@ -350,6 +350,20 @@ def test_a_repeated_carrier_is_summed_not_overwritten(tmp_path):
     assert rows[0] == rows[1]
 
 
+@pytest.mark.parametrize("terms", [[], [{"tau": 0, "coeffs": [0.0]}, {"tau": 1, "coeffs": [0.0, 0.0]}]],
+                         ids=["no-terms", "zero-coefficients"])
+def test_a_zero_exact_solution_is_refused_by_name(tmp_path, capsys, terms):
+    # errors are relative to the exact solution: a zero one is refused when
+    # the file is read, before any level is solved
+    d = {"kappa": 50, "kernel": {"poly_st": [[1]]}, "rhs": {"terms": [{"tau": 0, "coeffs": [1]}]},
+         "exact": {"terms": terms}}
+    pfile = tmp_path / "prob.json"
+    pfile.write_text(json.dumps(d))
+    assert cli.main(["convergence", "--problem", str(pfile), "--method", "cgm", "--n-levels", "2"]) == cli.EXIT_BAD_CONFIG
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: problem file: exact is zero") and err.count("\n") == 1, err
+
+
 def _edited(edit):
     d = problem_to_dict(paper_benchmark(75.0))
     edit(d)
@@ -402,6 +416,47 @@ def test_any_problem_file_runs_or_fails_in_one_line(tmp_path, d):
         code = cli.main(["convergence", "--problem", str(pfile), "--n-levels", "2", "--method", "both"])
     assert code in (cli.EXIT_OK, cli.EXIT_BAD_CONFIG, cli.EXIT_SINGULAR)
     assert len(err.getvalue().splitlines()) <= 1, err.getvalue()
+
+
+_FLAG_VALUES = {
+    "--kappa": ["50", "1.5", "5e4", "1e300", "1", "0", "-3", "nan", "inf", "x"],
+    "--method": ["cgm", "opgm", "both", "OPGM", "nystrom"],
+    "--order": ["1", "2", "3", "0", "-1", "2.5", "x"],
+    "--n-levels": ["1", "2", "0", "-1", "x"],
+    "--format": ["csv", "json", "xml"],
+}
+
+
+@st.composite
+def command_lines(draw):
+    """A subcommand, or a misspelt one, with up to four flags drawn from _FLAG_VALUES.
+
+    A convergence run always ends on --n-levels (at most two levels) and a
+    sweep on --kappa (not the 80-solve default grid), so each stays short.
+    """
+    command = draw(st.sampled_from(["convergence", "sweep", "table1", "tabel1"]))
+    flags = draw(st.lists(st.sampled_from(sorted(_FLAG_VALUES)), max_size=4))
+    flags += {"convergence": ["--n-levels"], "sweep": ["--kappa"]}.get(command, [])
+    argv = [command]
+    for flag in flags:
+        argv += [flag, draw(st.sampled_from(_FLAG_VALUES[flag]))]
+    return argv
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(argv=command_lines())
+@example(argv=["convergence", "--order", "x", "--n-levels", "2"])
+@example(argv=["table1", "--order", "2"])
+def test_any_command_line_runs_or_fails_in_one_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:               # the parser refused the command line
+            code = exc.code
+    assert code in (cli.EXIT_OK, cli.EXIT_BAD_CONFIG, cli.EXIT_SINGULAR), (argv, code)
+    assert len(err.getvalue().splitlines()) <= 1, (argv, err.getvalue())
+    assert code != cli.EXIT_BAD_CONFIG or err.getvalue().startswith("error: "), (argv, err.getvalue())
 
 
 # ---------------------------------------------------------------------------

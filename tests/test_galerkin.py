@@ -17,7 +17,6 @@ from oscfred.galerkin import (
     StructuredFunction,
     TrialSpace,
     apply_kernel_structured,
-    assemble_leading_rows,
     assemble_mass,
     assemble_operator,
     assemble_rhs,
@@ -27,6 +26,7 @@ from oscfred.galerkin import (
     operator_entry_quadrature,
     relative_error_eN,
     rhs_entry_quadrature,
+    system_rows,
 )
 from oscfred import galerkin, oscquad
 from oscfred.linalg import lu_factor, lu_solve
@@ -246,20 +246,21 @@ MATRIX_KERNELS = {
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 @pytest.mark.parametrize("kappa", [5.0, 50.0, 5e3, 5e4])
 def test_assemble_matrix_is_mass_minus_operator_exactly(kappa, m, mesh):
-    # the leading rows of E - K are built in the operator's buffer as
+    # the rows of E - K are built from the band and the generators as
     # (-K) + E, which IEEE makes equal to E - K; both mirror the odd
-    # middle row alike, so every entry agrees
+    # middle row alike, so every entry of the leading rows agrees, built
+    # in one call or three rows at a time
     knots = make_uniform_knots(16, m) if mesh == "uniform" else make_knots([-0.7, -0.35, 0.1, 0.2, 0.6], m)
     sp = SplineSpace(knots)
     for space in (TrialSpace.cgm(sp, kappa), TrialSpace.opgm(sp, kappa)):
         n = space.dimension
         for name, data in MATRIX_KERNELS.items():
             kern = OscKernel.smooth(data, kappa) if callable(data) else OscKernel.polynomial(data, kappa)
-            L = assemble_leading_rows(space, kern)
-            h = len(L)
+            rows, h = system_rows(space, kern)
             assert h in (n, n - n // 2), name
             A = (assemble_mass(space) - assemble_operator(space, kern))[:h]
-            assert np.array_equal(L, A), name
+            assert np.array_equal(rows(0, h), A), name
+            assert np.array_equal(np.concatenate([rows(lo, min(lo + 3, h)) for lo in range(0, h, 3)]), A), name
 
 
 def collapsed_gauss_reference(ls, lt, A, B):
@@ -424,7 +425,8 @@ def test_mesh_plans_and_layouts_hold_only_read_only_arrays():
     kern = paper_benchmark(50.0).kernel
     for method in ("cgm", "opgm"):
         space = getattr(TrialSpace, method)(SplineSpace(knots), 50.0)
-        assemble_leading_rows(space, kern)
+        rows, h = system_rows(space, kern)
+        rows(0, h)
         assemble_mass(space)
         eval_solution(space, assemble_rhs(space, paper_benchmark(50.0).rhs), EN_GRID)
     plan = galerkin.mesh_plan(knots)

@@ -41,13 +41,14 @@ def test_validators_reject_bad_input():
 
 def test_lu_of_a_centrosymmetric_matrix_factors_its_halves():
     # J itself folds to diag(1, -1); a random J A J = A of odd order to halves of orders 4 and 3.
-    # A square A is left unchanged, and its blocks are those of its leading rows folded in place, bit for bit
+    # A square A is left unchanged, and its blocks are the halves fold makes from its leading rows, bit for bit
     rng = np.random.default_rng(5)
     X = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
     for A in (np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex), X + X[::-1, ::-1]):
         A0 = A.copy()
         b = rng.standard_normal(len(A)) + 1j * rng.standard_normal(len(A))
-        blocks = lu_factor(A[:len(A) - len(A) // 2].copy())
+        blocks = linalg.fold(lambda lo, hi: A[lo:hi].copy(), len(A), (0,)) + \
+            linalg.fold(lambda lo, hi: A[lo:hi].copy(), len(A), (1,))     # one half per pass
         fact = lu_factor(A)
         assert np.array_equal(A, A0)
         assert [len(H) for H in fact] == [(len(A) + 1) // 2, len(A) // 2]
@@ -59,15 +60,15 @@ def test_lu_of_a_centrosymmetric_matrix_factors_its_halves():
 
 
 def test_lu_detects_exact_singularity():
-    # a whole matrix, folded (zeros) or not, and the leading rows of a folded one report the zero pivot
-    for A in (np.zeros((3, 3)), np.array([[1.0, 2.0], [2.0, 4.0]]), np.zeros((2, 3))):
+    # a whole matrix, folded (zeros) or not, reports the zero pivot
+    for A in (np.zeros((3, 3)), np.array([[1.0, 2.0], [2.0, 4.0]])):
         with pytest.raises(SingularMatrixError):
             solve(A, np.ones(A.shape[1]))
 
 
 def test_lu_requires_square():
-    # neither square nor the leading ceil(n/2) rows of an n x n matrix
-    for shape in ((3, 2), (1, 3), (0, 0)):
+    # lu_factor takes square matrices only: not even the leading rows of one
+    for shape in ((3, 2), (1, 3), (0, 0), (2, 3)):
         with pytest.raises(ValueError):
             lu_factor(np.ones(shape))
 
@@ -165,7 +166,7 @@ def centrosymmetric(n, seed):
 def test_fold_solves_and_conditions_like_the_whole(n):
     A, b = centrosymmetric(n, n)
     x, c = np.linalg.solve(A, b), cond2(A)
-    blocks = lu_factor(A[:n - n // 2].copy())
+    blocks = lu_factor(A)
     assert [M.shape[0] for M in blocks] == ([1] if n == 1 else [(n + 1) // 2, n // 2])
     y = lu_solve(blocks, b)
     assert np.linalg.norm(A @ y - b) <= 1e-13 * np.linalg.norm(A, 2) * np.linalg.norm(y)
@@ -173,31 +174,42 @@ def test_fold_solves_and_conditions_like_the_whole(n):
     assert cond2_blocks(blocks) == pytest.approx(c, rel=1e-12)
 
 
-def test_fold_writes_the_halves_into_the_buffer_and_keeps_the_load():
+def test_fold_leaves_the_matrix_and_the_load_alone():
+    # the halves are fresh arrays, and neither lu_factor nor lu_solve writes its input
     A, b = centrosymmetric(7, 1)
-    b0, rows = b.copy(), A[:4].copy()
-    blocks = lu_factor(rows)
-    assert all(np.shares_memory(M, rows) for M in blocks)
+    A0, b0 = A.copy(), b.copy()
+    blocks = lu_factor(A)
+    assert not any(np.shares_memory(M, A) for M in blocks)
     lu_solve(blocks, b)
-    assert np.array_equal(b, b0)
+    assert np.array_equal(A, A0) and np.array_equal(b, b0)
+
+
+def rows_of(A, calls):
+    """fold's rows function over A, recording the (lo, hi) of every call."""
+    def rows(lo, hi):
+        calls.append((lo, hi))
+        return A[lo:hi].copy()
+    return rows
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 30, 31])
 def test_fold_reads_only_the_leading_rows(n):
-    # the halves come from rows [0, ceil(n/2)) alone: garbage below them
+    # a half comes from rows [0, ceil(n/2)) alone, the even one from all of
+    # them and the odd one from the first floor(n/2): garbage below them
     # changes nothing, and they are the defining formulas bit for bit
     A, b = centrosymmetric(n, n + 100)
-    h = n - n // 2
-    blocks = lu_factor(A[:h].copy())
-    loads = linalg._split(b, blocks)
+    h, k = n - n // 2, n // 2
+    blocks = lu_factor(A)
+    loads = linalg.split(b, len(blocks))
     M = A.copy()
     M[h:] = np.nan
-    halves = linalg._halves(M)
-    assert len(halves) == len(blocks)
-    assert all(np.array_equal(H, B) for H, B in zip(halves, blocks))
-    assert np.all(np.isnan(M[h:]))
-    k = n // 2                                  # the defining formulas, as one whole-array step
-    CJ = A[:k, h:][:, ::-1]
+    for parity, size in list(zip((0, 1), (h, k)))[:len(blocks)]:
+        calls = []
+        H, = linalg.fold(rows_of(M, calls), n, (parity,))
+        assert np.array_equal(H, blocks[parity])
+        assert calls[0][0] == 0 and calls[-1][1] == size
+        assert all(hi == lo2 for (_, hi), (lo2, _) in zip(calls, calls[1:]))
+    CJ = A[:k, h:][:, ::-1]                     # the defining formulas, as one whole-array step
     assert np.array_equal(blocks[0][:k, :k], A[:k, :k] + CJ)
     assert n == 1 or np.array_equal(blocks[1], A[:k, :k] - CJ)
     assert n == 1 or np.array_equal(loads[1], (b[:k] - b[h:][::-1]) / math.sqrt(2.0))
@@ -205,19 +217,19 @@ def test_fold_reads_only_the_leading_rows(n):
 
 @pytest.mark.parametrize("n", [390, 514, 1542])
 def test_fold_rows_transient_is_a_twentieth_of_the_matrix(n):
-    # the orders of opgm N=128, cgm N=512 and opgm N=512: the fold works
-    # through fixed-size chunk buffers, so it allocates little beside the
-    # rows it folds, and its halves are the defining formulas bit for bit
+    # the orders of opgm N=128, cgm N=512 and opgm N=512: fold writes the
+    # halves from the rows it is given in ufunc calls of at most 2048
+    # entries, so it allocates little beside the halves it returns, and
+    # they are the defining formulas bit for bit
     A, b = centrosymmetric(n, n)
     h, k = n - n // 2, n // 2
-    rows = A[:h].copy()
     tracemalloc.start()
     try:
-        blocks = lu_factor(rows)
+        blocks = linalg.fold(lambda lo, hi: A[lo:hi], n, (0, 1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 0.05 * 16 * n * n
+    assert peak - sum(H.nbytes for H in blocks) <= 0.05 * 16 * n * n
     CJ = A[:k, h:][:, ::-1]
     r2 = math.sqrt(2.0)
     even = np.block([[A[:k, :k] + CJ, A[:k, k:h] * r2], [A[k:h, :k] * r2, A[k:h, k:h]]])
@@ -235,20 +247,23 @@ def test_fold_rows_validates_shape_and_finiteness():
     S[5, 0] = np.inf
     with pytest.raises(ValueError):
         lu_factor(S)
-    for shape in ((4, 6), (2, 6), (6, 5), (6, 7)):    # neither square nor the leading ceil(n/2) rows
+    for shape in ((4, 6), (2, 6), (3, 6), (6, 5), (6, 7)):    # not square, the leading ceil(n/2) rows included
         with pytest.raises(ValueError):
             lu_factor(np.ones(shape, dtype=complex))
-    for rows, load in ((np.ones((3, 5), dtype=complex), b), (A[:3].copy(), b[:5])):
+    for M, load in ((np.ones((5, 5), dtype=complex), b), (A, b[:5])):
         with pytest.raises(ValueError, match="dimension mismatch"):
-            lu_solve(lu_factor(rows), load)
+            lu_solve(lu_factor(M), load)
     S = A[:3].copy()
-    S[0, 0] = np.inf
-    with pytest.raises(ValueError):
-        lu_factor(S)
+    S[0, 0] = np.inf                            # a non-finite leading row fails either half
+    for parity in (0, 1):
+        with pytest.raises(ValueError, match="must be finite"):
+            linalg.fold(lambda lo, hi: S[lo:hi], 6, (parity,))
     S = A[:3].copy()
     S[0, 0], S[0, -1] = 1e308, 1e308            # finite rows whose even half overflows
-    with np.errstate(over="ignore"), pytest.raises(ValueError):
-        lu_factor(S)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="must be finite"):
+        linalg.fold(lambda lo, hi: S[lo:hi], 6, (0,))
+    with pytest.raises(ValueError, match="must be finite"):   # the whole block of a rows function
+        linalg.fold(lambda lo, hi: np.full((hi - lo, 6), np.nan), 6, (None,))
 
 
 def test_cond2_of_blocks_is_the_block_diagonal_condition():
@@ -261,7 +276,7 @@ def test_cond2_of_blocks_is_the_block_diagonal_condition():
 def test_singular_half_raises():
     # J A J = A with the invertible even half [[2, sqrt(2)], [sqrt(2), 3]] and the odd half B - CJ = 0
     A = np.array([[1.0, 1.0, 1.0], [1.0, 3.0, 1.0], [1.0, 1.0, 1.0]])
-    blocks = lu_factor(A[:2])
+    blocks = lu_factor(A)
     assert cond2_blocks(blocks) == np.inf
     with pytest.raises(SingularMatrixError):
         lu_solve(blocks, np.ones(3))

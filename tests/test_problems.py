@@ -18,13 +18,13 @@ from oscfred.galerkin import (
     Polynomial,
     StructuredFunction,
     TrialSpace,
-    assemble_leading_rows,
     assemble_mass,
     assemble_operator,
     assemble_rhs,
     reflection_symmetric,
+    system_rows,
 )
-from oscfred.linalg import cond2, lu_factor, lu_solve
+from oscfred.linalg import SingularMatrixError, cond2, lu_factor, lu_solve
 from oscfred.oscquad import oscillatory_quad
 from oscfred.problems import (
     OscProbeFunction,
@@ -385,9 +385,9 @@ def with_kernel(kappa, C):
                          ids=["paper", "rank3"])
 def test_folded_solve_matches_the_whole_system(C, kappa):
     # both kernels are even, so run_galerkin solves on the two halves;
-    # N = 15 and 16 give both parities of the order n.  It assembles only
-    # the leading rows, yet must give bitwise what LAPACK gives on the
-    # halves of the whole assembled matrix
+    # N = 15 and 16 give both parities of the order n.  It builds each
+    # half from the leading rows, yet must give bitwise what LAPACK gives
+    # on the halves of the whole assembled matrix
     prob = with_kernel(kappa, C)
     eps = np.finfo(float).eps
     for m in (1, 2, 3, 4):
@@ -406,8 +406,54 @@ def test_folded_solve_matches_the_whole_system(C, kappa):
                 sv = [np.linalg.svd(H, compute_uv=False) for H in blocks]
                 assert np.array_equal(run.coeffs, x), (m, method, N)
                 assert run.cond == max(s[0] for s in sv) / min(s[-1] for s in sv), (m, method, N)
-                halves = lu_factor(assemble_leading_rows(run.space, prob.kernel))
-                assert all(np.array_equal(H, B) for H, B in zip(halves, blocks))
+
+
+@pytest.mark.parametrize("method", ["cgm", "opgm"])
+@pytest.mark.parametrize("C", [[[1.0, 0.0, 0.5], [0.0, 0.25, 0.0], [0.3, 0.0, 0.0]], [[1.0], [1.0]]],
+                         ids=["even", "asymmetric"])
+def test_per_half_path_gives_the_square_paths_bits(C, method):
+    # run_galerkin builds one block at a time from E - K's band and
+    # generators; gesv and gesdd on the blocks lu_factor makes of the
+    # assembled square E - K must give the same bits.  N = 0..3, 15, 16 and
+    # m = 1..4 give odd and even orders n, and n = 1 (cgm, m = 1, N = 0)
+    for kappa in (1.5, 20.0, 500.0, 5e4):
+        prob = with_kernel(kappa, C)
+        for m in (1, 2, 3, 4):
+            for N in (0, 1, 2, 3, 15, 16):
+                run = run_galerkin(prob, method, N, m, compute_cond=True)
+                blocks = lu_factor(assemble_mass(run.space) - assemble_operator(run.space, prob.kernel))
+                assert len(blocks) == (1 if run.matrix_order == 1 or C == [[1.0], [1.0]] else 2)
+                sv = [np.linalg.svd(H, compute_uv=False) for H in blocks]
+                x = lu_solve(blocks, assemble_rhs(run.space, prob.rhs))
+                assert np.array_equal(run.coeffs, x), (kappa, m, N)
+                assert run.cond == max(s[0] for s in sv) / min(s[-1] for s in sv), (kappa, m, N)
+
+
+def test_a_bad_half_stops_the_solve_before_the_next_one_is_built(monkeypatch):
+    # at opgm N = 128 (n = 390) the leading rows are too many for one
+    # chunk, so the even half is built, checked and solved before the odd
+    # half asks for a row: a non-finite entry in row 0 raises ValueError
+    # after the first request, and a singular even half
+    # SingularMatrixError after the even half's rows alone
+    real = galerkin.system_rows
+    for poison, where, error in ((np.nan, slice(0, 1), ValueError), (0.0, slice(None), SingularMatrixError)):
+        calls = []
+
+        def system_rows(space, kernel):
+            rows, h = real(space, kernel)
+
+            def poisoned(lo, hi):
+                calls.append((lo, hi))
+                out = rows(lo, hi)
+                out[where] = poison                  # a NaN in row 0, or zeros everywhere
+                return out
+            return poisoned, h
+
+        monkeypatch.setattr(galerkin, "system_rows", system_rows)
+        with pytest.raises(error):
+            run_galerkin(paper_benchmark(50.0), "opgm", 128, compute_cond=True)
+        assert calls[0][0] == 0 and all(hi == lo for (_, hi), (lo, _) in zip(calls, calls[1:])), calls
+        assert len(calls) == 1 if error is ValueError else calls[-1][1] == 195, calls
 
 
 def test_asymmetric_kernel_runs_the_whole_system_bitwise():
@@ -416,7 +462,8 @@ def test_asymmetric_kernel_runs_the_whole_system_bitwise():
         run = run_galerkin(prob, method, 16, compute_cond=True)
         assert not reflection_symmetric(run.space, prob.kernel)
         A = assemble_mass(run.space) - assemble_operator(run.space, prob.kernel)
-        assert np.array_equal(assemble_leading_rows(run.space, prob.kernel), A)   # all n rows
+        rows, h = system_rows(run.space, prob.kernel)
+        assert h == len(A) and np.array_equal(rows(0, h), A)   # all n rows
         assert np.array_equal(run.coeffs, np.linalg.solve(A, assemble_rhs(run.space, prob.rhs)))
         assert run.cond == cond2(A)
 
@@ -480,8 +527,9 @@ def test_reflection_symmetry_truth_table(m):
 @pytest.mark.parametrize("method, N, bound", [("opgm", 128, 0.8), ("cgm", 512, 0.8)])
 def test_run_galerkin_holds_the_system_matrix_once(method, N, bound):
     # peak traced allocation in units of one n x n complex matrix: on
-    # symmetric data only the leading half of E - K is ever held (0.5), and
-    # LAPACK's copy of one half (0.25) plus the transients come on top
+    # symmetric data one half of E - K is held at a time (0.25), and a
+    # chunk of its rows (at most 0.125), the mesh's tables and the
+    # transients come on top; LAPACK's copy of the half is not traced
     prob = paper_benchmark(5e4)
     run_galerkin(prob, method, 8, compute_cond=True)  # fill the caches first
     tracemalloc.start()
@@ -549,6 +597,21 @@ def test_problem_json_refuses_what_it_cannot_write():
         problem_to_dict(type(prob)(kernel=prob.kernel, rhs=lambda t: t))
     with pytest.raises(ValueError, match="polynomial"):
         problem_to_dict(type(prob)(kernel=OscKernel.smooth(lambda s, t: np.exp(s * t), 20.0), rhs=prob.rhs))
+
+
+def test_a_zero_exact_solution_is_refused():
+    # errors are relative to the exact solution, so a zero one is refused by
+    # name when a file is read, and norm_y says why for a Problem built in code
+    d = problem_to_dict(paper_benchmark(20.0))
+    for terms in ([], [{"tau": 0, "coeffs": [0.0]}]):
+        d["exact"] = {"terms": terms}
+        with pytest.raises(ValueError, match="exact is zero"):
+            problem_from_dict(d)
+    prob = Problem(kernel=OscKernel.polynomial([[1.0]], 20.0), rhs=paper_benchmark(20.0).rhs,
+                   exact=StructuredFunction(20.0, {0: [0.0]}))
+    for call in (prob.norm_y, lambda: run_galerkin(prob, "cgm", 8)):
+        with pytest.raises(ValueError, match="exact solution is zero"):
+            call()
 
 
 def test_problem_json_without_exact():
