@@ -15,6 +15,7 @@ experiment.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -32,6 +33,15 @@ __all__ = [
 ]
 
 
+def _count(value, name: str, least: int) -> int:
+    """``value`` as an int, if it is an integer (a bool is not) of at least ``least``; else ValueError naming it."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class KnotVector:
     """Clamped knot sequence on I: ``order`` copies of -1 and of 1 plus interior breakpoints."""
@@ -40,9 +50,7 @@ class KnotVector:
     knots: np.ndarray
 
     def __post_init__(self):
-        m = self.order
-        if m < 1:
-            raise ValueError("spline order must be >= 1")
+        m = _count(self.order, "spline order", 1)
         k = np.asarray(self.knots, dtype=float)
         if k.ndim != 1 or len(k) < 2 * m:
             raise ValueError("knot sequence must contain at least 2*order entries")
@@ -82,6 +90,7 @@ class KnotVector:
 def make_knots(breakpoints: Sequence[float], m: int) -> KnotVector:
     """Knot vector on I = [-1, 1] with the given interior breakpoints and order-m clamping."""
     inner = np.asarray(breakpoints, dtype=float)
+    m = _count(m, "spline order", 1)
     knots = np.concatenate((np.full(m, -1.0), inner, np.full(m, 1.0)))
     return KnotVector(order=m, knots=knots)
 
@@ -97,8 +106,7 @@ def make_uniform_knots(N: int, m: int) -> KnotVector:
 
 def _uniform_knots(N: int, m: int) -> np.ndarray:
     """The knot array of :func:`make_uniform_knots`, built without the checks of :class:`KnotVector`."""
-    if N < 0:
-        raise ValueError("N must be >= 0")
+    N, m = _count(N, "N", 0), _count(m, "spline order", 1)
     h = 2.0 / (N + 1)
     inner = h * (np.arange(1, N + 1) - 0.5 * (N + 1))
     return np.concatenate((np.full(m, -1.0), inner, np.full(m, 1.0)))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -50,12 +50,21 @@ class Problem:
     ``exact`` and ``norm_exact`` are optional; when the exact solution is
     known, errors are reported relative to ``norm_exact`` (computed with
     the same 2048-point sampling rule as the error metric if not given).
+    A structured load or exact solution must share the kernel's wavenumber,
+    and ``norm_exact`` must be finite and positive; else ValueError.
     """
 
     kernel: OscKernel
     rhs: object
     exact: StructuredFunction | None = None
     norm_exact: float | None = None
+
+    def __post_init__(self):
+        for part in (self.rhs, self.exact):                 # structured parts carry the kernel's wavenumber
+            if isinstance(part, StructuredFunction):
+                galerkin._check_kappa(self.kernel.kappa, part.kappa)
+        if self.norm_exact is not None and not (math.isfinite(self.norm_exact) and self.norm_exact > 0):
+            raise ValueError(f"norm_exact must be finite and positive, got {self.norm_exact!r}")
 
     @property
     def kappa(self) -> float:
@@ -184,8 +193,7 @@ class GalerkinRun:
     ``stages`` holds the seconds of each stage of :func:`run_galerkin`:
     load vector (``rhs``), E - K's rows (``matrix``), their blocks (``fold``),
     LAPACK solve (``solve``), e_N (``error``) and condition number
-    (``cond``); a stage that did not run reads 0.  ``seconds`` spans the
-    first four.
+    (``cond``); a stage that did not run reads 0.
     """
 
     method: str
@@ -195,10 +203,14 @@ class GalerkinRun:
     matrix_order: int
     coeffs: np.ndarray
     space: TrialSpace
-    seconds: float
-    e_N: float = float("nan")
+    stages: dict[str, float]
     cond: float = float("nan")
-    stages: dict[str, float] = field(default_factory=dict)
+    e_N: float = float("nan")
+
+    @property
+    def seconds(self) -> float:
+        """rhs + matrix + fold + solve: the time to the solution, without e_N and the condition number."""
+        return self.stages["rhs"] + self.stages["matrix"] + self.stages["fold"] + self.stages["solve"]
 
     @property
     def e_l2(self) -> float:
@@ -219,33 +231,31 @@ def run_galerkin(
 ) -> GalerkinRun:
     """Assemble and solve one discretization of ``problem``.
 
-    Every input takes the same calls: :func:`oscfred.galerkin.system_rows`
-    forms E - K's band and generators once, and each block of E - K in
-    turn is folded from the rows they give (:func:`oscfred.linalg.fold`),
-    solved (gesv) and, with ``compute_cond``, reduced to its extreme
-    singular values (values-only gesdd) before the next is built.  On
-    input invariant under s -> -s (:func:`oscfred.galerkin.reflection_symmetric`)
-    the blocks are E - K's even and odd halves, so a solve holds one half
-    and LAPACK's copy of it; both come from one build of the leading rows
-    when those fit one chunk.  Any other input is one n x n block.
+    Every input takes the same calls: the load
+    (:func:`oscfred.galerkin.assemble_rhs`), E - K's rows from a band and
+    generators formed once (:func:`oscfred.galerkin.system_rows`), and
+    :func:`oscfred.linalg.solve` on the blocks :func:`oscfred.linalg.halves`
+    builds from them.  On input invariant under s -> -s
+    (:func:`oscfred.galerkin.reflection_symmetric`) those are E - K's even
+    and odd halves, one at a time; any other input is one n x n block.
 
-    ``stages`` sums each stage over the blocks; ``seconds`` is rhs +
-    matrix + fold + solve.  Raises ValueError on a non-finite entry and
-    :class:`oscfred.linalg.SingularMatrixError` on an exactly singular
-    block, each before the next block is built.
+    ``stages`` sums each stage over the blocks, ``matrix`` including the
+    rows built while they are folded.  Raises ValueError on a non-finite
+    entry and :class:`oscfred.linalg.SingularMatrixError` on an exactly
+    singular block, each before the next block is built.
     """
     method = method.lower()
     if method not in METHOD_MULTIPLIERS:
         raise ValueError(f"unknown method {method!r}; expected 'cgm' or 'opgm'")
     splines = galerkin.uniform_plan(N, spline_order).splines
     space = TrialSpace(splines=splines, kappa=problem.kappa, multipliers=METHOD_MULTIPLIERS[method])
-    n = space.dimension
     clock = time.perf_counter
     t0 = clock()
     f = galerkin.assemble_rhs(space, problem.rhs)
     t1 = clock()
     rows, h = galerkin.system_rows(space, problem.kernel)
-    stages = {"rhs": t1 - t0, "matrix": clock() - t1, "fold": 0.0, "solve": 0.0, "error": 0.0, "cond": 0.0}
+    stages = {"rhs": t1 - t0, "matrix": clock() - t1}
+    built = stages["matrix"]
 
     def timed_rows(lo: int, hi: int) -> np.ndarray:
         t = clock()
@@ -253,36 +263,11 @@ def run_galerkin(
         stages["matrix"] += clock() - t
         return out
 
-    passes = linalg.passes(n, h)
-    buf = np.empty(h * h, dtype=complex) if len(passes) == 2 else None   # the even half, then the odd over it
-    loads = iter(linalg.split(f, 1 if h == n else 2))
-    xs, top, low = [], 0.0, math.inf
-    for parities in passes:
-        t0, built = clock(), stages["matrix"]
-        blocks = linalg.fold(timed_rows, n, parities, buf)
-        stages["fold"] += clock() - t0 - (stages["matrix"] - built)
-        for H, w in zip(blocks, loads):
-            t1 = clock()
-            xs.append(linalg.lu_solve((H,), w))
-            t2 = clock()
-            stages["solve"] += t2 - t1
-            if compute_cond:
-                s = np.linalg.svd(H, compute_uv=False)
-                top, low = max(top, s[0]), min(low, s[-1])
-                stages["cond"] += clock() - t2
-    run = GalerkinRun(
-        method=method,
-        kappa=problem.kappa,
-        N=N,
-        spline_order=spline_order,
-        matrix_order=n,
-        coeffs=linalg.unfold(xs),
-        space=space,
-        seconds=stages["rhs"] + stages["matrix"] + stages["fold"] + stages["solve"],
-        stages=stages,
-    )
-    if compute_cond:
-        run.cond = math.inf if low == 0.0 else float(top / low)
+    coeffs, cond, seconds = linalg.solve(linalg.halves(timed_rows, space.dimension, h), f, compute_cond)
+    stages.update(fold=seconds["fold"] - (stages["matrix"] - built), solve=seconds["solve"], error=0.0,
+                  cond=seconds["cond"])
+    run = GalerkinRun(method=method, kappa=problem.kappa, N=N, spline_order=spline_order,
+                      matrix_order=space.dimension, coeffs=coeffs, space=space, stages=stages, cond=cond)
     if problem.exact is not None:
         t0 = clock()
         run.e_N = relative_error_eN(run.evaluate, problem.exact, problem.norm_y())

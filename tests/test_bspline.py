@@ -68,6 +68,29 @@ def test_knot_validation():
         KnotVector(order=2, knots=np.array([-1.0, 1.0]))  # too few knots for the order
 
 
+@pytest.mark.parametrize("N", [4.5, 4.0, True, False, "4", None])
+def test_a_mesh_count_that_is_not_an_integer_is_refused_by_name(N):
+    # 4.5 cells would make a mesh that is neither uniform nor mirrored, and
+    # True would be N = 1: neither a float nor a bool is a number of breakpoints
+    with pytest.raises(ValueError, match="N must be an integer"):
+        make_uniform_knots(N, 2)
+
+
+@pytest.mark.parametrize("m", [2.0, 1.5, True])
+def test_a_spline_order_that_is_not_an_integer_is_refused_by_name(m):
+    # numpy's TypeError on np.full(2.0, ...) and "slice indices must be integers" are not what went wrong
+    knots = np.array([-1.0, -1.0, 0.0, 1.0, 1.0])
+    for call in (lambda: make_uniform_knots(3, m), lambda: make_knots([0.0], m), lambda: KnotVector(m, knots)):
+        with pytest.raises(ValueError, match="spline order must be an integer"):
+            call()
+
+
+def test_numpy_integers_stay_accepted():
+    kv = make_uniform_knots(np.int64(3), np.int32(2))
+    assert np.array_equal(kv.knots, make_uniform_knots(3, 2).knots) and kv.dimension == 5
+    assert KnotVector(np.int64(2), kv.knots).dimension == 5
+
+
 @pytest.mark.parametrize("knots, ends", [([0, 0, 1, 2, 2], "0 and 2"), ([-0.5, -0.5, 0, 0.5, 0.5], "-0.5 and 0.5")])
 def test_knots_off_the_interval_are_rejected(knots, ends):
     # the equation lives on I = [-1, 1]: a clamped mesh of any other interval is refused by name

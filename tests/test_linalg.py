@@ -9,7 +9,7 @@ import pytest
 import scipy.linalg
 
 from oscfred import linalg
-from oscfred.linalg import SingularMatrixError, cond2, cond2_blocks, lu_factor, lu_solve
+from oscfred.linalg import SingularMatrixError, cond2, lu_factor, lu_solve
 
 
 def solve(A, b):
@@ -171,7 +171,7 @@ def test_fold_solves_and_conditions_like_the_whole(n):
     y = lu_solve(blocks, b)
     assert np.linalg.norm(A @ y - b) <= 1e-13 * np.linalg.norm(A, 2) * np.linalg.norm(y)
     npt.assert_allclose(y, x, rtol=1e-12 * c)
-    assert cond2_blocks(blocks) == pytest.approx(c, rel=1e-12)
+    assert linalg.solve(blocks, cond=True)[1] == pytest.approx(c, rel=1e-12)
 
 
 def test_fold_leaves_the_matrix_and_the_load_alone():
@@ -200,7 +200,6 @@ def test_fold_reads_only_the_leading_rows(n):
     A, b = centrosymmetric(n, n + 100)
     h, k = n - n // 2, n // 2
     blocks = lu_factor(A)
-    loads = linalg.split(b, len(blocks))
     M = A.copy()
     M[h:] = np.nan
     for parity, size in list(zip((0, 1), (h, k)))[:len(blocks)]:
@@ -212,7 +211,64 @@ def test_fold_reads_only_the_leading_rows(n):
     CJ = A[:k, h:][:, ::-1]                     # the defining formulas, as one whole-array step
     assert np.array_equal(blocks[0][:k, :k], A[:k, :k] + CJ)
     assert n == 1 or np.array_equal(blocks[1], A[:k, :k] - CJ)
-    assert n == 1 or np.array_equal(loads[1], (b[:k] - b[h:][::-1]) / math.sqrt(2.0))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 30, 31])
+def test_solve_is_gesv_on_the_halves_loads_mapped_back(n):
+    # the load split, gesv on each half and the map back are the defining
+    # formulas bit for bit, and gesdd's extreme values give cond2
+    A, b = centrosymmetric(n, n + 200)
+    h, k, r2 = n - n // 2, n // 2, math.sqrt(2.0)
+    blocks = lu_factor(A)
+    x, c, seconds = linalg.solve(blocks, b, cond=True)
+    assert set(seconds) == {"fold", "solve", "cond"} and min(seconds.values()) >= 0.0
+    sv = [np.linalg.svd(H, compute_uv=False) for H in blocks]
+    assert c == max(s[0] for s in sv) / min(s[-1] for s in sv)
+    if n == 1:
+        assert np.array_equal(x, np.linalg.solve(blocks[0], b))
+        return
+    even = np.linalg.solve(blocks[0], np.concatenate(((b[:k] + b[h:][::-1]) / r2, b[k:h])))
+    odd = np.linalg.solve(blocks[1], (b[:k] - b[h:][::-1]) / r2)
+    assert np.array_equal(x[:k], (even[:k] + odd) / r2)
+    assert np.array_equal(x[k:h], even[k:])
+    assert np.array_equal(x[h:], ((even[:k] - odd) / r2)[::-1])
+
+
+def test_solve_without_a_load_or_a_condition_number():
+    # no b: no gesv and x is None; no cond: no gesdd and cond2 is NaN
+    A, b = centrosymmetric(9, 3)
+    x, c, seconds = linalg.solve(lu_factor(A))
+    assert x is None and math.isnan(c) and seconds["solve"] == seconds["cond"] == 0.0
+    x, c, seconds = linalg.solve(lu_factor(A), b)
+    assert np.array_equal(x, linalg.solve(lu_factor(A), b, cond=True)[0])
+    assert math.isnan(c) and seconds["cond"] == 0.0
+
+
+@pytest.mark.parametrize("n", [7, 390, 514])
+def test_halves_builds_one_half_at_a_time_past_1_mib(n):
+    # the leading rows of n = 7 fit 1 MiB, so one pass builds both halves
+    # before the first is handed out; those of opgm N=128 and cgm N=512 do
+    # not, so each half takes its own pass over [0, its order), and the odd
+    # half is written over the even one's buffer
+    A, _ = centrosymmetric(n, n + 300)
+    h, k = n - n // 2, n // 2
+    expected = lu_factor(A)
+    calls = []
+    blocks = linalg.halves(rows_of(A, calls), n, h)
+    even = next(blocks)
+    assert np.array_equal(even, expected[0])
+    assert calls[0][0] == 0 and calls[-1][1] == h
+    first = len(calls)
+    odd = next(blocks)
+    assert np.array_equal(odd, expected[1])
+    assert next(blocks, None) is None
+    if 16 * n * h <= 1 << 20:
+        assert len(calls) == first and not np.shares_memory(even, odd)
+    else:
+        assert calls[first][0] == 0 and calls[-1][1] == k and np.shares_memory(even, odd)
+    calls = []
+    whole, = linalg.halves(rows_of(A, calls), n, n)      # h = n: A itself, from one call
+    assert calls == [(0, n)] and np.array_equal(whole, A)
 
 
 @pytest.mark.parametrize("n", [390, 514, 1542])
@@ -263,20 +319,20 @@ def test_fold_rows_validates_shape_and_finiteness():
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="must be finite"):
         linalg.fold(lambda lo, hi: S[lo:hi], 6, (0,))
     with pytest.raises(ValueError, match="must be finite"):   # the whole block of a rows function
-        linalg.fold(lambda lo, hi: np.full((hi - lo, 6), np.nan), 6, (None,))
+        next(linalg.halves(lambda lo, hi: np.full((hi - lo, 6), np.nan), 6, 6))
 
 
 def test_cond2_of_blocks_is_the_block_diagonal_condition():
     rng = np.random.default_rng(3)
     P, Q = rng.standard_normal((4, 4)), rng.standard_normal((3, 3))
-    assert cond2_blocks([P, Q]) == pytest.approx(cond2(scipy.linalg.block_diag(P, Q)), rel=1e-12)
-    assert cond2_blocks([P, np.zeros((2, 2))]) == np.inf
+    assert linalg.solve([P, Q], cond=True)[1] == pytest.approx(cond2(scipy.linalg.block_diag(P, Q)), rel=1e-12)
+    assert linalg.solve([P, np.zeros((2, 2))], cond=True)[1] == np.inf
 
 
 def test_singular_half_raises():
     # J A J = A with the invertible even half [[2, sqrt(2)], [sqrt(2), 3]] and the odd half B - CJ = 0
     A = np.array([[1.0, 1.0, 1.0], [1.0, 3.0, 1.0], [1.0, 1.0, 1.0]])
     blocks = lu_factor(A)
-    assert cond2_blocks(blocks) == np.inf
+    assert linalg.solve(blocks, cond=True)[1] == np.inf
     with pytest.raises(SingularMatrixError):
         lu_solve(blocks, np.ones(3))
