@@ -1,18 +1,16 @@
 """Dense complex linear algebra for the discrete Galerkin systems: one solve over a matrix's blocks.
 
 An exactly centrosymmetric A (J A J = A bitwise, J the index reversal)
-has two: the orthogonal even/odd transform splits it into halves of
-orders ceil(n/2) and floor(n/2), each a function of A's leading ceil(n/2)
-rows alone (Cantoni & Butler, Linear Algebra Appl. 13, 1976) and each an
-eighth of the whole in LU and SVD flops.  Any other A is the single
-block ``(A,)``.  :func:`fold` makes the halves from the leading rows,
-:func:`halves` hands out the blocks one at a time, and :func:`solve` runs
-gesv (``np.linalg.solve``) and values-only gesdd
-(``np.linalg.svd(compute_uv=False)``) on each in turn; :func:`lu_factor`,
+splits under the orthogonal even/odd transform into halves of orders
+ceil(n/2) and floor(n/2), each a function of A's leading ceil(n/2) rows
+alone and an eighth of the whole in LU and SVD flops (Cantoni & Butler,
+Linear Algebra Appl. 13, 1976); any other A is the single block ``(A,)``.
+:func:`fold` makes the halves, :func:`halves` hands out the blocks one at
+a time, and :func:`solve` runs gesv (``np.linalg.solve``) and values-only
+gesdd (``np.linalg.svd``) on each in turn; :func:`lu_factor`,
 :func:`lu_solve` and :func:`cond2` do the same for an explicit square
-matrix.  numpy's LAPACK is the only one the package calls.  Matrices and
-vectors are plain complex ndarrays, checked for shape and finiteness at
-the entry points.
+matrix.  numpy's LAPACK is the only one the package calls.  Inputs are
+plain complex ndarrays, checked for shape and finiteness.
 """
 
 from __future__ import annotations
@@ -46,10 +44,10 @@ def _square(A) -> np.ndarray:
     return M
 
 
-def _matching_vector(n: int, b) -> np.ndarray:
+def _vector(b, n: int | None = None) -> np.ndarray:
     v = np.asarray(b, dtype=complex)
-    if v.shape != (n,):
-        raise ValueError(f"dimension mismatch: matrix is {n}x{n}, vector has shape {v.shape}")
+    if v.ndim != 1 or n not in (None, len(v)):
+        raise ValueError(f"dimension mismatch: blocks of total order {n}, vector of shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ValueError("vector entries must be finite")
     return v
@@ -130,19 +128,23 @@ def solve(blocks, b=None, cond: bool = False) -> tuple[np.ndarray | None, float,
     gesdd before the next is asked for.  ``seconds`` holds the waits for
     the blocks (``fold``), gesv (``solve``) and gesdd (``cond``).  x is
     None without b; cond2 is NaN without ``cond``, +inf when the least
-    singular value is 0.  A zero pivot raises SingularMatrixError.
+    singular value is 0.  A zero pivot raises SingularMatrixError, and a
+    block order other than b's length, or ceil then floor of its half, ValueError.
     """
-    v = None if b is None else _matching_vector(np.size(b), b)
-    clock = time.perf_counter
-    seconds, xs, smax, smin = {"fold": 0.0, "solve": 0.0, "cond": 0.0}, [], 0.0, math.inf
+    v = None if b is None else _vector(b)
+    n, clock = (0 if v is None else len(v)), time.perf_counter
+    seconds, xs, orders, smax, smin = {"fold": 0.0, "solve": 0.0, "cond": 0.0}, [], [], 0.0, math.inf
     t = clock()
     for H in blocks:
         seconds["fold"] += clock() - t
         if v is not None:
-            t, w, k = clock(), v, len(v) // 2           # the load of A, else of its even or odd half
-            if len(H) < len(v):
-                top, bottom = v[:k], v[len(v) - k:][::-1]
-                w = (top - bottom) / _ROOT2 if xs else np.concatenate(((top + bottom) / _ROOT2, v[k:len(v) - k]))
+            t, w, k = clock(), v, n // 2                # the load of A, else of its even or odd half
+            orders.append(len(H))
+            if orders not in ([n], [n - k], [n - k, k]):    # A's order, else its halves' so far
+                raise ValueError(f"dimension mismatch: blocks of orders {orders}, vector of length {n}")
+            if len(H) < n:
+                top, bottom = v[:k], v[n - k:][::-1]
+                w = (top - bottom) / _ROOT2 if xs else np.concatenate(((top + bottom) / _ROOT2, v[k:n - k]))
             try:
                 xs.append(np.linalg.solve(H, w))
             except np.linalg.LinAlgError:
@@ -154,8 +156,10 @@ def solve(blocks, b=None, cond: bool = False) -> tuple[np.ndarray | None, float,
             smax, smin = max(smax, s[0]), min(smin, s[-1])
             seconds["cond"] += clock() - t
         t = clock()
+    if sum(orders) != n:
+        raise ValueError(f"dimension mismatch: blocks of orders {orders}, vector of length {n}")
     if len(xs) == 2:                                    # x from the halves' solutions
-        (even, odd), k = xs, len(xs[1])
+        even, odd = xs
         xs = [np.concatenate(((even[:k] + odd) / _ROOT2, even[k:], ((even[:k] - odd) / _ROOT2)[::-1]))]
     c = math.nan if not cond else math.inf if smin == 0.0 else float(smax / smin)
     return (xs[0] if xs else None), c, seconds
@@ -164,18 +168,16 @@ def solve(blocks, b=None, cond: bool = False) -> tuple[np.ndarray | None, float,
 def lu_factor(A) -> tuple[np.ndarray, ...]:
     """The checked blocks of a square A for :func:`lu_solve` and :func:`solve`; A is not written.
 
-    An exactly centrosymmetric A gives its halves (:func:`fold`), any
-    other A the single block ``(A,)``.  No factor is kept for reuse.
+    An exactly centrosymmetric A gives its halves (:func:`fold`; at order 1
+    the even one alone), any other A ``(A,)``.  No factor is kept for reuse.
     """
     M = _square(A)
-    if not np.array_equal(M, M[::-1, ::-1]):
-        return (M,)
-    return fold(lambda lo, hi: M[lo:hi], len(M), (0, 1)[:len(M)])      # order 1: the even half alone
+    return fold(lambda lo, hi: M[lo:hi], len(M), (0, 1)[:len(M)]) if np.array_equal(M, M[::-1, ::-1]) else (M,)
 
 
 def lu_solve(blocks, b) -> np.ndarray:
-    """x with A x = b from ``lu_factor(A)``: :func:`solve`; SingularMatrixError on a zero pivot."""
-    return solve(blocks, _matching_vector(sum(len(H) for H in blocks), b))[0]
+    """x with A x = b from ``lu_factor(A)`` by :func:`solve`, b checked against all the blocks before any gesv."""
+    return solve(blocks, _vector(b, sum(len(H) for H in blocks)))[0]
 
 
 def cond2(A) -> float:

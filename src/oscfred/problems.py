@@ -264,8 +264,7 @@ def run_galerkin(
         return out
 
     coeffs, cond, seconds = linalg.solve(linalg.halves(timed_rows, space.dimension, h), f, compute_cond)
-    stages.update(fold=seconds["fold"] - (stages["matrix"] - built), solve=seconds["solve"], error=0.0,
-                  cond=seconds["cond"])
+    stages.update(seconds, fold=seconds["fold"] - (stages["matrix"] - built), error=0.0)
     run = GalerkinRun(method=method, kappa=problem.kappa, N=N, spline_order=spline_order,
                       matrix_order=space.dimension, coeffs=coeffs, space=space, stages=stages, cond=cond)
     if problem.exact is not None:

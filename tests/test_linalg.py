@@ -244,6 +244,34 @@ def test_solve_without_a_load_or_a_condition_number():
     assert math.isnan(c) and seconds["cond"] == 0.0
 
 
+def test_solve_refuses_a_load_its_blocks_do_not_fit():
+    # a whole 3x3 block takes a load of length 3 only, not one whose half
+    # has 3 entries; halves take a load of their orders' sum, checked as
+    # each block comes, so no further block is built after a misfit
+    A = np.arange(9.0).reshape(3, 3) + 4 * np.eye(3)
+    for load in (np.ones(2), np.ones(4), np.ones(5), np.ones(6), np.ones((3, 1))):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            linalg.solve((A,), load)
+    C, b = centrosymmetric(9, 4)
+    blocks = lu_factor(C)
+    for load in (b[:8], np.ones(7), np.ones(10)):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            linalg.solve(blocks, load)
+    for cut in (blocks[:1], blocks[::-1], blocks + blocks[1:]):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            linalg.solve(cut, b)
+    built = []
+
+    def one_at_a_time():
+        for H in blocks:
+            built.append(len(H))
+            yield H
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        linalg.solve(one_at_a_time(), np.ones(8))
+    assert built == [5]
+    assert np.array_equal(linalg.solve(one_at_a_time(), b)[0], lu_solve(blocks, b))
+
+
 @pytest.mark.parametrize("n", [7, 390, 514])
 def test_halves_builds_one_half_at_a_time_past_1_mib(n):
     # the leading rows of n = 7 fit 1 MiB, so one pass builds both halves

@@ -1,14 +1,14 @@
 """Fail when a statement inside a function of ``src/oscfred`` never runs under the tier-1 tests.
 
-Run from the repository root, with any extra pytest arguments after it:
+Run from the repository root:
 
     PYTHONPATH=src python tools/unrun_lines.py
 
 The tier-1 tests run in this process under a line tracer on the package's
-files: ``sys.monitoring`` where it exists (Python 3.12+), ``sys.settrace``
-(with ``threading.settrace``) before that.  If they pass, every statement in a
-function body (nested functions and methods included, docstrings left out)
-that never ran is listed as ``path:line: source`` and the exit code is 1.
+files (``sys.settrace``, and ``threading.settrace`` for threads the tests
+start).  If they pass, every statement in a function body (nested functions
+and methods included, docstrings left out) that never ran is listed as
+``path:line: source`` and the exit code is 1.
 Lines that run only in a child interpreter (the CLI, demo and benchmark
 subprocess tests) are not seen.  The file is not a test module and no
 ``conftest`` loads it, so the tier-1 command itself runs untraced.
@@ -72,26 +72,6 @@ def start_tracing(files: set[str], hits: set[tuple[str, int]]):
             ours[filename] = real if real in files else None
         return ours[filename]
 
-    if hasattr(sys, "monitoring"):
-        mon = sys.monitoring
-        tool = mon.COVERAGE_ID
-
-        def line(code, lineno):
-            path = owner(code.co_filename)
-            if path is not None:
-                hits.add((path, lineno))
-            return mon.DISABLE                      # each location reports once
-
-        mon.use_tool_id(tool, "unrun_lines")
-        mon.register_callback(tool, mon.events.LINE, line)
-        mon.set_events(tool, mon.events.LINE)
-
-        def stop():
-            mon.set_events(tool, 0)
-            mon.register_callback(tool, mon.events.LINE, None)
-            mon.free_tool_id(tool)
-        return stop
-
     def call(frame, event, arg):
         path = owner(frame.f_code.co_filename)
         if path is None:
@@ -124,14 +104,14 @@ def unrun(hits: set[tuple[str, int]], paths) -> list[str]:
     return out
 
 
-def main(argv: list[str]) -> int:
+def main() -> int:
     import pytest
 
     paths = sorted(PACKAGE.glob("*.py"))
     hits: set[tuple[str, int]] = set()
     stop = start_tracing({os.path.realpath(p) for p in paths}, hits)
     try:
-        code = pytest.main(TIER1 + argv)
+        code = pytest.main(TIER1)
     finally:
         stop()
     if code != 0:
@@ -145,4 +125,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
