@@ -60,7 +60,7 @@ class KnotVector:
             raise ValueError(f"knots must be clamped at -1 and 1, not at {k[0]:g} and {k[-1]:g}")
         interior = k[m:-m] if len(k) > 2 * m else k[:0]
         full = np.concatenate(([k[0]], interior, [k[-1]]))
-        if np.any(np.diff(full) <= 0):
+        if not np.all(np.diff(full) > 0):                # NaN fails it too
             raise ValueError("breakpoints must be strictly increasing inside the interval")
         k = k.copy()
         k.setflags(write=False)

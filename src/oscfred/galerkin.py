@@ -133,6 +133,8 @@ def _amplitude(amp) -> np.ndarray:
     c = np.array(amp, dtype=complex, ndmin=1)
     if c.ndim != 1 or not len(c):
         raise ValueError("amplitude coefficients must be a nonempty one-dimensional sequence")
+    if not np.all(np.isfinite(c)):
+        raise ValueError("amplitude coefficients must be finite")
     return trimseq(c)
 
 
@@ -872,8 +874,8 @@ def relative_error_eN(y_h: Callable, y: Callable, norm_y: float) -> float:
     Implements (1/norm_y) * sqrt(sum_j |y(s_j) - y_h(s_j)|^2 / 2048) with
     s_j = -1 + j/1024, j = 1..2048.
     """
-    if not norm_y > 0:
-        raise ValueError("norm_y must be positive")
+    if not (math.isfinite(norm_y) and norm_y > 0):
+        raise ValueError(f"norm_y must be finite and positive, got {norm_y!r}")
     diff = np.asarray(y(EN_GRID)) - np.asarray(y_h(EN_GRID))
     return float(np.sqrt(np.mean(np.abs(diff) ** 2)) / norm_y)
 

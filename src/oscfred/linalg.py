@@ -5,8 +5,8 @@ splits under the orthogonal even/odd transform into halves of orders
 ceil(n/2) and floor(n/2), each a function of A's leading ceil(n/2) rows
 alone and an eighth of the whole in LU and SVD flops (Cantoni & Butler,
 Linear Algebra Appl. 13, 1976); any other A is the single block ``(A,)``.
-:func:`fold` makes the halves, :func:`halves` hands out the blocks one at
-a time, and :func:`solve` runs gesv (``np.linalg.solve``) and values-only
+:func:`halves` builds the blocks one at a time in one buffer, and
+:func:`solve` runs gesv (``np.linalg.solve``) and values-only
 gesdd (``np.linalg.svd``) on each in turn; :func:`lu_factor`,
 :func:`lu_solve` and :func:`cond2` do the same for an explicit square
 matrix.  numpy's LAPACK is the only one the package calls.  Inputs are
@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["SingularMatrixError", "cond2", "fold", "halves", "lu_factor", "lu_solve", "solve"]
+__all__ = ["SingularMatrixError", "cond2", "halves", "lu_factor", "lu_solve", "solve"]
 
 
 class SingularMatrixError(np.linalg.LinAlgError):
@@ -54,71 +54,58 @@ def _vector(b, n: int | None = None) -> np.ndarray:
 
 
 _ROOT2 = math.sqrt(2.0)
-_CHUNK_BYTES = 1 << 20      # the rows :func:`fold` asks for at a time, and :func:`halves`' one-pass limit
-_OP_SIZE = 2048             # least entries per ufunc call in :func:`fold`
-
-
-def fold(rows: Callable[[int, int], np.ndarray], n: int, parities: tuple, out: np.ndarray | None = None) -> tuple:
-    """Halves ``parities`` of an order-n matrix A, from one pass over the rows lo..hi-1 that ``rows(lo, hi)`` gives.
-
-    Each parity is the even (0) or odd (1) half of a centrosymmetric A,
-    written into a fresh array or, for one half, the leading entries of
-    the flat array ``out``.  The leading rows come in one call if they fit
-    in 1 MiB, else in calls of at most that and an eighth of A.
-    For n = 2k or 2k + 1 they read [B, c, C] (the column c for odd n
-    only) and, for odd n, row k reads [r, alpha, .].  The orthogonal
-    transform to the vectors (e_i +- e_{n-1-i})/sqrt(2), i < k, and the
-    middle unit vector takes A to diag(even, odd) with
-
-        even = [[B + CJ, sqrt(2) c], [sqrt(2) r, alpha]]   (order n - k)
-        odd  = B - CJ                                       (order k)
-
-    A ufunc call takes max(2048, n^2/64) entries: numpy buffers each
-    strided operand, and three buffers of n^2/64 entries are under a
-    twentieth of A.  Raises ValueError on a non-finite entry.
-    """
-    k, h = n // 2, n - n // 2
-    sizes = [k if p else h for p in parities]
-    blocks = [(np.empty(s * s, dtype=complex) if out is None else out[:s * s]).reshape(s, s) for s in sizes]
-    size = max(sizes)                               # the rows to read
-    step = size if 16 * n * size <= _CHUNK_BYTES else max(1, min(_CHUNK_BYTES // (16 * n), n // 8))
-    sub = max(1, max(_OP_SIZE, n * n // 64) // max(k, 1))
-    for lo in range(0, size, step):
-        hi = min(lo + step, size)
-        R = rows(lo, hi)
-        top = min(hi, k) - lo                       # the chunk's rows above the middle one
-        for a in range(0, top, sub):
-            b = min(a + sub, top)
-            for p, H in zip(parities, blocks):
-                (np.subtract if p else np.add)(R[a:b, :k], R[a:b, h:][:, ::-1], out=H[lo + a:lo + b, :k])
-        if h > k and 0 in parities:                 # odd n: sqrt(2) c, and the middle row
-            H = blocks[parities.index(0)]
-            np.multiply(R[:top, k], _ROOT2, out=H[lo:lo + top, k])
-            if hi > k:
-                np.multiply(R[k - lo, :k], _ROOT2, out=H[k, :k])
-                H[k, k] = R[k - lo, k]
-        del R                                       # before the next chunk is built
-        if not all(np.isfinite(H[lo:hi]).all() for H in blocks):
-            raise ValueError("matrix entries must be finite")
-    return tuple(blocks)
+_CHUNK_BYTES = 1 << 20      # the leading rows :func:`halves` builds at once, and its chunk limit past that
+_OP_SIZE = 2048             # least entries per ufunc call in :func:`halves`
 
 
 def halves(rows: Callable[[int, int], np.ndarray], n: int, h: int):
     """The blocks of an order-n matrix A, one at a time, from its leading h rows that ``rows(lo, hi)`` gives.
 
     h = n gives A itself.  Else h = ceil(n/2) and A is exactly
-    centrosymmetric: its even half, then its odd one (:func:`fold`), from
-    one pass over the rows if they fit 1 MiB, else from a pass each, the
-    odd half over the even one's buffer.
+    centrosymmetric: its even half, then its odd one, each folded into the
+    leading entries of one buffer of h^2 entries, so the odd half is
+    written over the even one once the even one has been used.  The rows
+    are built once if they fit in 1 MiB, else for each half in chunks of
+    at most that and an eighth of A.  For n = 2k or 2k + 1 they read
+    [B, c, C] (the column c for odd n only) and, for odd n, row k reads
+    [r, alpha, .].  The orthogonal transform to the vectors
+    (e_i +- e_{n-1-i})/sqrt(2), i < k, and the middle unit vector takes A
+    to diag(even, odd) with
+
+        even = [[B + CJ, sqrt(2) c], [sqrt(2) r, alpha]]   (order h)
+        odd  = B - CJ                                       (order k)
+
+    A ufunc call takes max(2048, n^2/64) entries: numpy buffers each
+    strided operand, and three buffers of n^2/64 entries are under a
+    twentieth of A.  Raises ValueError on a non-finite entry, checked for
+    each chunk before the next is built.
     """
     if h == n:
         yield _square(rows(0, n))
-    elif 16 * n * h <= _CHUNK_BYTES:
-        yield from fold(rows, n, (0, 1))
-    else:
-        buf = np.empty(h * h, dtype=complex)
-        for parity in (0, 1):
-            yield from fold(rows, n, (parity,), buf)
+        return
+    k = n // 2
+    whole = rows(0, h) if 16 * n * h <= _CHUNK_BYTES else None
+    step = h if whole is not None else max(1, min(_CHUNK_BYTES // (16 * n), n // 8))
+    sub = max(_OP_SIZE, n * n // 64) // k             # rows per ufunc call, >= 1 for n >= 2
+    buf = np.empty(h * h, dtype=complex)
+    for size, op in ((h, np.add), (k, np.subtract)):
+        H = buf[:size * size].reshape(size, size)
+        for lo in range(0, size, step):
+            hi = min(lo + step, size)
+            R = rows(lo, hi) if whole is None else whole[lo:hi]
+            top = min(hi, k) - lo                       # the chunk's rows above the middle one
+            for a in range(0, top, sub):
+                b = min(a + sub, top)
+                op(R[a:b, :k], R[a:b, h:][:, ::-1], out=H[lo + a:lo + b, :k])
+            if size > k:                                # odd n, even half: sqrt(2) c, and the middle row
+                np.multiply(R[:top, k], _ROOT2, out=H[lo:lo + top, k])
+                if hi > k:
+                    np.multiply(R[k - lo, :k], _ROOT2, out=H[k, :k])
+                    H[k, k] = R[k - lo, k]
+            del R                                       # before the next chunk is built
+            if not np.isfinite(H[lo:hi]).all():
+                raise ValueError("matrix entries must be finite")
+        yield H
 
 
 def solve(blocks, b=None, cond: bool = False) -> tuple[np.ndarray | None, float, dict[str, float]]:
@@ -168,11 +155,13 @@ def solve(blocks, b=None, cond: bool = False) -> tuple[np.ndarray | None, float,
 def lu_factor(A) -> tuple[np.ndarray, ...]:
     """The checked blocks of a square A for :func:`lu_solve` and :func:`solve`; A is not written.
 
-    An exactly centrosymmetric A gives its halves (:func:`fold`; at order 1
-    the even one alone), any other A ``(A,)``.  No factor is kept for reuse.
+    An exactly centrosymmetric A gives copies of its :func:`halves`, any
+    other A ``(A,)``.  No factor is kept for reuse.
     """
     M = _square(A)
-    return fold(lambda lo, hi: M[lo:hi], len(M), (0, 1)[:len(M)]) if np.array_equal(M, M[::-1, ::-1]) else (M,)
+    n = len(M)
+    return tuple(H.copy() for H in halves(lambda lo, hi: M[lo:hi], n, n - n // 2)) \
+        if np.array_equal(M, M[::-1, ::-1]) else (M,)
 
 
 def lu_solve(blocks, b) -> np.ndarray:

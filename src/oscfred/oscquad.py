@@ -148,6 +148,21 @@ def _phase_rule(K: int, phase: float) -> tuple[np.ndarray, np.ndarray]:
     return _frozen(*_composite_rule(-1.0, 1.0, panels, base + math.ceil(0.4 * phase / panels)))
 
 
+def _check_degree(K: int, zero: np.ndarray) -> None:
+    """Refuse a moment degree K that :func:`_phase_rule` cannot take when some rate is nonzero (``zero`` is False).
+
+    Its panels take (K + 2) // 2 + 8 nodes and at least one more for the
+    phase, so past K = 2 (MAX_GAUSS_NODES - 9) - 1 no panel stays within
+    MAX_GAUSS_NODES.  Only small phases ask for the rule, but any nonzero
+    rate is refused, so the outcome does not depend on the wavenumber.
+    Zero rates take their exact limit at any degree.
+    """
+    top = 2 * (MAX_GAUSS_NODES - 9) - 1
+    if K > top and not zero.all():
+        raise ValueError(f"oscillatory moment degree {K} is above {top}, the most the Gauss rules "
+                         f"of at most {MAX_GAUSS_NODES} nodes per panel integrate")
+
+
 @lru_cache(maxsize=None)
 def _moment_rule(K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nodes x, weights and powers x^k (k = 0..K) of :func:`_unit_moments`' Gauss rule at degree K.
@@ -180,10 +195,12 @@ def _unit_moments(w: np.ndarray, K: int) -> np.ndarray:
     0 takes the limit both share, :func:`_zero_moments`, so a batch of
     zero and large rates runs the recurrence alone.  The rule depends on
     K alone and each row is its own product, so row e is bitwise the same
-    whatever else is in the batch.  The cost does not depend on w.
+    whatever else is in the batch.  The cost does not depend on w.  A
+    degree :func:`_check_degree` refuses raises ValueError.
     """
     w = np.asarray(w, dtype=float)
     zero = w == 0
+    _check_degree(K, zero)
     small = (np.abs(w) < max(0.5, K)) != zero              # the nonzero rates below the switch
     big = ~(small | zero)
     M = np.empty((len(w), K + 1), dtype=complex)
@@ -261,13 +278,15 @@ def _triangle_moments(ls: np.ndarray, lt: np.ndarray, A: int, B: int) -> np.ndar
     with the phases swapped.  Below T in both, the collapsed Gauss rule of
     :func:`_collapsed_rule`, except at ls = lt = 0, which takes the exact
     limit of :func:`_sigma_rule`.  Each row is its own product, so row e
-    does not depend on the rest of the batch.
+    does not depend on the rest of the batch.  The u-integrand's degree
+    2D - 1 is checked by :func:`_check_degree`.
     """
     D = max(A, B)
     T = max(1.0, D - 1.0)
     swap = np.abs(lt) < T
     sigma = ~swap | (np.abs(ls) >= T)
     zero = (ls == 0) & (lt == 0)
+    _check_degree(2 * D - 1, zero)
     gauss = ~(sigma | zero)
     nsigma = np.count_nonzero(sigma)
     ratio, power, sign, flip, window, limit = _sigma_rule(D)

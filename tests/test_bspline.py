@@ -68,6 +68,16 @@ def test_knot_validation():
         KnotVector(order=2, knots=np.array([-1.0, 1.0]))  # too few knots for the order
 
 
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("breakpoints", [[np.nan], [0.0, np.nan], [np.nan, 0.0]])
+def test_a_nan_breakpoint_is_refused(m, breakpoints):
+    # every comparison with NaN is false, so "no gap <= 0" held and the mesh was all-NaN pieces
+    knots = np.concatenate((np.full(m, -1.0), breakpoints, np.full(m, 1.0)))
+    for call in (lambda: make_knots(breakpoints, m), lambda: KnotVector(m, knots)):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            call()
+
+
 @pytest.mark.parametrize("N", [4.5, 4.0, True, False, "4", None])
 def test_a_mesh_count_that_is_not_an_integer_is_refused_by_name(N):
     # 4.5 cells would make a mesh that is neither uniform nor mirrored, and

@@ -123,6 +123,15 @@ def test_amplitudes_are_trimmed_read_only_arrays():
             StructuredFunction(5.0, {0: bad})
 
 
+@pytest.mark.parametrize("amp", [[np.nan], [1.0, np.inf], [1.0, complex(0.0, np.nan)],
+                                 Polynomial([np.nan]), np.polynomial.Chebyshev([1.0, -np.inf])],
+                         ids=["nan", "inf", "complex-nan", "polynomial", "chebyshev"])
+def test_non_finite_amplitudes_are_refused(amp):
+    # as a load a NaN reached linalg, and as the exact solution it read as "zero"
+    with pytest.raises(ValueError, match="amplitude coefficients must be finite"):
+        StructuredFunction(50.0, {0: amp})
+
+
 def test_repeated_carriers_are_summed_and_zero_amplitudes_dropped():
     p, q = [1.0, 1.0], [0.0, 0.0, 1.0]
     f = StructuredFunction(5.0, [(0, p), (1, [0.5]), (0, q)])
@@ -792,8 +801,9 @@ def test_error_metric_l2_variant_is_sqrt2_rescale():
 
 def test_error_metric_rejects_bad_norm():
     y = StructuredFunction(50.0, {0: Polynomial([1.0])})
-    with pytest.raises(ValueError):
-        relative_error_eN(y, y, 0.0)
+    for norm in (0.0, -1.0, math.inf, math.nan):             # an infinite norm read every error as 0
+        with pytest.raises(ValueError, match="finite and positive"):
+            relative_error_eN(y, y, norm)
 
 
 def test_convergence_order_values():

@@ -41,14 +41,13 @@ def test_validators_reject_bad_input():
 
 def test_lu_of_a_centrosymmetric_matrix_factors_its_halves():
     # J itself folds to diag(1, -1); a random J A J = A of odd order to halves of orders 4 and 3.
-    # A square A is left unchanged, and its blocks are the halves fold makes from its leading rows, bit for bit
+    # A square A is left unchanged, and its blocks are what halves makes from its leading rows, bit for bit
     rng = np.random.default_rng(5)
     X = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
     for A in (np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex), X + X[::-1, ::-1]):
         A0 = A.copy()
         b = rng.standard_normal(len(A)) + 1j * rng.standard_normal(len(A))
-        blocks = linalg.fold(lambda lo, hi: A[lo:hi].copy(), len(A), (0,)) + \
-            linalg.fold(lambda lo, hi: A[lo:hi].copy(), len(A), (1,))     # one half per pass
+        blocks = [H.copy() for H in linalg.halves(lambda lo, hi: A[lo:hi].copy(), len(A), (len(A) + 1) // 2)]
         fact = lu_factor(A)
         assert np.array_equal(A, A0)
         assert [len(H) for H in fact] == [(len(A) + 1) // 2, len(A) // 2]
@@ -185,7 +184,7 @@ def test_fold_leaves_the_matrix_and_the_load_alone():
 
 
 def rows_of(A, calls):
-    """fold's rows function over A, recording the (lo, hi) of every call."""
+    """halves' rows function over A, recording the (lo, hi) of every call."""
     def rows(lo, hi):
         calls.append((lo, hi))
         return A[lo:hi].copy()
@@ -194,20 +193,18 @@ def rows_of(A, calls):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 30, 31])
 def test_fold_reads_only_the_leading_rows(n):
-    # a half comes from rows [0, ceil(n/2)) alone, the even one from all of
-    # them and the odd one from the first floor(n/2): garbage below them
-    # changes nothing, and they are the defining formulas bit for bit
+    # the halves come from rows [0, ceil(n/2)) alone, built in one call:
+    # garbage below them changes nothing, and they are the defining
+    # formulas bit for bit
     A, b = centrosymmetric(n, n + 100)
     h, k = n - n // 2, n // 2
     blocks = lu_factor(A)
     M = A.copy()
     M[h:] = np.nan
-    for parity, size in list(zip((0, 1), (h, k)))[:len(blocks)]:
-        calls = []
-        H, = linalg.fold(rows_of(M, calls), n, (parity,))
-        assert np.array_equal(H, blocks[parity])
-        assert calls[0][0] == 0 and calls[-1][1] == size
-        assert all(hi == lo2 for (_, hi), (lo2, _) in zip(calls, calls[1:]))
+    calls = []
+    folded = [H.copy() for H in linalg.halves(rows_of(M, calls), n, h)]
+    assert calls == [(0, h)]
+    assert len(folded) == len(blocks) and all(np.array_equal(H, B) for H, B in zip(folded, blocks))
     CJ = A[:k, h:][:, ::-1]                     # the defining formulas, as one whole-array step
     assert np.array_equal(blocks[0][:k, :k], A[:k, :k] + CJ)
     assert n == 1 or np.array_equal(blocks[1], A[:k, :k] - CJ)
@@ -274,10 +271,10 @@ def test_solve_refuses_a_load_its_blocks_do_not_fit():
 
 @pytest.mark.parametrize("n", [7, 390, 514])
 def test_halves_builds_one_half_at_a_time_past_1_mib(n):
-    # the leading rows of n = 7 fit 1 MiB, so one pass builds both halves
-    # before the first is handed out; those of opgm N=128 and cgm N=512 do
-    # not, so each half takes its own pass over [0, its order), and the odd
-    # half is written over the even one's buffer
+    # the leading rows of n = 7 fit 1 MiB, so one call builds them for both
+    # halves; those of opgm N=128 and cgm N=512 do not, so each half takes
+    # its own pass over [0, its order); either way the odd half is written
+    # over the even one's buffer
     A, _ = centrosymmetric(n, n + 300)
     h, k = n - n // 2, n // 2
     expected = lu_factor(A)
@@ -290,10 +287,11 @@ def test_halves_builds_one_half_at_a_time_past_1_mib(n):
     odd = next(blocks)
     assert np.array_equal(odd, expected[1])
     assert next(blocks, None) is None
+    assert np.shares_memory(even, odd)
     if 16 * n * h <= 1 << 20:
-        assert len(calls) == first and not np.shares_memory(even, odd)
+        assert calls == [(0, h)]
     else:
-        assert calls[first][0] == 0 and calls[-1][1] == k and np.shares_memory(even, odd)
+        assert calls[first][0] == 0 and calls[-1][1] == k
     calls = []
     whole, = linalg.halves(rows_of(A, calls), n, n)      # h = n: A itself, from one call
     assert calls == [(0, n)] and np.array_equal(whole, A)
@@ -301,19 +299,19 @@ def test_halves_builds_one_half_at_a_time_past_1_mib(n):
 
 @pytest.mark.parametrize("n", [390, 514, 1542])
 def test_fold_rows_transient_is_a_twentieth_of_the_matrix(n):
-    # the orders of opgm N=128, cgm N=512 and opgm N=512: fold writes the
-    # halves from the rows it is given in ufunc calls of at most 2048
-    # entries, so it allocates little beside the halves it returns, and
-    # they are the defining formulas bit for bit
+    # the orders of opgm N=128, cgm N=512 and opgm N=512: halves writes
+    # each half from the rows it is given in ufunc calls of at most 2048
+    # entries, so it allocates little beside its one buffer (and the copies
+    # taken here), and they are the defining formulas bit for bit
     A, b = centrosymmetric(n, n)
     h, k = n - n // 2, n // 2
     tracemalloc.start()
     try:
-        blocks = linalg.fold(lambda lo, hi: A[lo:hi], n, (0, 1))
+        blocks = [H.copy() for H in linalg.halves(lambda lo, hi: A[lo:hi], n, h)]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - sum(H.nbytes for H in blocks) <= 0.05 * 16 * n * n
+    assert peak - 16 * h * h - sum(H.nbytes for H in blocks) <= 0.05 * 16 * n * n
     CJ = A[:k, h:][:, ::-1]
     r2 = math.sqrt(2.0)
     even = np.block([[A[:k, :k] + CJ, A[:k, k:h] * r2], [A[k:h, :k] * r2, A[k:h, k:h]]])
@@ -338,16 +336,37 @@ def test_fold_rows_validates_shape_and_finiteness():
         with pytest.raises(ValueError, match="dimension mismatch"):
             lu_solve(lu_factor(M), load)
     S = A[:3].copy()
-    S[0, 0] = np.inf                            # a non-finite leading row fails either half
-    for parity in (0, 1):
-        with pytest.raises(ValueError, match="must be finite"):
-            linalg.fold(lambda lo, hi: S[lo:hi], 6, (parity,))
+    S[0, 0] = np.inf                            # a non-finite leading row fails the even half
+    with pytest.raises(ValueError, match="must be finite"):
+        next(linalg.halves(lambda lo, hi: S[lo:hi], 6, 3))
     S = A[:3].copy()
     S[0, 0], S[0, -1] = 1e308, 1e308            # finite rows whose even half overflows
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="must be finite"):
-        linalg.fold(lambda lo, hi: S[lo:hi], 6, (0,))
+        next(linalg.halves(lambda lo, hi: S[lo:hi], 6, 3))
+    S[0, -1] = -1e308                           # and whose odd half alone overflows
+    blocks = linalg.halves(lambda lo, hi: S[lo:hi], 6, 3)
+    next(blocks)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="must be finite"):
+        next(blocks)
+    A, _ = centrosymmetric(390, 6)              # rows past 1 MiB: the check comes before the next chunk
+    A[0, 0] = np.nan
+    calls = []
+    with pytest.raises(ValueError, match="must be finite"):
+        next(linalg.halves(rows_of(A, calls), 390, 195))
+    assert calls == [(0, 48)]
     with pytest.raises(ValueError, match="must be finite"):   # the whole block of a rows function
         next(linalg.halves(lambda lo, hi: np.full((hi - lo, 6), np.nan), 6, 6))
+
+
+@pytest.mark.parametrize("n", [7, 390, 515])
+def test_lu_factor_copies_the_blocks_halves_yields(n):
+    # below and past 1 MiB of leading rows, odd and even n
+    A, _ = centrosymmetric(n, n + 400)
+    blocks = lu_factor(A)
+    folded = [H.copy() for H in linalg.halves(lambda lo, hi: A[lo:hi], n, n - n // 2)]
+    assert len(blocks) == len(folded) == 2
+    assert all(np.array_equal(H, B) for H, B in zip(blocks, folded))
+    assert not any(np.shares_memory(H, A) for H in blocks) and not np.shares_memory(*blocks)
 
 
 def test_cond2_of_blocks_is_the_block_diagonal_condition():

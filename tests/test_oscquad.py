@@ -146,6 +146,21 @@ def test_unit_moments_at_zero_rate_are_exact(K):
     assert not _zero_moments(K).flags.writeable
 
 
+def test_moment_degrees_past_the_gauss_rules_are_refused_at_any_nonzero_rate():
+    # (K + 2) // 2 + 8 plus a node for the phase fits 64 nodes up to K = 109
+    # (triangles: 2D - 1 <= 109, D <= 55); the recurrence's large rates are
+    # refused alike, and exact zero rates pass at any degree
+    assert np.isfinite(_unit_moments(np.array([0.5, 1e6]), 109)).all()
+    assert np.isfinite(_triangle_moments(np.array([0.5]), np.array([1e6]), 55, 1)).all()
+    for w in (0.5, 1e6):
+        with pytest.raises(ValueError, match="moment degree 110 is above 109"):
+            _unit_moments(np.array([0.0, w]), 110)
+        with pytest.raises(ValueError, match="moment degree 111 is above 109"):
+            _triangle_moments(np.array([0.0, 0.0]), np.array([0.0, w]), 1, 56)
+    assert np.array_equal(_unit_moments(np.zeros(2), 200), np.broadcast_to(_zero_moments(200), (2, 201)))
+    assert np.isfinite(_triangle_moments(np.zeros(1), np.zeros(1), 56, 56)).all()
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     K=st.integers(0, 60),

@@ -526,6 +526,19 @@ def test_unresolved_fits_name_their_degree_and_tail_bound():
         run_galerkin(Problem(kernel=prob.kernel, rhs=lambda s: np.exp(300j * s), exact=prob.exact), "opgm", 8)
 
 
+def test_a_kernel_degree_past_the_gauss_rules_is_refused_at_every_wavenumber():
+    # a degree-59 factor was refused at kappa = 50 (a 165-node rule) and
+    # solved at kappa = 5e3 and above; a degree-199 load at rate 0 takes
+    # the exact zero-rate moments, so cgm solves it at every kappa
+    for kappa in (50.0, 5e3, 5e4):
+        wide = Problem(OscKernel.polynomial([[1.0] * 60], kappa), StructuredFunction(kappa, {0: [1.0]}))
+        for method in ("cgm", "opgm"):
+            with pytest.raises(ValueError, match="moment degree 121 is above 109"):
+                run_galerkin(wide, method, 16)
+        high = Problem(OscKernel.polynomial([[1.0]], kappa), StructuredFunction(kappa, {0: [1.0] * 200}))
+        assert np.all(np.isfinite(run_galerkin(high, "cgm", 16).coeffs))
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_reflection_symmetry_truth_table(m):
     mirror, skew = SplineSpace(make_knots([-0.6, 0.0, 0.6], m)), SplineSpace(make_knots([-0.6, 0.1, 0.6], m))
