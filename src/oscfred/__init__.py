@@ -10,7 +10,8 @@ Modules
 -------
 bspline   knot vectors on I, B-spline bases, Gram matrices, grid error measure
 oscquad   oscillatory quadrature: exact unit moments, reference rule
-linalg    even/odd halves folded one at a time into one buffer, one dense solve (LU and exact cond2) over them
+linalg    one dense solve (LU and exact cond2) of a matrix given as its leading rows, over its even/odd
+          halves folded one at a time into one buffer
 galerkin  trial spaces, per-mesh plans, assembly of E, K and the rows of E - K on request, solution evaluation,
           error metrics, quadrature oracles
 problems  benchmark problem, manufactured solutions, oscillation experiment

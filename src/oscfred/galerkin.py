@@ -780,7 +780,7 @@ def system_rows(space: TrialSpace, kernel: OscKernel) -> tuple[Callable[[int, in
     The leading h rows determine E - K and are those of ``assemble_mass -
     assemble_operator`` bit for bit: ceil(n/2) on reflection-symmetric
     data (:func:`reflection_symmetric`), where J (E - K) J = E - K
-    exactly, else n.  :func:`oscfred.linalg.halves` takes ``rows`` as it is.
+    exactly, else n.  :func:`oscfred.linalg.solve` takes ``rows``, n and h as they are.
     """
     _check_kappa(space.kappa, kernel.kappa)
     fill, h = _rows(space, kernel, mass=True)

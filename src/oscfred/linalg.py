@@ -1,16 +1,16 @@
-"""Dense complex linear algebra for the discrete Galerkin systems: one solve over a matrix's blocks.
+"""Dense complex linear algebra for the discrete Galerkin systems: one solve over a matrix's rows.
 
 An exactly centrosymmetric A (J A J = A bitwise, J the index reversal)
 splits under the orthogonal even/odd transform into halves of orders
-ceil(n/2) and floor(n/2), each a function of A's leading ceil(n/2) rows
-alone and an eighth of the whole in LU and SVD flops (Cantoni & Butler,
-Linear Algebra Appl. 13, 1976); any other A is the single block ``(A,)``.
+ceil(n/2) and floor(n/2), each a function of A's leading h = ceil(n/2)
+rows alone and an eighth of the whole in LU and SVD flops (Cantoni &
+Butler, Linear Algebra Appl. 13, 1976); any other A is one block, h = n.
 :func:`halves` builds the blocks one at a time in one buffer, and
-:func:`solve` runs gesv (``np.linalg.solve``) and values-only
-gesdd (``np.linalg.svd``) on each in turn; :func:`lu_factor`,
-:func:`lu_solve` and :func:`cond2` do the same for an explicit square
-matrix.  numpy's LAPACK is the only one the package calls.  Inputs are
-plain complex ndarrays, checked for shape and finiteness.
+:func:`solve` runs gesv (``np.linalg.solve``) and values-only gesdd
+(``np.linalg.svd``) on each in turn; :func:`lu_factor` gives a square
+matrix as ``(rows, n, h)`` for :func:`lu_solve` and :func:`cond2`.
+numpy's LAPACK is the only one the package calls.  Inputs are plain
+complex ndarrays, checked for shape and finiteness.
 """
 
 from __future__ import annotations
@@ -44,10 +44,10 @@ def _square(A) -> np.ndarray:
     return M
 
 
-def _vector(b, n: int | None = None) -> np.ndarray:
+def _vector(b, n: int) -> np.ndarray:
     v = np.asarray(b, dtype=complex)
-    if v.ndim != 1 or n not in (None, len(v)):
-        raise ValueError(f"dimension mismatch: blocks of total order {n}, vector of shape {v.shape}")
+    if v.shape != (n,):
+        raise ValueError(f"dimension mismatch: matrix of order {n}, vector of shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ValueError("vector entries must be finite")
     return v
@@ -61,7 +61,7 @@ _OP_SIZE = 2048             # least entries per ufunc call in :func:`halves`
 def halves(rows: Callable[[int, int], np.ndarray], n: int, h: int):
     """The blocks of an order-n matrix A, one at a time, from its leading h rows that ``rows(lo, hi)`` gives.
 
-    h = n gives A itself.  Else h = ceil(n/2) and A is exactly
+    h = n gives A itself.  Else h must be ceil(n/2), and A is exactly
     centrosymmetric: its even half, then its odd one, each folded into the
     leading entries of one buffer of h^2 entries, so the odd half is
     written over the even one once the even one has been used.  The rows
@@ -77,9 +77,12 @@ def halves(rows: Callable[[int, int], np.ndarray], n: int, h: int):
 
     A ufunc call takes max(2048, n^2/64) entries: numpy buffers each
     strided operand, and three buffers of n^2/64 entries are under a
-    twentieth of A.  Raises ValueError on a non-finite entry, checked for
-    each chunk before the next is built.
+    twentieth of A.  Raises ValueError on any other h, before ``rows`` is
+    called, and on a non-finite entry, checked for each chunk before the
+    next is built.
     """
+    if h not in (n, n - n // 2):
+        raise ValueError(f"leading rows {h} of an order-{n} matrix: expected {n} or {n - n // 2}")
     if h == n:
         yield _square(rows(0, n))
         return
@@ -108,28 +111,27 @@ def halves(rows: Callable[[int, int], np.ndarray], n: int, h: int):
         yield H
 
 
-def solve(blocks, b=None, cond: bool = False) -> tuple[np.ndarray | None, float, dict[str, float]]:
-    """``(x, cond2, seconds)`` for A x = b from A's ``blocks``: A itself, or its even half and then its odd one.
+def solve(rows: Callable[[int, int], np.ndarray], n: int, h: int, b=None,
+          cond: bool = False) -> tuple[np.ndarray | None, float, dict[str, float]]:
+    """``(x, cond2, seconds)`` for A x = b, A the order-n matrix whose leading h rows ``rows(lo, hi)`` gives.
 
-    Each block takes gesv on its share of b and, with ``cond``, values-only
-    gesdd before the next is asked for.  ``seconds`` holds the waits for
-    the blocks (``fold``), gesv (``solve``) and gesdd (``cond``).  x is
-    None without b; cond2 is NaN without ``cond``, +inf when the least
-    singular value is 0.  A zero pivot raises SingularMatrixError, and a
-    block order other than b's length, or ceil then floor of its half, ValueError.
+    Each block of :func:`halves` takes gesv on its share of b and, with
+    ``cond``, values-only gesdd before the next is built.  ``seconds``
+    holds the waits for the blocks (``fold``), gesv (``solve``) and gesdd
+    (``cond``).  x is None without b; cond2 is NaN without ``cond``, +inf
+    when the least singular value is 0.  A zero pivot raises
+    SingularMatrixError, and a b of length other than n ValueError before
+    ``rows`` is called.
     """
-    v = None if b is None else _vector(b)
-    n, clock = (0 if v is None else len(v)), time.perf_counter
-    seconds, xs, orders, smax, smin = {"fold": 0.0, "solve": 0.0, "cond": 0.0}, [], [], 0.0, math.inf
+    v = None if b is None else _vector(b, n)
+    k, clock = n // 2, time.perf_counter
+    seconds, xs, smax, smin = {"fold": 0.0, "solve": 0.0, "cond": 0.0}, [], 0.0, math.inf
     t = clock()
-    for H in blocks:
+    for H in halves(rows, n, h):
         seconds["fold"] += clock() - t
         if v is not None:
-            t, w, k = clock(), v, n // 2                # the load of A, else of its even or odd half
-            orders.append(len(H))
-            if orders not in ([n], [n - k], [n - k, k]):    # A's order, else its halves' so far
-                raise ValueError(f"dimension mismatch: blocks of orders {orders}, vector of length {n}")
-            if len(H) < n:
+            t, w = clock(), v                           # the load of A, else of its even or odd half
+            if h < n:
                 top, bottom = v[:k], v[n - k:][::-1]
                 w = (top - bottom) / _ROOT2 if xs else np.concatenate(((top + bottom) / _ROOT2, v[k:n - k]))
             try:
@@ -143,8 +145,6 @@ def solve(blocks, b=None, cond: bool = False) -> tuple[np.ndarray | None, float,
             smax, smin = max(smax, s[0]), min(smin, s[-1])
             seconds["cond"] += clock() - t
         t = clock()
-    if sum(orders) != n:
-        raise ValueError(f"dimension mismatch: blocks of orders {orders}, vector of length {n}")
     if len(xs) == 2:                                    # x from the halves' solutions
         even, odd = xs
         xs = [np.concatenate(((even[:k] + odd) / _ROOT2, even[k:], ((even[:k] - odd) / _ROOT2)[::-1]))]
@@ -152,23 +152,22 @@ def solve(blocks, b=None, cond: bool = False) -> tuple[np.ndarray | None, float,
     return (xs[0] if xs else None), c, seconds
 
 
-def lu_factor(A) -> tuple[np.ndarray, ...]:
-    """The checked blocks of a square A for :func:`lu_solve` and :func:`solve`; A is not written.
+def lu_factor(A) -> tuple[Callable[[int, int], np.ndarray], int, int]:
+    """``(rows, n, h)`` of a square A for :func:`solve` and :func:`halves`: A's own rows, checked, not copied.
 
-    An exactly centrosymmetric A gives copies of its :func:`halves`, any
-    other A ``(A,)``.  No factor is kept for reuse.
+    h = ceil(n/2) when A is exactly centrosymmetric, else n.  A is not
+    written, and no factor is kept for reuse.
     """
     M = _square(A)
     n = len(M)
-    return tuple(H.copy() for H in halves(lambda lo, hi: M[lo:hi], n, n - n // 2)) \
-        if np.array_equal(M, M[::-1, ::-1]) else (M,)
+    return (lambda lo, hi: M[lo:hi]), n, (n - n // 2 if np.array_equal(M, M[::-1, ::-1]) else n)
 
 
-def lu_solve(blocks, b) -> np.ndarray:
-    """x with A x = b from ``lu_factor(A)`` by :func:`solve`, b checked against all the blocks before any gesv."""
-    return solve(blocks, _vector(b, sum(len(H) for H in blocks)))[0]
+def lu_solve(fact, b) -> np.ndarray:
+    """x with A x = b from ``fact = lu_factor(A)`` by :func:`solve`."""
+    return solve(*fact, b)[0]
 
 
 def cond2(A) -> float:
     """2-norm condition number sigma_max/sigma_min of a square matrix, over its halves if it is centrosymmetric."""
-    return solve(lu_factor(A), cond=True)[1]
+    return solve(*lu_factor(A), cond=True)[1]

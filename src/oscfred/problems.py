@@ -234,19 +234,21 @@ def run_galerkin(
     Every input takes the same calls: the load
     (:func:`oscfred.galerkin.assemble_rhs`), E - K's rows from a band and
     generators formed once (:func:`oscfred.galerkin.system_rows`), and
-    :func:`oscfred.linalg.solve` on the blocks :func:`oscfred.linalg.halves`
-    builds from them.  On input invariant under s -> -s
-    (:func:`oscfred.galerkin.reflection_symmetric`) those are E - K's even
-    and odd halves, one at a time; any other input is one n x n block.
+    :func:`oscfred.linalg.solve` on those rows, n and h, which solves each
+    block :func:`oscfred.linalg.halves` builds.  On input invariant under
+    s -> -s (:func:`oscfred.galerkin.reflection_symmetric`) h = ceil(n/2)
+    and the blocks are E - K's even and odd halves, one at a time; any
+    other input has h = n and is one n x n block.  A ``method`` other than
+    'cgm' or 'opgm' (any case) raises ValueError.
 
     ``stages`` sums each stage over the blocks, ``matrix`` including the
     rows built while they are folded.  Raises ValueError on a non-finite
     entry and :class:`oscfred.linalg.SingularMatrixError` on an exactly
     singular block, each before the next block is built.
     """
-    method = method.lower()
-    if method not in METHOD_MULTIPLIERS:
+    if not isinstance(method, str) or method.lower() not in METHOD_MULTIPLIERS:
         raise ValueError(f"unknown method {method!r}; expected 'cgm' or 'opgm'")
+    method = method.lower()
     splines = galerkin.uniform_plan(N, spline_order).splines
     space = TrialSpace(splines=splines, kappa=problem.kappa, multipliers=METHOD_MULTIPLIERS[method])
     clock = time.perf_counter
@@ -263,7 +265,7 @@ def run_galerkin(
         stages["matrix"] += clock() - t
         return out
 
-    coeffs, cond, seconds = linalg.solve(linalg.halves(timed_rows, space.dimension, h), f, compute_cond)
+    coeffs, cond, seconds = linalg.solve(timed_rows, space.dimension, h, f, compute_cond)
     stages.update(seconds, fold=seconds["fold"] - (stages["matrix"] - built), error=0.0)
     run = GalerkinRun(method=method, kappa=problem.kappa, N=N, spline_order=spline_order,
                       matrix_order=space.dimension, coeffs=coeffs, space=space, stages=stages, cond=cond)

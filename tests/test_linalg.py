@@ -41,19 +41,24 @@ def test_validators_reject_bad_input():
 
 def test_lu_of_a_centrosymmetric_matrix_factors_its_halves():
     # J itself folds to diag(1, -1); a random J A J = A of odd order to halves of orders 4 and 3.
-    # A square A is left unchanged, and its blocks are what halves makes from its leading rows, bit for bit
+    # A square A is left unchanged, and lu_factor gives its own leading ceil(n/2) rows, from which
+    # halves and solve give what they give on a copy of them, bit for bit
     rng = np.random.default_rng(5)
     X = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
     for A in (np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex), X + X[::-1, ::-1]):
         A0 = A.copy()
-        b = rng.standard_normal(len(A)) + 1j * rng.standard_normal(len(A))
-        blocks = [H.copy() for H in linalg.halves(lambda lo, hi: A[lo:hi].copy(), len(A), (len(A) + 1) // 2)]
+        n, h = len(A), (len(A) + 1) // 2
+        b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        copied = lambda lo, hi: A[lo:hi].copy()
+        blocks = [H.copy() for H in linalg.halves(copied, n, h)]
         fact = lu_factor(A)
         assert np.array_equal(A, A0)
-        assert [len(H) for H in fact] == [(len(A) + 1) // 2, len(A) // 2]
-        assert all(np.array_equal(H, B) for H, B in zip(fact, blocks, strict=True))
+        assert fact[1:] == (n, h) and np.shares_memory(fact[0](0, h), A)
+        folded = [H.copy() for H in linalg.halves(*fact)]
+        assert [len(H) for H in folded] == [h, n // 2]
+        assert all(np.array_equal(H, B) for H, B in zip(folded, blocks, strict=True))
         x = lu_solve(fact, b)
-        assert np.array_equal(x, lu_solve(blocks, b))
+        assert np.array_equal(x, linalg.solve(copied, n, h, b)[0])
         npt.assert_allclose(A @ x, b, atol=1e-12)
         npt.assert_allclose(x, np.linalg.solve(A, b), rtol=1e-12)
 
@@ -165,21 +170,21 @@ def centrosymmetric(n, seed):
 def test_fold_solves_and_conditions_like_the_whole(n):
     A, b = centrosymmetric(n, n)
     x, c = np.linalg.solve(A, b), cond2(A)
-    blocks = lu_factor(A)
-    assert [M.shape[0] for M in blocks] == ([1] if n == 1 else [(n + 1) // 2, n // 2])
-    y = lu_solve(blocks, b)
+    fact = lu_factor(A)
+    assert [M.shape[0] for M in linalg.halves(*fact)] == ([1] if n == 1 else [(n + 1) // 2, n // 2])
+    y = lu_solve(fact, b)
     assert np.linalg.norm(A @ y - b) <= 1e-13 * np.linalg.norm(A, 2) * np.linalg.norm(y)
     npt.assert_allclose(y, x, rtol=1e-12 * c)
-    assert linalg.solve(blocks, cond=True)[1] == pytest.approx(c, rel=1e-12)
+    assert linalg.solve(*fact, cond=True)[1] == pytest.approx(c, rel=1e-12)
 
 
 def test_fold_leaves_the_matrix_and_the_load_alone():
-    # the halves are fresh arrays, and neither lu_factor nor lu_solve writes its input
+    # the halves are folded into a fresh buffer, and neither lu_factor nor lu_solve writes its input
     A, b = centrosymmetric(7, 1)
     A0, b0 = A.copy(), b.copy()
-    blocks = lu_factor(A)
-    assert not any(np.shares_memory(M, A) for M in blocks)
-    lu_solve(blocks, b)
+    fact = lu_factor(A)
+    assert not any(np.shares_memory(M, A) for M in linalg.halves(*fact))
+    lu_solve(fact, b)
     assert np.array_equal(A, A0) and np.array_equal(b, b0)
 
 
@@ -198,7 +203,7 @@ def test_fold_reads_only_the_leading_rows(n):
     # formulas bit for bit
     A, b = centrosymmetric(n, n + 100)
     h, k = n - n // 2, n // 2
-    blocks = lu_factor(A)
+    blocks = [H.copy() for H in linalg.halves(*lu_factor(A))]
     M = A.copy()
     M[h:] = np.nan
     calls = []
@@ -216,8 +221,9 @@ def test_solve_is_gesv_on_the_halves_loads_mapped_back(n):
     # formulas bit for bit, and gesdd's extreme values give cond2
     A, b = centrosymmetric(n, n + 200)
     h, k, r2 = n - n // 2, n // 2, math.sqrt(2.0)
-    blocks = lu_factor(A)
-    x, c, seconds = linalg.solve(blocks, b, cond=True)
+    fact = lu_factor(A)
+    blocks = [H.copy() for H in linalg.halves(*fact)]
+    x, c, seconds = linalg.solve(*fact, b, cond=True)
     assert set(seconds) == {"fold", "solve", "cond"} and min(seconds.values()) >= 0.0
     sv = [np.linalg.svd(H, compute_uv=False) for H in blocks]
     assert c == max(s[0] for s in sv) / min(s[-1] for s in sv)
@@ -234,39 +240,42 @@ def test_solve_is_gesv_on_the_halves_loads_mapped_back(n):
 def test_solve_without_a_load_or_a_condition_number():
     # no b: no gesv and x is None; no cond: no gesdd and cond2 is NaN
     A, b = centrosymmetric(9, 3)
-    x, c, seconds = linalg.solve(lu_factor(A))
+    x, c, seconds = linalg.solve(*lu_factor(A))
     assert x is None and math.isnan(c) and seconds["solve"] == seconds["cond"] == 0.0
-    x, c, seconds = linalg.solve(lu_factor(A), b)
-    assert np.array_equal(x, linalg.solve(lu_factor(A), b, cond=True)[0])
+    x, c, seconds = linalg.solve(*lu_factor(A), b)
+    assert np.array_equal(x, linalg.solve(*lu_factor(A), b, cond=True)[0])
     assert math.isnan(c) and seconds["cond"] == 0.0
 
 
 def test_solve_refuses_a_load_its_blocks_do_not_fit():
-    # a whole 3x3 block takes a load of length 3 only, not one whose half
-    # has 3 entries; halves take a load of their orders' sum, checked as
-    # each block comes, so no further block is built after a misfit
+    # the load of an order-n matrix has length n, whether it is one whole
+    # block (h = n) or folds into halves (h = ceil(n/2)); a misfit is
+    # refused before any row is built
     A = np.arange(9.0).reshape(3, 3) + 4 * np.eye(3)
-    for load in (np.ones(2), np.ones(4), np.ones(5), np.ones(6), np.ones((3, 1))):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            linalg.solve((A,), load)
     C, b = centrosymmetric(9, 4)
-    blocks = lu_factor(C)
-    for load in (b[:8], np.ones(7), np.ones(10)):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            linalg.solve(blocks, load)
-    for cut in (blocks[:1], blocks[::-1], blocks + blocks[1:]):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            linalg.solve(cut, b)
-    built = []
+    for M, h, loads in ((A, 3, (np.ones(2), np.ones(4), np.ones(5), np.ones(6), np.ones((3, 1)))),
+                        (C, 5, (b[:8], np.ones(7), np.ones(10), b[:, None]))):
+        calls = []
+        for load in loads:
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                linalg.solve(rows_of(M, calls), len(M), h, load)
+        assert calls == []
+        assert np.array_equal(linalg.solve(rows_of(M, calls), len(M), h, M @ np.ones(len(M)))[0],
+                              lu_solve(lu_factor(M), M @ np.ones(len(M))))
 
-    def one_at_a_time():
-        for H in blocks:
-            built.append(len(H))
-            yield H
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        linalg.solve(one_at_a_time(), np.ones(8))
-    assert built == [5]
-    assert np.array_equal(linalg.solve(one_at_a_time(), b)[0], lu_solve(blocks, b))
+
+@pytest.mark.parametrize("n, h", [(4, 3), (6, 5), (6, 2), (5, 6)])
+def test_halves_and_solve_refuse_leading_rows_other_than_n_or_half(n, h):
+    # h = n is the whole matrix and h = ceil(n/2) its halves; any other h
+    # would fold blocks of the wrong orders, so it is refused before a row is built
+    A, b = centrosymmetric(n, n)
+    calls = []
+    with pytest.raises(ValueError, match="leading rows"):
+        next(linalg.halves(rows_of(A, calls), n, h))
+    for load in (None, b):
+        with pytest.raises(ValueError, match="leading rows"):
+            linalg.solve(rows_of(A, calls), n, h, load, cond=True)
+    assert calls == []
 
 
 @pytest.mark.parametrize("n", [7, 390, 514])
@@ -277,7 +286,7 @@ def test_halves_builds_one_half_at_a_time_past_1_mib(n):
     # over the even one's buffer
     A, _ = centrosymmetric(n, n + 300)
     h, k = n - n // 2, n // 2
-    expected = lu_factor(A)
+    expected = [H.copy() for H in linalg.halves(*lu_factor(A))]
     calls = []
     blocks = linalg.halves(rows_of(A, calls), n, h)
     even = next(blocks)
@@ -323,8 +332,9 @@ def test_fold_rows_validates_shape_and_finiteness():
     A, b = centrosymmetric(6, 5)
     C = A.copy()
     C[0, 0] += 1.0                              # all n rows of a matrix that is not centrosymmetric
-    blocks = lu_factor(C)                       # the single block, as it is
-    assert len(blocks) == 1 and blocks[0] is C
+    rows, n, h = lu_factor(C)                   # the single block, as it is
+    whole, = linalg.halves(rows, n, h)
+    assert h == n == 6 and np.shares_memory(whole, C) and np.array_equal(whole, C)
     S = A.copy()
     S[5, 0] = np.inf
     with pytest.raises(ValueError):
@@ -359,27 +369,58 @@ def test_fold_rows_validates_shape_and_finiteness():
 
 
 @pytest.mark.parametrize("n", [7, 390, 515])
-def test_lu_factor_copies_the_blocks_halves_yields(n):
-    # below and past 1 MiB of leading rows, odd and even n
+def test_lu_factor_gives_the_rows_of_the_matrix_itself(n):
+    # below and past 1 MiB of leading rows, odd and even n: lu_factor's
+    # rows are views of A, folded by halves into what a copy of A gives,
+    # and one entry off centrosymmetry takes all n rows
     A, _ = centrosymmetric(n, n + 400)
-    blocks = lu_factor(A)
-    folded = [H.copy() for H in linalg.halves(lambda lo, hi: A[lo:hi], n, n - n // 2)]
-    assert len(blocks) == len(folded) == 2
-    assert all(np.array_equal(H, B) for H, B in zip(blocks, folded))
-    assert not any(np.shares_memory(H, A) for H in blocks) and not np.shares_memory(*blocks)
+    rows, m, h = lu_factor(A)
+    assert (m, h) == (n, n - n // 2)
+    assert np.shares_memory(rows(0, h), A) and np.array_equal(rows(2, 5), A[2:5])
+    copy = A.copy()
+    folded = [H.copy() for H in linalg.halves(lambda lo, hi: copy[lo:hi], n, h)]
+    assert all(np.array_equal(H, B) for H, B in zip(linalg.halves(rows, m, h), folded, strict=True))
+    A[-1, 0] += 1.0
+    assert lu_factor(A)[1:] == (n, n)
+
+
+@pytest.mark.parametrize("n", [390, 514, 1026])
+def test_lu_factor_cond2_and_lu_solve_hold_no_copy_of_the_matrix(n):
+    # on a centrosymmetric C the solve holds one half of C at a time in one
+    # buffer (a quarter of C) and the chunk of rows it is folded from,
+    # and lu_factor allocates no n x n complex array at all; LAPACK's
+    # own copy of a half is not traced
+    C, b = centrosymmetric(n, n + 500)
+    size = 16.0 * n * n
+    for call, bound in ((lambda: lu_factor(C), 0.1), (lambda: cond2(C), 0.3),
+                        (lambda: lu_solve(lu_factor(C), b), 0.3)):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * size, (peak / size, bound)
 
 
 def test_cond2_of_blocks_is_the_block_diagonal_condition():
-    rng = np.random.default_rng(3)
-    P, Q = rng.standard_normal((4, 4)), rng.standard_normal((3, 3))
-    assert linalg.solve([P, Q], cond=True)[1] == pytest.approx(cond2(scipy.linalg.block_diag(P, Q)), rel=1e-12)
-    assert linalg.solve([P, np.zeros((2, 2))], cond=True)[1] == np.inf
+    # cond2 of a centrosymmetric matrix comes from its halves' singular
+    # values: it is the condition of their block diagonal, and +inf when
+    # the odd half B - CJ is zero (C = BJ)
+    A, _ = centrosymmetric(7, 3)
+    blocks = [H.copy() for H in linalg.halves(*lu_factor(A))]
+    sv = [np.linalg.svd(H, compute_uv=False) for H in blocks]
+    assert cond2(A) == max(s[0] for s in sv) / min(s[-1] for s in sv)
+    assert cond2(A) == pytest.approx(cond2(scipy.linalg.block_diag(*blocks)), rel=1e-12)
+    B = np.random.default_rng(3).standard_normal((2, 2))
+    top = np.hstack([B, B[:, ::-1]])
+    assert cond2(np.vstack([top, top[::-1, ::-1]])) == np.inf
 
 
 def test_singular_half_raises():
     # J A J = A with the invertible even half [[2, sqrt(2)], [sqrt(2), 3]] and the odd half B - CJ = 0
     A = np.array([[1.0, 1.0, 1.0], [1.0, 3.0, 1.0], [1.0, 1.0, 1.0]])
-    blocks = lu_factor(A)
-    assert linalg.solve(blocks, cond=True)[1] == np.inf
+    fact = lu_factor(A)
+    assert fact[2] == 2 and linalg.solve(*fact, cond=True)[1] == np.inf
     with pytest.raises(SingularMatrixError):
-        lu_solve(blocks, np.ones(3))
+        lu_solve(fact, np.ones(3))

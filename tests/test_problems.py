@@ -24,7 +24,7 @@ from oscfred.galerkin import (
     reflection_symmetric,
     system_rows,
 )
-from oscfred.linalg import SingularMatrixError, cond2, lu_factor
+from oscfred.linalg import SingularMatrixError, cond2, halves, lu_factor
 from oscfred.oscquad import oscillatory_quad
 from oscfred.problems import (
     OscProbeFunction,
@@ -413,7 +413,7 @@ def test_folded_solve_matches_the_whole_system(C, kappa):
                 assert np.linalg.norm(A @ run.coeffs - f) <= 1e-13 * np.linalg.norm(f)
                 c = cond2(A)
                 assert abs(run.cond - c) <= (1e-12 + 4 * eps * c) * c, (m, method, N)
-                blocks = lu_factor(A)
+                blocks = [H.copy() for H in halves(*lu_factor(A))]
                 assert len(blocks) == 2
                 x, c = by_hand(blocks, f)
                 assert np.array_equal(run.coeffs, x), (m, method, N)
@@ -425,15 +425,16 @@ def test_folded_solve_matches_the_whole_system(C, kappa):
                          ids=["even", "asymmetric"])
 def test_per_half_path_gives_the_square_paths_bits(C, method):
     # run_galerkin builds one block at a time from E - K's band and
-    # generators; gesv and gesdd on the blocks lu_factor makes of the
-    # assembled square E - K must give the same bits.  N = 0..3, 15, 16 and
+    # generators; gesv and gesdd on the blocks halves makes of the rows
+    # lu_factor gives of the assembled square E - K must give the same bits.  N = 0..3, 15, 16 and
     # m = 1..4 give odd and even orders n, and n = 1 (cgm, m = 1, N = 0)
     for kappa in (1.5, 20.0, 500.0, 5e4):
         prob = with_kernel(kappa, C)
         for m in (1, 2, 3, 4):
             for N in (0, 1, 2, 3, 15, 16):
                 run = run_galerkin(prob, method, N, m, compute_cond=True)
-                blocks = lu_factor(assemble_mass(run.space) - assemble_operator(run.space, prob.kernel))
+                A = assemble_mass(run.space) - assemble_operator(run.space, prob.kernel)
+                blocks = [H.copy() for H in halves(*lu_factor(A))]
                 assert len(blocks) == (1 if run.matrix_order == 1 or C == [[1.0], [1.0]] else 2)
                 x, c = by_hand(blocks, assemble_rhs(run.space, prob.rhs))
                 assert np.array_equal(run.coeffs, x), (kappa, m, N)
@@ -450,7 +451,8 @@ def test_two_pass_path_gives_the_square_paths_bits(method, N):
     run = run_galerkin(prob, method, N, compute_cond=True)
     h = run.matrix_order - run.matrix_order // 2
     assert 16 * run.matrix_order * h > 1 << 20
-    blocks = lu_factor(assemble_mass(run.space) - assemble_operator(run.space, prob.kernel))
+    A = assemble_mass(run.space) - assemble_operator(run.space, prob.kernel)
+    blocks = [H.copy() for H in halves(*lu_factor(A))]
     x, c = by_hand(blocks, assemble_rhs(run.space, prob.rhs))
     assert np.array_equal(run.coeffs, x)
     assert run.cond == c
@@ -602,8 +604,10 @@ def test_run_galerkin_peak_on_a_fitted_kernel():
 
 
 def test_run_galerkin_method_validation():
-    with pytest.raises(ValueError):
-        run_galerkin(paper_benchmark(50.0), "nystrom", 8)
+    # a name that is not a string is unknown too, not an AttributeError
+    for method in ("nystrom", "foo", None, 3):
+        with pytest.raises(ValueError, match="unknown method"):
+            run_galerkin(paper_benchmark(50.0), method, 8)
 
 
 def test_run_galerkin_higher_orders():
