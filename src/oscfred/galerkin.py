@@ -31,7 +31,9 @@ Smooth non-polynomial data is reduced to the same path by Chebyshev
 interpolation (a Filon-type approximation of the amplitude), which keeps
 assembly kappa-independent but requires the data itself to be
 non-oscillatory -- oscillatory right-hand sides must be expressed as a
-:class:`StructuredFunction`.
+:class:`StructuredFunction`.  One routine, :func:`_chebfit`, makes every
+such fit: a kernel factor's tensor fit once, when :meth:`OscKernel.smooth`
+builds the kernel, and a callable load's fit per cell at assembly.
 
 Assembly works on whole arrays of cells.  A cell enters the phase-dependent
 moments only through its width, so each family of cell integrals (operator
@@ -200,31 +202,38 @@ class StructuredFunction:
 class OscKernel:
     """Smooth kernel factor K(s,t) of the oscillatory kernel K(s,t) e^{i*kappa*|s-t|}.
 
-    The factor is either a bivariate polynomial (coefficient matrix
-    ``poly_st`` with entry [a, b] multiplying s^a t^b) or a smooth
-    non-oscillatory callable, which assembly replaces by its degree-16
-    tensor Chebyshev interpolant on I^2.  The factor must not depend on
-    kappa; the wavenumber lives in (1, inf).
+    An immutable value: ``coeffs`` is a read-only monomial coefficient
+    matrix, entry [a, b] multiplying s^a t^b, fixed at construction.
+    :meth:`polynomial` keeps a private copy of the caller's nonempty matrix;
+    :meth:`smooth` replaces a non-oscillatory callable by its degree-16
+    tensor Chebyshev interpolant on I^2 (:func:`_chebfit`), so a factor
+    that is not finite there or that the fit does not resolve raises at
+    once.  ``func`` keeps the callable (None for a polynomial factor) for
+    :meth:`eval_grid`, the quadrature oracle's view of the factor.  The
+    factor must not depend on kappa; the wavenumber lives in (1, inf).
     """
 
-    __slots__ = ("kappa", "poly_st", "func", "_fit")
+    __slots__ = ("kappa", "coeffs", "func")
 
     def __init__(self, kappa: float, poly_st=None, func: Callable | None = None):
         if not (math.isfinite(kappa) and kappa > 1.0):
             raise ValueError("wavenumber must be finite and exceed 1")
         if (poly_st is None) == (func is None):
             raise ValueError("provide exactly one of poly_st or func")
-        if poly_st is not None:
-            C = np.atleast_2d(np.asarray(poly_st, dtype=complex))
-            if C.ndim != 2:
-                raise ValueError("poly_st must be a 2-d coefficient array")
+        if func is None:
+            C = np.array(poly_st, dtype=complex, ndmin=2)
+            if C.ndim != 2 or not C.size:
+                raise ValueError("poly_st must be a nonempty 2-d coefficient array")
             if not np.all(np.isfinite(C)):
                 raise ValueError("poly_st coefficients must be finite")
-            poly_st = C
+        else:
+            C = _chebfit(func, lambda x: np.meshgrid(x, x, indexing="ij"), _KERNEL_FIT_DEGREE, 2,
+                         "kernel factor", "tensor Chebyshev fit", floor=1e-15)
+            a, b = np.nonzero(C)                            # drop trailing all-zero rows and columns
+            C = C[:max(a, default=0) + 1, :max(b, default=0) + 1]
         self.kappa = float(kappa)
-        self.poly_st = poly_st
+        self.coeffs, = _frozen(C)
         self.func = func
-        self._fit = None
 
     @classmethod
     def polynomial(cls, coeffs, kappa: float) -> "OscKernel":
@@ -236,21 +245,13 @@ class OscKernel:
 
     @property
     def is_polynomial(self) -> bool:
-        return self.poly_st is not None
-
-    def coefficient_matrix(self) -> np.ndarray:
-        """Monomial coefficient matrix of the factor (fitted if necessary)."""
-        if self.poly_st is not None:
-            return self.poly_st
-        if self._fit is None:
-            self._fit = _chebfit_2d(self.func, _KERNEL_FIT_DEGREE)
-        return self._fit
+        return self.func is None
 
     def eval_grid(self, S, T):
         """Factor values on broadcastable arrays (used by the quadrature oracle)."""
-        if self.poly_st is not None:
+        if self.func is None:
             Sb, Tb = np.broadcast_arrays(np.asarray(S, float), np.asarray(T, float))
-            return np.polynomial.polynomial.polyval2d(Sb, Tb, self.poly_st)
+            return np.polynomial.polynomial.polyval2d(Sb, Tb, self.coeffs)
         return _eval_on(self.func, S, T)
 
 
@@ -260,7 +261,8 @@ class TrialSpace:
 
     The basis consists of B_j(s) e^{i*eps*kappa*s} for every spline index j
     and every multiplier eps, blocks ordered as ``multipliers``, which are
-    kept as a tuple of ints (the key of the multipliers' layout).
+    kept as a tuple of ints (the key of the multipliers' layout), each
+    below 2**62 in magnitude.
     """
 
     splines: SplineSpace
@@ -273,6 +275,10 @@ class TrialSpace:
         eps = tuple(int(e) for e in self.multipliers if isinstance(e, numbers.Integral) and not isinstance(e, bool))
         if len(eps) != len(self.multipliers) or len(set(eps)) != len(eps) or not eps:
             raise ValueError("multipliers must be a nonempty set of distinct integers")
+        for e in eps:
+            if abs(e) >= 2 ** 62:
+                raise ValueError(f"multiplier {e} is out of range: |eps| must be below 2**62, "
+                                 f"so that the layout's differences of multipliers fit in int64")
         object.__setattr__(self, "multipliers", eps)
 
     @classmethod
@@ -322,32 +328,44 @@ def _cheb_to_mono(deg: int) -> np.ndarray:
     return M
 
 
-def _chebfit_2d(func: Callable, deg: int) -> np.ndarray:
-    """Monomial coefficient matrix of a smooth bivariate function on [-1, 1]^2."""
+def _chebfit(func: Callable, at: Callable, deg: int, axes: int, name: str, fit: str,
+             hint: str = "", floor: float = 0.0) -> np.ndarray:
+    """Monomial coefficients of the degree-``deg`` Chebyshev interpolant of ``func`` along its values' leading axes.
+
+    ``at(x)`` maps the points x = chebpts1(deg + 1) to the arguments of
+    ``func``, whose values take one axis of x for each of the leading
+    ``axes`` axes, in the variables' order; the interpolant's monomial
+    coefficients take their place, the other axes (cells, say) as they
+    were.  A non-finite sample raises.  So does a fit whose coefficients
+    of degree deg - 1 or deg along any fitted axis exceed
+    :data:`_FIT_TAIL` of its largest, both taken over the fitted axes at
+    each index of the others.  Chebyshev coefficients below ``floor`` of
+    that largest become zero before conversion.
+    """
     cheb = np.polynomial.chebyshev
-    pts = cheb.chebpts1(deg + 1)
-    F = _eval_on(func, *np.meshgrid(pts, pts, indexing="ij")).astype(complex)
-    if not np.all(np.isfinite(F)):
-        raise ValueError("kernel factor must be finite on [-1, 1]^2")
-    A = cheb.chebfit(pts, F, deg)          # fit columns along s: (deg+1, n_t)
-    B = cheb.chebfit(pts, A.T, deg)        # fit along t: (deg+1, deg+1) = [b, a]
-    C_cheb = B.T
-    scale = max(float(np.max(np.abs(C_cheb))), 1e-300)
-    tail = max(float(np.max(np.abs(C_cheb[-2:, :]))), float(np.max(np.abs(C_cheb[:, -2:]))))
-    if tail > _FIT_TAIL * scale:
+    x = cheb.chebpts1(deg + 1)
+    vals = np.asarray(_eval_on(func, *at(x)), dtype=complex)
+    if not np.all(np.isfinite(vals)):
+        raise ValueError(f"{name} must be finite on [-1, 1]" + (f"^{axes}" if axes > 1 else ""))
+
+    def along_each(f, a):
+        """f applied to the leading axis, which then moves behind the other fitted ones, ``axes`` times."""
+        for _ in range(axes):
+            a = np.moveaxis(f(a.reshape(deg + 1, -1)).reshape(a.shape), 0, axes - 1)
+        return a
+
+    coef = along_each(lambda v: cheb.chebfit(x, v, deg), vals)
+    mag = np.abs(coef)
+    fitted = tuple(range(axes))
+    scale = np.maximum(mag.max(axis=fitted), 1e-300)
+    tail = mag.copy()
+    tail[(slice(deg - 1),) * axes] = 0.0
+    if np.any(tail.max(axis=fitted) > _FIT_TAIL * scale):
         raise ValueError(
-            f"kernel factor is not resolved by the fixed degree-{deg} tensor Chebyshev fit: its trailing "
-            f"coefficients exceed {_FIT_TAIL:g} of its largest"
+            f"{name} is not resolved by the fixed degree-{deg} {fit}: its trailing "
+            f"coefficients exceed {_FIT_TAIL:g} of its largest{hint}"
         )
-    C_cheb = np.where(np.abs(C_cheb) < 1e-15 * scale, 0.0, C_cheb)
-    M = _cheb_to_mono(deg)
-    out = M @ C_cheb @ M.T
-    # drop trailing all-zero rows/columns
-    while out.shape[0] > 1 and not np.any(out[-1, :]):
-        out = out[:-1, :]
-    while out.shape[1] > 1 and not np.any(out[:, -1]):
-        out = out[:, :-1]
-    return out
+    return along_each(_cheb_to_mono(deg).__matmul__, np.where(mag < floor * scale, 0.0, coef))
 
 
 # ---------------------------------------------------------------------------
@@ -537,24 +555,6 @@ def _band(pairs: np.ndarray) -> np.ndarray:
     return np.moveaxis(band, (0, 1), (-2, -1))
 
 
-def _chebfit_cells(func: Callable, s0: np.ndarray, h2: np.ndarray, deg: int) -> np.ndarray:
-    """Local monomial coefficients (deg+1, ncells) of the degree-``deg`` Chebyshev interpolant per cell."""
-    cheb = np.polynomial.chebyshev
-    pts = cheb.chebpts1(deg + 1)
-    s = (s0[:, None] + h2[:, None] * pts).ravel()
-    vals = np.asarray(_eval_on(func, s), dtype=complex).reshape(len(s0), deg + 1)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("right-hand side must be finite on [-1, 1]")
-    coef = cheb.chebfit(pts, vals.T, deg)
-    scale = np.maximum(np.max(np.abs(coef), axis=0), 1e-300)
-    if np.any(np.max(np.abs(coef[-2:]), axis=0) > _FIT_TAIL * scale):
-        raise ValueError(
-            f"right-hand side is not resolved by the fixed degree-{deg} Chebyshev fit per cell: its trailing "
-            f"coefficients exceed {_FIT_TAIL:g} of its largest; oscillatory data must be given in structured form"
-        )
-    return _cheb_to_mono(deg) @ coef
-
-
 # ---------------------------------------------------------------------------
 # Assembly
 # ---------------------------------------------------------------------------
@@ -637,7 +637,7 @@ def _operator_parts(space: TrialSpace, kernel: OscKernel, plan: MeshPlan):
     pairs less than 2m - 1 apart and the shared-cell triangles, whose tensor
     W sums over r the cell products phi_r B_{c+j} psi_r B_{c+l} the tables take.
     """
-    C = kernel.coefficient_matrix()
+    C = kernel.coeffs
     if not np.any(C):
         return None
     s0, h2, widths, group, P = plan.cells
@@ -799,7 +799,7 @@ def reflection_symmetric(space: TrialSpace, kernel: OscKernel) -> bool:
     trailing ones copied from them), so :mod:`oscfred.linalg` solves and
     conditions the system on its two halves.
     """
-    C = kernel.coefficient_matrix()
+    C = kernel.coeffs
     odd = np.add.outer(np.arange(C.shape[0]), np.arange(C.shape[1])) % 2 == 1
     mirrors = mesh_plan(space.splines.knots).mirrored and _layout(space.multipliers).symmetric
     return mirrors and not np.any(C[odd])
@@ -827,15 +827,17 @@ def assemble_rhs(space: TrialSpace, f) -> np.ndarray:
         if not callable(f):
             raise TypeError("right-hand side must be a StructuredFunction or a callable")
         taus = np.zeros(1, dtype=int)
-        local = _chebfit_cells(f, s0, h2, _RHS_FIT_DEGREE)[:, None]
+        local = _chebfit(f, lambda x: (s0 + h2 * x[:, None],), _RHS_FIT_DEGREE, 1, "right-hand side",
+                         "Chebyshev fit per cell", "; oscillatory data must be given in structured form")[:, None]
     rates = taus - np.array(space.multipliers)[:, None]     # [q, t]: tau_t - eps_q
     return _fold(_cell_tables(cells, _with_pieces(cells[4], local), rates * space.kappa).sum(axis=1)).ravel()
 
 
 def eval_solution(space: TrialSpace, a, s):
-    """Evaluate  sum_p sum_j a[(p,j)] B_j(s) e^{i*eps_p*kappa*s}  at s (scalar or array).
+    """Evaluate  sum_p sum_j a[(p,j)] B_j(s) e^{i*eps_p*kappa*s}  at s, a scalar or an array of any shape.
 
-    On :data:`EN_GRID` itself the B-spline values come from the mesh plan.
+    Returns a complex scalar or an array of the shape of s.  On
+    :data:`EN_GRID` itself the B-spline values come from the mesh plan.
     The carriers e^{+-i*kappa*s} share one exponential (e^{-i*kappa*s} is
     the conjugate of e^{i*kappa*s}), and eps = 0 takes none.
     """
@@ -844,9 +846,9 @@ def eval_solution(space: TrialSpace, a, s):
         raise ValueError(f"coefficient vector must have length {space.dimension}, got {a.shape}")
     sp = space.splines
     d = sp.dimension
-    scalar = np.ndim(s) == 0
-    pts = np.atleast_1d(np.asarray(s, dtype=float))
-    if pts is EN_GRID:
+    s = np.asarray(s, dtype=float)
+    pts = s.ravel()
+    if s is EN_GRID:
         idx, vals = mesh_plan(sp.knots).en_values
     else:
         j0, vals = sp.eval_nonzero(pts)
@@ -861,7 +863,7 @@ def eval_solution(space: TrialSpace, a, s):
         elif eps:
             term *= np.exp(1j * eps * space.kappa * pts)
         out += term
-    return complex(out[0]) if scalar else out
+    return complex(out[0]) if s.ndim == 0 else out.reshape(s.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -910,7 +912,7 @@ def apply_kernel_structured(kernel: OscKernel, y: StructuredFunction) -> Structu
     if not kernel.is_polynomial:
         raise ValueError("closed-form operator application needs a polynomial kernel factor")
     _check_kappa(kernel.kappa, y.kappa)
-    C = kernel.coefficient_matrix()
+    C = kernel.coeffs
     kappa = kernel.kappa
     pieces: list[tuple[int, np.ndarray]] = []
     for tau, w in y.terms:

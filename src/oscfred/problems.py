@@ -341,7 +341,7 @@ def problem_to_dict(problem: Problem) -> dict:
         raise ValueError("only problems with structured right-hand sides are serializable")
     if not problem.kernel.is_polynomial:
         raise ValueError("only problems with polynomial kernel factors are serializable")
-    C = problem.kernel.coefficient_matrix()
+    C = problem.kernel.coeffs
     return {
         "kappa": problem.kappa,
         "kernel": {"poly_st": [[_coeff_to_json(c) for c in row] for row in C]},

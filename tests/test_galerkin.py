@@ -172,9 +172,31 @@ def test_kernel_validation():
         OscKernel(kappa=5.0)  # neither polynomial nor callable
     with pytest.raises(ValueError, match="2-d"):
         OscKernel.polynomial(np.ones((2, 2, 2)), kappa=5.0)
+    for empty in (np.ones((0, 2)), np.zeros((0, 0)), []):   # once solved as K = 0
+        with pytest.raises(ValueError, match="nonempty"):
+            OscKernel.polynomial(empty, kappa=5.0)
     k = OscKernel.polynomial([[1.0, 2.0]], kappa=5.0)
     assert k.is_polynomial
     assert k.eval_grid(0.5, 0.25) == pytest.approx(1.5)
+
+
+def test_kernel_is_an_immutable_value():
+    # coeffs is a read-only private copy, fixed when the kernel is built
+    # (fitted at once for a callable): mutating the caller's matrix
+    # afterwards leaves the kernel, and what it assembles, unchanged
+    C = np.array([[1.0, 0.5], [0.25, 0.0]], dtype=complex)
+    kern = OscKernel.polynomial(C, 50.0)
+    _, opgm = spaces(4, 2, 50.0)
+    K = assemble_operator(opgm, kern)
+    assert not np.shares_memory(kern.coeffs, C)
+    C[...] = 0.0
+    assert np.array_equal(kern.coeffs, [[1.0, 0.5], [0.25, 0.0]])
+    assert np.array_equal(assemble_operator(opgm, kern), K)
+    fitted = OscKernel.smooth(lambda s, t: np.exp(0.3 * s * t), 50.0)
+    assert not fitted.is_polynomial
+    for k in (kern, fitted):
+        with pytest.raises(ValueError, match="read-only"):
+            k.coeffs[0, 0] = 2.0
 
 
 def test_trial_space_dimensions():
@@ -191,6 +213,10 @@ def test_trial_space_keeps_its_multipliers_as_a_tuple_of_ints():
     assert space.multipliers == (-1, 0, 1) and all(type(e) is int for e in space.multipliers)
     for bad in ((), (1, 1), (0.5,), (1.0,), (float("inf"),), ("a",), (True, False), (True,)):
         with pytest.raises(ValueError, match="distinct integers"):
+            TrialSpace(sp, 5.0, bad)
+    # (0, 10**30) made an object layout and (0, 2**63) a uint64 one, whose 1 - eps wraps
+    for bad in ((0, 10**30), (0, 2**63), (-2**62, 0, 2**62 - 1)):
+        with pytest.raises(ValueError, match=r"multiplier -?\d+ is out of range"):
             TrialSpace(sp, 5.0, bad)
 
 
@@ -554,12 +580,11 @@ def test_operator_smooth_kernel_path():
 
 
 def test_operator_rejects_unresolved_smooth_kernel():
-    # a kernel oscillating on the kappa scale cannot be treated as smooth
+    # a kernel oscillating on the kappa scale cannot be treated as smooth:
+    # its fit is refused when the kernel is built
     kappa = 40.0
-    cgm, _ = spaces(3, 2, kappa)
-    kern = OscKernel.smooth(lambda s, t: np.cos(kappa * (s - t)), kappa)
-    with pytest.raises(ValueError):
-        assemble_operator(cgm, kern)
+    with pytest.raises(ValueError, match="not resolved"):
+        OscKernel.smooth(lambda s, t: np.cos(kappa * (s - t)), kappa)
 
 
 def test_assembly_deterministic():
@@ -703,6 +728,8 @@ def test_eval_solution_matches_pointwise_recurrence(m):
             for bi, eps in enumerate(space.multipliers):
                 expect[i] += (vals @ a[bi * d + j0: bi * d + j0 + m]) * np.exp(1j * eps * 30.0 * si)
         npt.assert_allclose(eval_solution(space, a, s), expect, rtol=0, atol=1e-14)
+        grid = s[:56].reshape(2, 4, 7)                  # any shape comes back as it went in
+        npt.assert_allclose(eval_solution(space, a, grid), expect[:56].reshape(grid.shape), rtol=0, atol=1e-14)
         assert eval_solution(space, a, 1.0) == pytest.approx(expect[len(sp.knots.breakpoints) - 1], abs=1e-14)
         with pytest.raises(ValueError):
             eval_solution(space, a, np.array([0.0, 1.5]))

@@ -197,6 +197,8 @@ def test_run_galerkin_bookkeeping():
     assert op.e_N > 0 and cg.e_N > 0
     assert op.e_l2 == pytest.approx(np.sqrt(2) * op.e_N)
     assert np.isnan(op.cond)  # not requested
+    s = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
+    assert op.evaluate(s).shape == (3, 4) and op.evaluate(s)[1, 2] == op.evaluate(s[1, 2])
 
 
 def test_run_galerkin_times_its_stages():
@@ -346,9 +348,9 @@ def test_opgm_conditioning_as_kappa_h_shrinks(kappa, expected):
 
 def test_solve_path_does_not_import_scipy():
     # a fresh interpreter: scipy is not a runtime dependency, so importing
-    # the package and the CLI, a solve with its condition number, the
-    # explicit-matrix solve and cond2, and the CLI's verify command must
-    # all leave it unloaded
+    # the package and the CLI, a solve with its condition number, solves
+    # on a fitted kernel factor and on a callable load, the explicit-matrix
+    # solve and cond2, and the CLI's verify command must all leave it unloaded
     src = str(Path(__file__).resolve().parents[1] / "src")
     code = (
         "import io, sys\n"
@@ -358,6 +360,11 @@ def test_solve_path_does_not_import_scipy():
         "problem = oscfred.paper_benchmark(50.0)\n"
         "run = oscfred.run_galerkin(problem, 'opgm', 8, compute_cond=True)\n"
         "assert run.cond > 1 and run.e_N > 0\n"
+        "kernel = oscfred.OscKernel.smooth(lambda s, t: np.exp(0.3 * s * t) * np.cos(0.5 * (s + t)), 50.0)\n"
+        "fitted = oscfred.run_galerkin(oscfred.Problem(kernel, problem.rhs, problem.exact), 'opgm', 8)\n"
+        "assert fitted.e_N < 0.1\n"
+        "loaded = oscfred.run_galerkin(oscfred.Problem(problem.kernel, lambda s: np.exp(s) / (2.0 + s)), 'cgm', 8)\n"
+        "assert np.all(np.isfinite(loaded.coeffs))\n"
         "space = galerkin.TrialSpace.opgm(oscfred.SplineSpace(oscfred.make_uniform_knots(8, 2)), 50.0)\n"
         "M = galerkin.assemble_mass(space) - galerkin.assemble_operator(space, problem.kernel)\n"
         "b = galerkin.assemble_rhs(space, problem.rhs)\n"
@@ -498,15 +505,14 @@ def test_asymmetric_kernel_runs_the_whole_system_bitwise():
 
 
 def test_non_finite_kernel_factor_is_rejected_before_lapack():
-    # a NaN or inf coefficient, or a fitted factor sampling to NaN, fails with
-    # a ValueError naming the factor, not inside the SVD of the operator
+    # a NaN or inf coefficient, or a fitted factor sampling to NaN, fails when
+    # the kernel is built, with a ValueError naming the factor, not inside
+    # the SVD of the operator
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="finite"):
             OscKernel.polynomial([[bad]], 50.0)
-    prob = paper_benchmark(50.0)
-    kernel = OscKernel.smooth(lambda s, t: np.nan * s, 50.0)
-    with pytest.raises(ValueError, match="finite"):
-        run_galerkin(Problem(kernel=kernel, rhs=prob.rhs, exact=prob.exact), "opgm", 8)
+    with pytest.raises(ValueError, match="kernel factor must be finite"):
+        OscKernel.smooth(lambda s, t: np.nan * s, 50.0)
 
 
 def test_non_finite_right_hand_side_is_rejected_by_name():
@@ -522,7 +528,7 @@ def test_unresolved_fits_name_their_degree_and_tail_bound():
     # exp(-(s - t)^2) is smooth and non-oscillatory, yet its degree-16 fit
     # leaves a tail above 1e-10: the message names the fit, not oscillation
     with pytest.raises(ValueError, match=r"degree-16 tensor Chebyshev fit.*1e-10"):
-        OscKernel.smooth(lambda s, t: np.exp(-(s - t) ** 2), 5.0).coefficient_matrix()
+        OscKernel.smooth(lambda s, t: np.exp(-(s - t) ** 2), 5.0)
     prob = paper_benchmark(50.0)
     with pytest.raises(ValueError, match=r"degree-12 Chebyshev fit per cell.*1e-10.*structured form"):
         run_galerkin(Problem(kernel=prob.kernel, rhs=lambda s: np.exp(300j * s), exact=prob.exact), "opgm", 8)
@@ -631,7 +637,7 @@ def test_problem_json_round_trip():
     s = np.linspace(-1, 1, 13)
     npt.assert_allclose(back.rhs(s), prob.rhs(s), atol=1e-15)
     npt.assert_allclose(back.exact(s), prob.exact(s), atol=1e-15)
-    npt.assert_array_equal(back.kernel.coefficient_matrix(), prob.kernel.coefficient_matrix())
+    npt.assert_array_equal(back.kernel.coeffs, prob.kernel.coeffs)
     assert back.kappa == prob.kappa
 
 
