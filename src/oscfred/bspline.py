@@ -101,15 +101,10 @@ def make_uniform_knots(N: int, m: int) -> KnotVector:
     Breakpoint k sits at h*(k - (N + 1)/2); the offsets are exact negatives
     of each other in mirror pairs, so the mesh is mirror-symmetric bitwise.
     """
-    return KnotVector(order=m, knots=_uniform_knots(N, m))
-
-
-def _uniform_knots(N: int, m: int) -> np.ndarray:
-    """The knot array of :func:`make_uniform_knots`, built without the checks of :class:`KnotVector`."""
     N, m = _count(N, "N", 0), _count(m, "spline order", 1)
     h = 2.0 / (N + 1)
     inner = h * (np.arange(1, N + 1) - 0.5 * (N + 1))
-    return np.concatenate((np.full(m, -1.0), inner, np.full(m, 1.0)))
+    return KnotVector(order=m, knots=np.concatenate((np.full(m, -1.0), inner, np.full(m, 1.0))))
 
 
 class SplineSpace:

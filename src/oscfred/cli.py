@@ -11,13 +11,13 @@ Output is CSV (default) or JSON with one row per run:
 ``method,kappa,N,order,error,co,cond,seconds``.  ``order`` is the order
 of the coefficient matrix (len(METHOD_MULTIPLIERS[method])*(N+m): 3*(N+m)
 for the enriched method, N+m for the conventional one), ``error`` the
-sampled relative error e_N, ``co`` the convergence order against the
-previous level (blank on the first).  A singular discrete system gives a
-row with blank ``error``, ``co`` and ``seconds`` and ``cond`` = inf, and
-the next level's ``co`` is blank.  CSV numbers carry six significant
-digits; JSON carries them in full, a blank field as ``null`` and an
-infinite one as the string ``"inf"``.  Everything but the ``seconds``
-column is deterministic across runs.
+sampled relative error e_N against the exact ||y||_L2, ``co`` the
+convergence order against the previous level (blank on the first).  A
+singular discrete system gives a row with blank ``error``, ``co`` and
+``seconds`` and ``cond`` = inf, and the next level's ``co`` is blank.
+CSV numbers carry six significant digits; JSON carries them in full, a
+blank field as ``null`` and an infinite one as the string ``"inf"``.
+Everything but the ``seconds`` column is deterministic across runs.
 
 Exit codes: 0 success, 1 failed verification, 2 invalid configuration
 (a command line the parser refuses included; one line on stderr), 3 at

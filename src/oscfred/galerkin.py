@@ -66,7 +66,7 @@ from numpy.polynomial import polynomial as npp
 from numpy.polynomial._polybase import ABCPolyBase
 from numpy.polynomial.polyutils import trimseq
 
-from .bspline import KnotVector, SplineSpace, _uniform_knots
+from .bspline import KnotVector, SplineSpace
 from .oscquad import (
     _composite_rule,
     _eval_on,
@@ -140,7 +140,18 @@ def _amplitude(amp) -> np.ndarray:
     return trimseq(c)
 
 
-class StructuredFunction:
+class _Value:
+    """Refuses attribute assignment and deletion after construction, as a frozen dataclass does."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign or delete field {name!r} of an immutable {type(self).__name__}")
+
+    __delattr__ = __setattr__
+
+
+class StructuredFunction(_Value):
     """Finite sum  sum_tau w_tau(s) e^{i*tau*kappa*s}  with polynomial amplitudes.
 
     This is the closed-form representation of oscillatory data: the
@@ -149,7 +160,8 @@ class StructuredFunction:
     moments.  Amplitudes are power-basis coefficient sequences (ascending)
     or :mod:`numpy.polynomial` series; ``terms`` holds (tau, trimmed read-only
     complex array) pairs sorted by tau in [-2, 2], repeated carriers summed
-    and zero amplitudes dropped.
+    and zero amplitudes dropped.  An immutable value: neither field can be
+    assigned or deleted after construction.
     """
 
     __slots__ = ("kappa", "terms")
@@ -167,8 +179,9 @@ class StructuredFunction:
                 raise ValueError(f"carrier index {tau} outside [-{_STRUCTURE_RANGE}, {_STRUCTURE_RANGE}]")
             c = _amplitude(amp)
             merged[tau] = npp.polyadd(merged[tau], c) if tau in merged else c
-        self.kappa = float(kappa)
-        self.terms = tuple(sorted((t, *_frozen(c)) for t, c in merged.items() if len(c) > 1 or c[0]))
+        terms = tuple(sorted((t, *_frozen(c)) for t, c in merged.items() if len(c) > 1 or c[0]))
+        object.__setattr__(self, "kappa", float(kappa))
+        object.__setattr__(self, "terms", terms)
 
     @property
     def max_degree(self) -> int:
@@ -199,11 +212,12 @@ class StructuredFunction:
         return f"StructuredFunction(kappa={self.kappa}, carriers={taus})"
 
 
-class OscKernel:
+class OscKernel(_Value):
     """Smooth kernel factor K(s,t) of the oscillatory kernel K(s,t) e^{i*kappa*|s-t|}.
 
     An immutable value: ``coeffs`` is a read-only monomial coefficient
-    matrix, entry [a, b] multiplying s^a t^b, fixed at construction.
+    matrix, entry [a, b] multiplying s^a t^b, and no field can be assigned
+    or deleted after construction.
     :meth:`polynomial` keeps a private copy of the caller's nonempty matrix;
     :meth:`smooth` replaces a non-oscillatory callable by its degree-16
     tensor Chebyshev interpolant on I^2 (:func:`_chebfit`), so a factor
@@ -231,9 +245,9 @@ class OscKernel:
                          "kernel factor", "tensor Chebyshev fit", floor=1e-15)
             a, b = np.nonzero(C)                            # drop trailing all-zero rows and columns
             C = C[:max(a, default=0) + 1, :max(b, default=0) + 1]
-        self.kappa = float(kappa)
-        self.coeffs, = _frozen(C)
-        self.func = func
+        object.__setattr__(self, "kappa", float(kappa))
+        object.__setattr__(self, "coeffs", *_frozen(C))
+        object.__setattr__(self, "func", func)
 
     @classmethod
     def polynomial(cls, coeffs, kappa: float) -> "OscKernel":
@@ -499,11 +513,6 @@ def mesh_plan(knots: KnotVector) -> MeshPlan:
     wavenumbers on one mesh build its tables once.
     """
     return _plan(knots.order, knots.knots.tobytes())
-
-
-def uniform_plan(N: int, m: int) -> MeshPlan:
-    """:func:`mesh_plan` of ``make_uniform_knots(N, m)``, looked up without building or checking the knot vector."""
-    return _plan(m, _uniform_knots(N, m).tobytes())
 
 
 def _cell_tables(cells, prod: np.ndarray, rates: np.ndarray) -> np.ndarray:

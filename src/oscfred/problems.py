@@ -18,9 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from . import galerkin, linalg
-from .bspline import max_error_on_grid
+from .bspline import make_uniform_knots, max_error_on_grid
 from .galerkin import (
-    EN_GRID,
     OscKernel,
     StructuredFunction,
     TrialSpace,
@@ -28,6 +27,7 @@ from .galerkin import (
     eval_solution,
     relative_error_eN,
 )
+from .oscquad import _unit_moments
 
 __all__ = [
     "GalerkinRun",
@@ -47,48 +47,59 @@ __all__ = [
 class Problem:
     """One instance of the integral equation y - Ky = f.
 
-    ``exact`` and ``norm_exact`` are optional; when the exact solution is
-    known, errors are reported relative to ``norm_exact`` (computed with
-    the same 2048-point sampling rule as the error metric if not given).
-    A structured load or exact solution must share the kernel's wavenumber,
-    and ``norm_exact`` must be finite and positive; else ValueError.
+    ``exact`` is optional: when the structured exact solution is given,
+    errors are reported relative to its L2 norm on I, :meth:`norm_y`, the
+    same for every problem.  It must be a :class:`StructuredFunction` or
+    None, and a structured load or exact solution must share the kernel's
+    wavenumber; else ValueError.
     """
 
     kernel: OscKernel
     rhs: object
     exact: StructuredFunction | None = None
-    norm_exact: float | None = None
 
     def __post_init__(self):
+        if not isinstance(self.exact, (StructuredFunction, type(None))):
+            raise ValueError(f"exact must be a StructuredFunction or None, got {type(self.exact).__name__}")
         for part in (self.rhs, self.exact):                 # structured parts carry the kernel's wavenumber
             if isinstance(part, StructuredFunction):
-                galerkin._check_kappa(self.kernel.kappa, part.kappa)
-        if self.norm_exact is not None and not (math.isfinite(self.norm_exact) and self.norm_exact > 0):
-            raise ValueError(f"norm_exact must be finite and positive, got {self.norm_exact!r}")
+                galerkin._check_kappa(self.kappa, part.kappa)
 
     @property
     def kappa(self) -> float:
         return self.kernel.kappa
 
     def norm_y(self) -> float:
-        if self.norm_exact is not None:
-            return self.norm_exact
+        """||y||_L2 on I in closed form from the structured exact solution.
+
+        ||y||^2 sums, over carrier pairs (tau, sigma), the integrals
+        int_I w_tau conj(w_sigma) e^{i(tau - sigma)*kappa*s} ds: unit
+        moments (:func:`oscfred.oscquad._unit_moments`) at rate
+        (tau - sigma)*kappa, all taken in one call.  Raises ValueError
+        without an exact solution, or when the sum is not positive (y is
+        zero up to roundoff) or not finite, before any square root is taken.
+        """
         if self.exact is None:
             raise ValueError("problem has no exact solution to normalize against")
-        vals = np.asarray(self.exact(EN_GRID))
-        norm = float(np.sqrt(np.mean(np.abs(vals) ** 2)))
-        if not norm > 0:
-            raise ValueError("the exact solution is zero, so no error relative to it is defined")
-        return norm
+        terms, L = self.exact.terms, self.exact.max_degree + 1
+        W = np.zeros((len(terms), L), dtype=complex)        # W[i, a]: coefficient of s^a on carrier i
+        for row, (_, c) in zip(W, terms):
+            row[:len(c)] = c
+        taus, k = np.array([t for t, _ in terms]), np.arange(L)
+        M = _unit_moments(np.subtract.outer(taus, taus).ravel() * self.kappa, 2 * L - 2)[:, k[:, None] + k]
+        sq = np.einsum("ia,jb,ijab->", W, W.conj(), M.reshape(len(W), len(W), L, L)).real
+        if not 0.0 < sq < math.inf:                         # a NaN from an overflowed rate too
+            raise ValueError(f"the exact solution is zero or its norm overflows ({sq!r}): no relative error")
+        return math.sqrt(sq)
 
 
 def paper_benchmark(kappa: float) -> Problem:
     """The reference benchmark: K(s,t) = 1 with exact solution y(s) = 1 + s^3 e^{i*kappa*s}.
 
     The right-hand side is the closed-form f = y - Ky, a structured
-    function with carriers (+1, -1, 0); its exact L2 norm is
-    4*sqrt(7)/7 for every kappa (the oscillatory cross term integrates to
-    zero by parity).
+    function with carriers (+1, -1, 0).  The exact solution's L2 norm,
+    which :meth:`Problem.norm_y` computes, is 4/sqrt(7) for every kappa:
+    the oscillatory cross term integrates to zero by parity.
     """
     if not (math.isfinite(2.0 * kappa) and kappa > 1.0):   # the load carries e^{2i*kappa}
         raise ValueError(f"wavenumber must exceed 1 and twice it must be finite, got {kappa!r}")
@@ -105,12 +116,7 @@ def paper_benchmark(kappa: float) -> Problem:
     w_minus = [-(np.exp(2j * k) * (-3.0 * u**4 + 6j * u**3 + 6.0 * u**2 - 4j * u) / 8.0 - 1j * eik * u)]
     f = StructuredFunction(k, {1: w_plus, -1: w_minus, 0: [1.0 - 2j * u]})
     y = StructuredFunction(k, {0: [1.0], 1: [0.0, 0.0, 0.0, 1.0]})
-    return Problem(
-        kernel=OscKernel.polynomial([[1.0]], k),
-        rhs=f,
-        exact=y,
-        norm_exact=4.0 / np.sqrt(7.0),
-    )
+    return Problem(kernel=OscKernel.polynomial([[1.0]], k), rhs=f, exact=y)
 
 
 def manufactured(kernel: OscKernel, y: StructuredFunction) -> Problem:
@@ -214,7 +220,7 @@ class GalerkinRun:
 
     @property
     def e_l2(self) -> float:
-        """Relative L2 error (integral weight); sqrt(2) times the sampled-mean e_N."""
+        """Relative L2 error ||y - y_h|| / ||y||: sqrt(2) times e_N, whose sampled mean halves the squared norm."""
         return float(np.sqrt(2.0) * self.e_N)
 
     def evaluate(self, s):
@@ -249,7 +255,7 @@ def run_galerkin(
     if not isinstance(method, str) or method.lower() not in METHOD_MULTIPLIERS:
         raise ValueError(f"unknown method {method!r}; expected 'cgm' or 'opgm'")
     method = method.lower()
-    splines = galerkin.uniform_plan(N, spline_order).splines
+    splines = galerkin.mesh_plan(make_uniform_knots(N, spline_order)).splines
     space = TrialSpace(splines=splines, kappa=problem.kappa, multipliers=METHOD_MULTIPLIERS[method])
     clock = time.perf_counter
     t0 = clock()

@@ -199,6 +199,20 @@ def test_kernel_is_an_immutable_value():
             k.coeffs[0, 0] = 2.0
 
 
+def test_kernels_and_structured_functions_refuse_assignment_and_deletion():
+    # as the frozen dataclasses do: no field of either value can be swapped
+    # for another after construction
+    kern = OscKernel.polynomial([[1.0, 0.5]], 50.0)
+    f = StructuredFunction(50.0, {0: [1.0], 1: [0.0, 2.0]})
+    for obj, field, value in ((kern, "coeffs", np.zeros((1, 1))), (kern, "kappa", 60.0), (kern, "func", abs),
+                              (f, "kappa", 60.0), (f, "terms", ()), (f, "scale", 2.0)):
+        for change in (lambda: setattr(obj, field, value), lambda: delattr(obj, field)):
+            with pytest.raises(AttributeError, match=f"cannot assign or delete field '{field}'"):
+                change()
+    assert kern.kappa == f.kappa == 50.0 and np.array_equal(kern.coeffs, [[1.0, 0.5]]) and kern.is_polynomial
+    assert [t for t, _ in f.terms] == [0, 1]
+
+
 def test_trial_space_dimensions():
     cgm, opgm = spaces(16, 2, 50.0)
     assert cgm.dimension == 18
@@ -823,7 +837,7 @@ def test_error_metric_grid_convention():
 def test_error_metric_l2_variant_is_sqrt2_rescale():
     from oscfred.problems import paper_benchmark, run_galerkin
     run = run_galerkin(paper_benchmark(50.0), "opgm", 16)
-    assert run.e_l2 == pytest.approx(np.sqrt(2.0) * run.e_N, rel=1e-15)
+    assert run.e_l2 == pytest.approx(np.sqrt(2.0) * run.e_N, rel=1e-15, abs=0.0)
 
 
 def test_error_metric_rejects_bad_norm():

@@ -7,11 +7,12 @@ import threading
 import tracemalloc
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from oscfred import galerkin
+from oscfred import galerkin, oscquad, problems
 from oscfred.bspline import KnotVector, SplineSpace, make_knots, make_uniform_knots
 from oscfred.galerkin import (
     OscKernel,
@@ -55,9 +56,80 @@ def kernel_apply_quadrature(problem, s):
 # ---------------------------------------------------------------------------
 
 def test_benchmark_exact_norm_constant():
-    prob = paper_benchmark(137.0)
-    assert prob.norm_y() == pytest.approx(4 * np.sqrt(7) / 7, rel=1e-15)
+    # the closed-form norm of y = 1 + s^3 e^{i*kappa*s} is 4/sqrt(7) at every
+    # kappa, here at the sweep's wavenumbers, Table 2(d)'s and one more
+    for kappa in (*np.geomspace(10.0, 1e4, 8), 5e4, 137.0):
+        prob = paper_benchmark(kappa)
+        assert prob.norm_y() == pytest.approx(4 * np.sqrt(7) / 7, rel=1e-15, abs=0.0), kappa
     assert prob.norm_y() == pytest.approx(1.51186, rel=1e-5)
+
+
+@pytest.mark.parametrize("kappa", [50.0, 5000.0])
+def test_every_problem_takes_one_error_norm(kappa):
+    # the paper's y solved as a manufactured problem reads the paper
+    # problem's e_N, and e_l2 is the relative L2 error of the solution, here
+    # by a composite Gauss rule with 64 panels on each of the 33 cells
+    p = paper_benchmark(kappa)
+    paper, made = run_galerkin(p, "opgm", 32), run_galerkin(manufactured(p.kernel, p.exact), "opgm", 32)
+    assert made.e_N == pytest.approx(paper.e_N, rel=1e-6)
+    s, w = oscquad._composite_rule(-1.0, 1.0, 33 * 64)
+    y = p.exact(s)
+    l2 = np.sqrt((w @ np.abs(y - made.evaluate(s)) ** 2) / (w @ np.abs(y) ** 2))
+    assert made.e_l2 == pytest.approx(l2, rel=1e-3)
+
+
+def mpmath_norm(y):
+    """||y||_L2 on I by mpmath quadrature, one carrier pair w_tau conj(w_sigma) e^{i*w*s} at a time.
+
+    A pair of rate |w| < 40 is integrated on I, split into 1 + floor(|w|)
+    pieces; a faster one along the steepest-descent legs s = -1 + u*t and
+    s = 1 + u*t, t >= 0, with u = i or -i, the side on which e^{i*w*s}
+    decays without oscillating.
+    """
+    total = mpmath.mpf(0)
+    for tau, c in y.terms:
+        for sigma, d in y.terms:
+            rate = (tau - sigma) * y.kappa
+            cc = [mpmath.mpc(complex(v)) for v in c[::-1]]
+            dd = [mpmath.mpc(complex(v).conjugate()) for v in d[::-1]]
+            g = lambda s: mpmath.polyval(cc, s) * mpmath.polyval(dd, s) * mpmath.expj(rate * s)
+            if abs(rate) < 40:
+                total += mpmath.quad(g, mpmath.linspace(-1, 1, 2 + int(abs(rate))))
+            else:
+                up = mpmath.mpc(0, 1 if rate > 0 else -1)
+                total += mpmath.quad(lambda t: (g(-1 + up * t) - g(1 + up * t)) * up, [0, mpmath.inf])
+    return mpmath.sqrt(mpmath.re(total))
+
+
+@pytest.mark.parametrize("kappa", [1.5, 50.0, 5e4])
+def test_closed_form_norm_matches_mpmath_quadrature(kappa):
+    rng = np.random.default_rng(7)
+    amps = {tau: (rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)) / np.arange(1, deg + 2)
+            for tau, deg in ((-1, 15), (0, 16), (1, 15))}
+    prob = manufactured(OscKernel.polynomial([[1.0]], kappa), StructuredFunction(kappa, amps))
+    assert prob.exact.max_degree == 16
+    with mpmath.workdps(30):
+        ref = mpmath_norm(prob.exact)
+    assert abs(prob.norm_y() / ref - 1) <= 1e-13
+
+
+def test_a_roundoff_negative_norm_is_a_zero_exact_solution(monkeypatch):
+    # a sum of moments at or below zero is refused by name before any square
+    # root, also under the command line's errstate(invalid="raise")
+    prob = paper_benchmark(50.0)
+    monkeypatch.setattr(problems, "_unit_moments", lambda w, K: -oscquad._unit_moments(w, K))
+    with np.errstate(invalid="raise"), pytest.raises(ValueError, match="exact solution is zero"):
+        prob.norm_y()
+
+
+def test_a_norm_that_overflows_is_refused():
+    # a squared norm past the float range, or a rate 2*kappa that overflows
+    # (NaN moments), is refused as well, not returned as inf or NaN
+    for kappa, terms in ((50.0, {0: [1e200]}), (1e308, {-1: [1.0], 1: [1.0]})):
+        prob = Problem(kernel=OscKernel.polynomial([[1.0]], kappa), rhs=lambda s: s,
+                       exact=StructuredFunction(kappa, terms))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="norm overflows"):
+            prob.norm_y()
 
 
 def test_benchmark_solution_at_right_endpoint():
@@ -225,7 +297,7 @@ def test_reused_mesh_plans_give_the_same_bits():
         data = kernels[name]
         kern = OscKernel.smooth(data, kappa) if callable(data) else OscKernel.polynomial(data, kappa)
         p = paper_benchmark(kappa)
-        r = run_galerkin(Problem(kernel=kern, rhs=p.rhs, exact=p.exact, norm_exact=p.norm_exact),
+        r = run_galerkin(Problem(kernel=kern, rhs=p.rhs, exact=p.exact),
                          method, N, m, compute_cond=True)
         return r.coeffs, r.e_N, r.cond
 
@@ -261,15 +333,17 @@ def test_a_kappa_sweep_builds_its_mesh_plan_once(monkeypatch):
     assert built == [26] and (layouts.misses, layouts.currsize) == (1, 1)
 
 
-def test_uniform_plan_is_the_mesh_plan_of_the_uniform_knots():
-    # run_galerkin's lookup by (N, m) hits the one plan cache under the knots' bytes
-    galerkin._plan.cache_clear()
+def test_runs_on_one_mesh_share_one_plan():
+    # run_galerkin looks the plan up from the uniform knots, so two runs on
+    # one (N, m), at other methods and wavenumbers, get the same plan
     for N, m in ((0, 1), (5, 2), (64, 4)):
-        assert galerkin.uniform_plan(N, m) is galerkin.mesh_plan(make_uniform_knots(N, m))
+        galerkin._plan.cache_clear()
+        first = run_galerkin(paper_benchmark(50.0), "cgm", N, m)
+        second = run_galerkin(paper_benchmark(3e3), "opgm", N, m)
+        plan = galerkin.mesh_plan(make_uniform_knots(N, m))
+        assert first.space.splines is second.space.splines is plan.splines
+        assert galerkin._plan.cache_info().misses == 1
     galerkin._plan.cache_clear()
-    for N, m in ((-1, 2), (4, 0)):
-        with pytest.raises(ValueError):
-            galerkin.uniform_plan(N, m)
 
 
 def test_assembly_cost_is_flat_over_the_kappa_range():
@@ -383,8 +457,7 @@ def test_solve_path_does_not_import_scipy():
 def with_kernel(kappa, C):
     """The reference benchmark's load and exact solution against kernel factor C."""
     prob = paper_benchmark(kappa)
-    return Problem(kernel=OscKernel.polynomial(C, kappa), rhs=prob.rhs, exact=prob.exact,
-                   norm_exact=prob.norm_exact)
+    return Problem(kernel=OscKernel.polynomial(C, kappa), rhs=prob.rhs, exact=prob.exact)
 
 
 def by_hand(blocks, f):
@@ -595,8 +668,7 @@ def test_run_galerkin_peak_on_a_fitted_kernel():
     # plans.  The plan, built inside the trace, must not raise it, and what
     # it keeps once the run is over must stay a small share of E - K
     prob = paper_benchmark(5e4)
-    prob = Problem(kernel=OscKernel.smooth(smooth_factor, 5e4), rhs=prob.rhs, exact=prob.exact,
-                   norm_exact=prob.norm_exact)
+    prob = Problem(kernel=OscKernel.smooth(smooth_factor, 5e4), rhs=prob.rhs, exact=prob.exact)
     run_galerkin(prob, "cgm", 8, compute_cond=True)  # fill the caches first
     galerkin._plan.cache_clear()
     tracemalloc.start()
@@ -665,17 +737,17 @@ def test_a_zero_exact_solution_is_refused():
 
 
 def test_problem_parts_must_share_the_kernels_wavenumber():
-    # a load or exact solution built at another wavenumber, or an unusable
-    # norm_exact, fails when the Problem is made, not after the solve
+    # a load or exact solution built at another wavenumber, or an exact
+    # solution that is not structured, fails when the Problem is made
     p50, p60 = paper_benchmark(50.0), paper_benchmark(60.0)
     for rhs, exact in ((p50.rhs, p60.exact), (p60.rhs, p50.exact)):
         with pytest.raises(ValueError, match="wavenumber mismatch: 50.0 against 60.0"):
             Problem(kernel=p50.kernel, rhs=rhs, exact=exact)
-    for norm in (0.0, -1.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="norm_exact must be finite and positive"):
-            Problem(kernel=p50.kernel, rhs=p50.rhs, exact=p50.exact, norm_exact=norm)
-    ok = Problem(kernel=p50.kernel, rhs=lambda s: s, exact=p50.exact, norm_exact=2)  # a callable load has no wavenumber
-    assert ok.norm_y() == 2
+    for exact in (lambda s: s, 2.0, [p50.exact]):
+        with pytest.raises(ValueError, match="exact must be a StructuredFunction or None"):
+            Problem(kernel=p50.kernel, rhs=p50.rhs, exact=exact)
+    ok = Problem(kernel=p50.kernel, rhs=lambda s: s, exact=p50.exact)  # a callable load has no wavenumber
+    assert ok.norm_y() == p50.norm_y()
 
 
 def test_run_galerkin_refuses_a_non_integral_mesh_or_order():
