@@ -46,9 +46,10 @@ tables, R the kernel factor's rank), written straight into the rows that
 the central diagonals take single cell pairs and the shared-cell
 triangles, which read the generators' rank-R cell products.  What depends
 on the mesh alone sits in an immutable :class:`MeshPlan`, shared by the
-solves at every wavenumber.  The quadrature oracles at the bottom of the
-module integrate the defining formulas numerically and exist to cross-check
-the closed forms.
+solves at every wavenumber, and the kernel factor's SVD factors in its
+:class:`OscKernel`; both are complete when built.  The quadrature oracles
+at the bottom of the module integrate the defining formulas numerically
+and exist to cross-check the closed forms.
 """
 
 from __future__ import annotations
@@ -225,9 +226,19 @@ class OscKernel(_Value):
     once.  ``func`` keeps the callable (None for a polynomial factor) for
     :meth:`eval_grid`, the quadrature oracle's view of the factor.  The
     factor must not depend on kappa; the wavenumber lives in (1, inf).
+
+    What assembly reads of the factor is fixed here too, once per kernel.
+    With K(s,t) = sum_r phi_r(s) psi_r(t) from the SVD of ``coeffs``,
+    keeping the R >= 1 singular values above 1e-15 of the largest (one
+    zero pair for K = 0), ``factors`` is the read-only monomial matrix
+    [phi_r | psi_r], each column times 2^-k for the power of two
+    ``scale`` = 2^k near the largest singular value's square root, so the
+    shared-cell products stay in range (:func:`_operator_parts`).  A factor
+    whose largest singular value overflows raises.  ``even`` tells whether
+    K(-s, -t) = K(s, t): every coefficient at odd a + b is exactly zero.
     """
 
-    __slots__ = ("kappa", "coeffs", "func")
+    __slots__ = ("kappa", "coeffs", "func", "factors", "scale", "even")
 
     def __init__(self, kappa: float, poly_st=None, func: Callable | None = None):
         if not (math.isfinite(kappa) and kappa > 1.0):
@@ -245,9 +256,22 @@ class OscKernel(_Value):
                          "kernel factor", "tensor Chebyshev fit", floor=1e-15)
             a, b = np.nonzero(C)                            # drop trailing all-zero rows and columns
             C = C[:max(a, default=0) + 1, :max(b, default=0) + 1]
+        U, sv, Vh = np.linalg.svd(C, full_matrices=False)
+        if not np.isfinite(sv[0]):
+            raise ValueError("kernel factor poly_st is too large: its largest singular value overflows")
+        k = math.frexp(sv[0])[1] // 2
+        R = max(1, np.count_nonzero(sv > sv[0] * 1e-15))
+        roots = np.sqrt(sv[:R]) * 2.0 ** -k
+        factors = np.zeros((max(C.shape), 2 * R), dtype=complex)
+        factors[:C.shape[0], :R] = U[:, :R] * roots             # phi_r
+        factors[:C.shape[1], R:] = Vh[:R].T * roots             # psi_r
+        odd = np.add.outer(np.arange(C.shape[0]), np.arange(C.shape[1])) % 2 == 1
         object.__setattr__(self, "kappa", float(kappa))
         object.__setattr__(self, "coeffs", *_frozen(C))
         object.__setattr__(self, "func", func)
+        object.__setattr__(self, "factors", *_frozen(factors))
+        object.__setattr__(self, "scale", 2.0 ** k)
+        object.__setattr__(self, "even", not np.any(C[odd]))
 
     @classmethod
     def polynomial(cls, coeffs, kappa: float) -> "OscKernel":
@@ -437,62 +461,48 @@ def _with_pieces(pieces: np.ndarray, local: np.ndarray) -> np.ndarray:
 class MeshPlan:
     """What a solve on one mesh uses that depends on neither kappa nor the load.
 
-    Built by :func:`mesh_plan`: the spline space, its cell geometry
-    (:func:`_cells`) and mirror test, and, each built on first use, the
-    B-spline values on :data:`EN_GRID`, the index arrays of the cell pairs
-    and of the central diagonals, and the plain method's mass band.  Every
-    table is a read-only array that is a function of the mesh alone, so a
-    plan is an immutable value: threads may share it, a table built twice
-    comes out the same, and a solve gives the same bits on a fresh plan as
-    on a reused one.  The tables of a multiplier set do not depend on the
-    mesh (:func:`_layout`).  The kernel factor's tables are built per
-    solve: caching them saved under 1% of a sweep pass, and for a fitted
-    kernel they approach the size of E - K.
+    Built by :func:`mesh_plan`, with its tables: the spline space, its cell
+    geometry (:func:`_cells`) and mirror test, and
+
+    * ``en_values``, ``(idx, vals)``: the indices and values of the
+      B-splines alive at each point of :data:`EN_GRID`, the values stored
+      complex, the type :func:`eval_solution`'s product with the
+      coefficients would cast them to on every call;
+    * ``pair_index``, ``(side, shift)``: the cell pairs x = 0..4m-4 apart by
+      x - (2m-2) (:func:`_operator_parts`), side[x, 0] 0 below the shared
+      cells and 1 above, shift[x, c] = x + c;
+    * ``upper``: upper[i, 0, l] = l - i >= m, where side 1's generators
+      hold within a block (:func:`_rows`);
+    * ``band_index``, ``(inside, i, j)``: the central-diagonal entries
+      (i, j) of a block, row by row, inside[i, m-1+o] flagging the entries
+      (i, i+o) that lie in the block.
+
+    Only the plain method's mass band, ``gram``, is built on first use, as
+    the opgm solves never read it.  Every table is a read-only array that
+    is a function of the mesh alone, so a plan is an immutable value:
+    threads may share it, a table built twice comes out the same, and a
+    solve gives the same bits on a fresh plan as on a reused one.  The
+    tables of a multiplier set do not depend on the mesh (:func:`_layout`).
+    The kernel factor's tables are built per solve: caching them saved
+    under 1% of a sweep pass, and for a fitted kernel they approach the
+    size of E - K.
     """
 
     def __init__(self, splines: SplineSpace):
+        d, m = splines.dimension, splines.order
         self.splines = splines
         self.cells = _frozen(*_cells(splines))
         z = splines.knots.breakpoints
         self.mirrored = bool(np.array_equal(z, -z[::-1]))
-
-    @cached_property
-    def en_values(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(idx, vals)``: the indices and values of the B-splines alive at each point of EN_GRID.
-
-        The values are stored complex, the type :func:`eval_solution`'s
-        product with the coefficients would cast them to on every call.
-        """
-        j0, vals = self.splines.eval_nonzero(EN_GRID)
-        return _frozen(j0[:, None] + np.arange(self.splines.order), vals.astype(complex))
-
-    @cached_property
-    def pair_index(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(side, shift)`` of the cell pairs x = 0..4m-4 apart by x - (2m-2) (:func:`_operator_parts`).
-
-        side[x, 0] is 0 below the shared cells and 1 above; shift[x, c] = x + c.
-        """
-        m, nc = self.splines.order, self.cells[4].shape[-1]
+        j0, vals = splines.eval_nonzero(EN_GRID)
+        self.en_values = _frozen(j0[:, None] + np.arange(m), vals.astype(complex))
         x = np.arange(4 * m - 3)[:, None]
-        return _frozen((x > 2 * m - 2).astype(int), x + np.arange(nc))
-
-    @cached_property
-    def upper(self) -> np.ndarray:
-        """upper[i, 0, l] = l - i >= m: where side 1's generators hold within a block (:func:`_rows`)."""
-        d, m = self.splines.dimension, self.splines.order
-        return sliding_window_view(np.arange(1 - d, d) >= m, d)[::-1, None]
-
-    @cached_property
-    def band_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(inside, i, j)``: the central-diagonal entries (i, j) of a block, row by row.
-
-        inside[i, m-1+o] flags the entries (i, i+o) that lie in the block.
-        """
-        d, m = self.splines.dimension, self.splines.order
+        self.pair_index = _frozen((x > 2 * m - 2).astype(int), x + np.arange(self.cells[4].shape[-1]))
+        self.upper = sliding_window_view(np.arange(1 - d, d) >= m, d)[::-1, None]
         i = np.arange(d)[:, None]
         j = i + np.arange(1 - m, m)                                 # j[i, m-1+o] = i + o
         inside = (j >= 0) & (j < d)
-        return _frozen(inside, np.broadcast_to(i, j.shape)[inside], j[inside])
+        self.band_index = _frozen(inside, np.broadcast_to(i, j.shape)[inside], j[inside])
 
     @cached_property
     def gram(self) -> np.ndarray:
@@ -633,9 +643,11 @@ def _mass_band(plan: MeshPlan, multipliers: tuple[int, ...], kappa: float) -> np
 
 
 def _operator_parts(space: TrialSpace, kernel: OscKernel, plan: MeshPlan):
-    """K as generators plus diagonals: ``((x, S), band)``, or None for a zero kernel.
+    """K as generators plus diagonals: ``((x, S), band)``.
 
-    With K(s,t) = sum_r phi_r(s) psi_r(t) (SVD), the phase on t < s (side 0)
+    With K(s,t) = sum_r phi_r(s) psi_r(t) (``OscKernel.factors``, which
+    carry 2^-k so that W's sums stay in range; multiplying by
+    ``OscKernel.scale`` = 2^k moves no bit), the phase on t < s (side 0)
     is kappa((1 - eps_q) s + (eps_p - 1) t) and on t > s (side 1)
     kappa(-(1 + eps_q) s + (eps_p + 1) t), so each side of a cell pair
     factorizes into per-cell tables of phi_r and psi_r; x[side, r, q, i] and
@@ -646,31 +658,18 @@ def _operator_parts(space: TrialSpace, kernel: OscKernel, plan: MeshPlan):
     pairs less than 2m - 1 apart and the shared-cell triangles, whose tensor
     W sums over r the cell products phi_r B_{c+j} psi_r B_{c+l} the tables take.
     """
-    C = kernel.coeffs
-    if not np.any(C):
-        return None
     s0, h2, widths, group, P = plan.cells
     m, nc = P.shape[1:]
-    kappa = space.kappa
+    kappa, scale = space.kappa, kernel.scale
     lay = _layout(space.multipliers)
-
-    U, sv, Vh = np.linalg.svd(C, full_matrices=False)
-    if not np.isfinite(sv[0]):
-        raise ValueError("kernel factor poly_st is too large: its largest singular value overflows")
-    k = math.frexp(sv[0])[1] // 2       # phi_r, psi_r carry 2^-k: W's sums stay in range, and 2^k moves no bit
-    keep = sv > sv[0] * 1e-15
-    roots = np.sqrt(sv[keep]) * 2.0 ** -k
-    R = len(roots)
-    coeffs = np.zeros((max(C.shape), 2 * R), dtype=complex)
-    coeffs[:C.shape[0], :R] = U[:, keep] * roots            # phi_r
-    coeffs[:C.shape[1], R:] = Vh[keep].T * roots            # psi_r
-    prod = _with_pieces(P, _to_cells(s0, h2, coeffs))       # [n, r, j, c]
+    R = kernel.factors.shape[1] // 2
+    prod = _with_pieces(P, _to_cells(s0, h2, kernel.factors))   # [n, r, j, c]
 
     rates, at = lay.sides
     tables = _cell_tables(plan.cells, prod, rates[:, None] * kappa)   # [k, l, r, c]
     X = tables[at[0], :R]                                   # [side, q, r, a, c]
     Y = tables[at[1], R:]                                   # [side, p, r, b, c]
-    gens = (_fold(X).swapaxes(1, 2) * 2.0 ** k, _fold(Y).swapaxes(1, 2) * 2.0 ** k)
+    gens = (_fold(X).swapaxes(1, 2) * scale, _fold(Y).swapaxes(1, 2) * scale)
     # shared cells: W[j, l, a, b, c] = coefficient of u^a v^b in 4^-k K(s, t) B_{c+j}(s) B_{c+l}(t) on cell c
     W = np.einsum("arjc,brlc->jlabc", prod[:, :R], prod[:, R:])
     del prod                                                # a fitted factor's largest table
@@ -697,35 +696,36 @@ def _operator_parts(space: TrialSpace, kernel: OscKernel, plan: MeshPlan):
     tri = (mu[ils[0], ilt[0]] + flip * mu[ils[1], ilt[1]])[..., group]   # [q, p, a, b, c]
     pre = h2 * h2 * np.exp(1j * np.multiply.outer(lay.diff * kappa, s0))
     pairs[:, 2 * m - 2] = (np.einsum("jlabc,qpabc->qpjlc", W, tri) * pre[:, :, None, None]).transpose(3, 2, 4, 0, 1)
-    return gens, _band(pairs) * 2.0 ** k * 2.0 ** k
+    return gens, _band(pairs) * scale * scale
 
 
 def _rows(space: TrialSpace, kernel: OscKernel | None = None, mass: bool = False):
     """``(fill, h)``: ``fill(out, lo)`` writes rows lo.. of E (no kernel), K (``mass`` false) or E - K into out.
 
-    The band and the generators are formed here once.  Their products go
-    in (negated for E - K) block row by block row: side 0 over every
-    block, then side 1 over l >= i + m through a Toeplitz view of 2d - 1
-    flags; the central diagonals last.  The leading h rows determine the
-    matrix: ceil(n/2) on reflection-symmetric data (the odd middle row's
-    trailing floor(n/2) entries mirrored from its leading ones), else n.
+    The band and the generators are formed here once, the generators x in
+    global-row layout x[side, r, q*d + i].  Their products go in (negated
+    for E - K) over the whole chunk of rows, one multiply or add per side
+    and rank: side 0 everywhere, then side 1 over l >= i + m, masked by a
+    Toeplitz view of 2d - 1 flags at each row's index in its block; the
+    central diagonals last.  The leading h rows determine the matrix:
+    ceil(n/2) on reflection-symmetric data (the odd middle row's trailing
+    floor(n/2) entries mirrored from its leading ones), else n.
     """
     d, m, nb = space.block_dim, space.splines.order, len(space.multipliers)
     n = nb * d
     k = n // 2
     h = n - k if kernel is not None and reflection_symmetric(space, kernel) else n
     plan = mesh_plan(space.splines.knots)
-    parts = None if kernel is None else _operator_parts(space, kernel, plan)
     if not mass:
         band = np.zeros((nb, nb, 2 * m - 1, d), dtype=complex)
     elif space.multipliers == CGM_MULTIPLIERS:
         band = plan.gram
     else:
         band = _mass_band(plan, space.multipliers, space.kappa)
-    if parts is not None:
-        (x, S), op_band = parts
-        if mass:
-            x = -x
+    if kernel is not None:
+        (x, S), op_band = _operator_parts(space, kernel, plan)
+        x = (-x if mass else x).reshape(2, -1, n)[:, :, :, None, None]     # [side, r, row, 1, 1]
+        S = S[:, :, None]                                                   # [side, r, 1, p, l]
         band = band - op_band if mass else op_band
     inside, i, j = plan.band_index
     rows_of, cols = (np.arange(nb)[:, None] * d + i).ravel(), np.tile(j, nb)   # the diagonals' entries, by row
@@ -734,17 +734,14 @@ def _rows(space: TrialSpace, kernel: OscKernel | None = None, mass: bool = False
     def fill(out: np.ndarray, lo: int) -> np.ndarray:
         hi = lo + len(out)
         rows = out.reshape(len(out), nb, d)
-        if parts is None:
+        if kernel is None:
             rows[...] = 0.0
         else:
-            for q in range(lo // d, -(-hi // d)):
-                a, b = max(lo - q * d, 0), min(hi - q * d, d)              # the rows of block row q
-                block = rows[q * d + a - lo:q * d + b - lo]
-                for side, where in enumerate((True, plan.upper[a:b])):
-                    xs, Ss = x[side, :, q, a:b, None, None], S[side, :, None]
-                    np.multiply(xs[0], Ss[0], out=block, where=where)
-                    for xr, Sr in zip(xs[1:], Ss[1:]):
-                        np.add(block, xr * Sr, out=block, where=where)
+            for side, where in enumerate((True, plan.upper[np.arange(lo, hi) % d])):
+                xs, Ss = x[side, :, lo:hi], S[side]
+                np.multiply(xs[0], Ss[0], out=rows, where=where)
+                for xr, Sr in zip(xs[1:], Ss[1:]):
+                    np.add(rows, xr * Sr, out=rows, where=where)
         at = slice(*np.searchsorted(rows_of, (lo, hi)))
         rows[rows_of[at] - lo, :, cols[at]] = diagonals[at]
         if k < h < n and lo <= k < hi:
@@ -762,7 +759,9 @@ def _assemble(space: TrialSpace, kernel: OscKernel | None = None) -> np.ndarray:
     n = space.dimension
     fill, h = _rows(space, kernel, mass=kernel is None)
     A = np.empty((n, n), dtype=complex)
-    fill(A[:h], 0)
+    step = max(1, (1 << 20) // (16 * n))        # rows per fill: a rank-R > 1 product's temporary stays in 1 MiB
+    for lo in range(0, h, step):
+        fill(A[lo:min(lo + step, h)], lo)
     A[h:] = A[:n - h][::-1, ::-1]
     return A
 
@@ -802,16 +801,13 @@ def reflection_symmetric(space: TrialSpace, kernel: OscKernel) -> bool:
     The trial basis must mirror (mirror-symmetric breakpoints, multipliers
     closed under negation); the reflection leaves |s - t| alone and fixes
     the kernel factor when K(-s, -t) = K(s, t), that is when its
-    coefficients at odd a + b are exactly zero.  Then J (E - K) J = E - K
+    coefficients at odd a + b are exactly zero (``OscKernel.even``).  Then J (E - K) J = E - K
     up to roundoff, and assembly makes it exact: the mass band is averaged
     with its mirror image and only the leading rows are computed (the
     trailing ones copied from them), so :mod:`oscfred.linalg` solves and
     conditions the system on its two halves.
     """
-    C = kernel.coeffs
-    odd = np.add.outer(np.arange(C.shape[0]), np.arange(C.shape[1])) % 2 == 1
-    mirrors = mesh_plan(space.splines.knots).mirrored and _layout(space.multipliers).symmetric
-    return mirrors and not np.any(C[odd])
+    return kernel.even and mesh_plan(space.splines.knots).mirrored and _layout(space.multipliers).symmetric
 
 
 def assemble_rhs(space: TrialSpace, f) -> np.ndarray:

@@ -35,11 +35,8 @@ class SingularMatrixError(np.linalg.LinAlgError):
 _SINGULAR = "exactly singular matrix: zero pivot after partial pivoting"
 
 
-def _square(A) -> np.ndarray:
-    M = np.asarray(A, dtype=complex)
-    if M.ndim != 2 or M.shape[0] != M.shape[1] or len(M) < 1:
-        raise ValueError(f"expected a square matrix of positive order, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
+def _finite(M: np.ndarray) -> np.ndarray:
+    if not np.isfinite(M).all():
         raise ValueError("matrix entries must be finite")
     return M
 
@@ -84,7 +81,7 @@ def halves(rows: Callable[[int, int], np.ndarray], n: int, h: int):
     if h not in (n, n - n // 2):
         raise ValueError(f"leading rows {h} of an order-{n} matrix: expected {n} or {n - n // 2}")
     if h == n:
-        yield _square(rows(0, n))
+        yield _finite(rows(0, n))
         return
     k = n // 2
     whole = rows(0, h) if 16 * n * h <= _CHUNK_BYTES else None
@@ -106,8 +103,7 @@ def halves(rows: Callable[[int, int], np.ndarray], n: int, h: int):
                     np.multiply(R[k - lo, :k], _ROOT2, out=H[k, :k])
                     H[k, k] = R[k - lo, k]
             del R                                       # before the next chunk is built
-            if not np.isfinite(H[lo:hi]).all():
-                raise ValueError("matrix entries must be finite")
+            _finite(H[lo:hi])
         yield H
 
 
@@ -153,12 +149,17 @@ def solve(rows: Callable[[int, int], np.ndarray], n: int, h: int, b=None,
 
 
 def lu_factor(A) -> tuple[Callable[[int, int], np.ndarray], int, int]:
-    """``(rows, n, h)`` of a square A for :func:`solve` and :func:`halves`: A's own rows, checked, not copied.
+    """``(rows, n, h)`` of a square A for :func:`solve` and :func:`halves`: A's own rows, not copied.
 
-    h = ceil(n/2) when A is exactly centrosymmetric, else n.  A is not
-    written, and no factor is kept for reuse.
+    h = ceil(n/2) when A is exactly centrosymmetric, else n.  Only A's
+    shape is checked here: :func:`halves` is the one pass over its entries
+    that refuses a non-finite one (a NaN is never centrosymmetric, so it
+    reaches the h = n check; an inf reaches every half it touches).  A is
+    not written, and no factor is kept for reuse.
     """
-    M = _square(A)
+    M = np.asarray(A, dtype=complex)
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or len(M) < 1:
+        raise ValueError(f"expected a square matrix of positive order, got shape {M.shape}")
     n = len(M)
     return (lambda lo, hi: M[lo:hi]), n, (n - n // 2 if np.array_equal(M, M[::-1, ::-1]) else n)
 

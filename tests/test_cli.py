@@ -39,7 +39,7 @@ def test_table1_default_rows(tmp_path, capsys):
     header, rows = read_rows(out)
     assert header == ["kappa", "g1", "g2", "g3"]
     assert len(rows) == 5
-    assert float(rows[0]["g1"]) == pytest.approx(4.89e-4, rel=0.05)
+    assert float(rows[0]["g1"]) == pytest.approx(4.89e-4, rel=0.05, abs=0)
 
 
 def test_table1_single_kappa_and_json_equivalence(tmp_path):
@@ -52,7 +52,7 @@ def test_table1_single_kappa_and_json_equivalence(tmp_path):
     payload = json.loads(out_json.read_text())
     assert len(payload) == 1
     for col in ("g1", "g2", "g3"):
-        assert float(rows[0][col]) == pytest.approx(payload[0][col], rel=1e-5)
+        assert float(rows[0][col]) == pytest.approx(payload[0][col], rel=1e-5, abs=0)
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +71,7 @@ def test_convergence_small_run(tmp_path):
     assert [r["order"] for r in rows] == ["54", "102"]  # 3*(N+2)
     assert rows[0]["co"] == ""  # first level has no previous error
     assert float(rows[1]["co"]) > 0
-    assert float(rows[0]["error"]) == pytest.approx(7.97e-4, rel=0.02)
+    assert float(rows[0]["error"]) == pytest.approx(7.97e-4, rel=0.02, abs=0)
 
 
 def test_convergence_requires_kappa(tmp_path):
@@ -327,6 +327,22 @@ def test_problem_file_schema_errors(tmp_path, capsys, edit, word):
     code = cli.main(["convergence", "--method", "opgm", "--n-levels", "2", "--problem", str(pfile)])
     assert code == cli.EXIT_BAD_CONFIG
     assert_one_line_error(capsys, word)
+
+
+def test_a_problem_file_whose_factor_overflows_stops_before_any_solve(tmp_path, capsys, monkeypatch):
+    # the kernel takes its SVD factors when it is built, so reading the
+    # file refuses the factor: no level is assembled or solved
+    d = problem_to_dict(paper_benchmark(75.0))
+    _overflowing_poly_st(d)
+    with pytest.raises(ValueError, match="singular value"):
+        problem_from_dict(d)
+    pfile = tmp_path / "prob.json"
+    pfile.write_text(json.dumps(d))
+    solves = []
+    monkeypatch.setattr(cli, "run_galerkin", lambda *a, **k: solves.append(a))
+    code = cli.main(["convergence", "--method", "both", "--n-levels", "2", "--problem", str(pfile)])
+    assert code == cli.EXIT_BAD_CONFIG and not solves
+    assert_one_line_error(capsys, "singular value overflows")
 
 
 def test_a_repeated_carrier_is_summed_not_overwritten(tmp_path):

@@ -466,12 +466,22 @@ def test_mesh_plan_reuse_gives_the_same_bits_on_a_nonuniform_mesh():
         assert all(np.array_equal(x, y) for x, y in zip(outputs(*c), cold[c])), c
 
 
+def test_mesh_plans_are_complete_when_built():
+    # every table but the plain method's mass band is built with the plan,
+    # before any solve asks for it
+    galerkin._plan.cache_clear()
+    plan = galerkin.mesh_plan(make_knots([-0.6, -0.2, 0.2, 0.6], 3))
+    assert {"en_values", "pair_index", "upper", "band_index"} <= vars(plan).keys()
+    assert "gram" not in vars(plan)
+
+
 def test_mesh_plans_and_layouts_hold_only_read_only_arrays():
-    # plans and layouts are shared by every solve and every thread without a
-    # lock, which is safe because nothing reachable from them can be written
+    # plans, kernels and layouts are shared by every solve and every thread
+    # without a lock, which is safe because nothing reachable from them can be written
     from oscfred.problems import paper_benchmark
     knots = make_knots([-0.6, -0.2, 0.2, 0.6], 3)
     kern = paper_benchmark(50.0).kernel
+    fitted = OscKernel.smooth(MATRIX_KERNELS["smooth"], 50.0)
     for method in ("cgm", "opgm"):
         space = getattr(TrialSpace, method)(SplineSpace(knots), 50.0)
         rows, h = system_rows(space, kern)
@@ -492,12 +502,15 @@ def test_mesh_plans_and_layouts_hold_only_read_only_arrays():
             for y in x:
                 walk(y)
         elif type(x).__module__.startswith("oscfred"):
-            for y in vars(x).values():
+            fields = vars(x) if hasattr(x, "__dict__") else {s: getattr(x, s) for s in type(x).__slots__}
+            for y in fields.values():
                 walk(y)
 
-    for obj in (plan, galerkin._layout(galerkin.CGM_MULTIPLIERS), galerkin._layout(galerkin.OPGM_MULTIPLIERS)):
+    for obj in (plan, kern, fitted, galerkin._layout(galerkin.CGM_MULTIPLIERS),
+                galerkin._layout(galerkin.OPGM_MULTIPLIERS)):
         walk(obj)
     assert len(arrays) > 20
+    assert any(a is kern.factors for a in arrays) and any(a is fitted.factors for a in arrays)
     assert not [a.shape for a in arrays if a.flags.writeable]
 
 
@@ -577,9 +590,9 @@ def test_operator_is_linear_in_a_factor_near_overflow(kappa, m):
 
 
 def test_operator_rejects_a_factor_whose_singular_value_overflows():
-    kern = OscKernel.polynomial([[1e308, 1e308], [1e308, 1e308]], 75.0)
+    # the kernel takes its SVD factors when it is built, so the factor is refused there, before any assembly
     with pytest.raises(ValueError, match="singular value"):
-        assemble_operator(spaces(8, 2, 75.0)[1], kern)
+        OscKernel.polynomial([[1e308, 1e308], [1e308, 1e308]], 75.0)
 
 
 def test_operator_smooth_kernel_path():

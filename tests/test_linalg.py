@@ -26,7 +26,7 @@ def test_validators_reject_bad_input():
         lu_factor(np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         cond2(np.array([1.0, 2.0]))
-    for call in (lu_factor, cond2):
+    for call in (lambda M: lu_solve(lu_factor(M), np.ones(2)), cond2):
         with pytest.raises(ValueError, match="must be finite"):
             call(np.array([[np.nan, 0], [0, 1]]))
     with pytest.raises(ValueError):
@@ -117,14 +117,14 @@ def test_backward_stable_residuals_many_sizes():
 # ---------------------------------------------------------------------------
 
 def test_cond2_identity_and_diagonal():
-    assert cond2(np.eye(6)) == pytest.approx(1.0, rel=1e-6)
-    assert cond2(np.diag([10.0, 1.0])) == pytest.approx(10.0, rel=1e-6)
+    assert cond2(np.eye(6)) == pytest.approx(1.0, rel=1e-6, abs=0)
+    assert cond2(np.diag([10.0, 1.0])) == pytest.approx(10.0, rel=1e-6, abs=0)
 
 
 def test_cond2_hilbert():
     H = scipy.linalg.hilbert(4)
-    assert cond2(H) == pytest.approx(1.5514e4, rel=1e-4)
-    assert cond2(H) == pytest.approx(np.linalg.cond(H), rel=1e-12)
+    assert cond2(H) == pytest.approx(1.5514e4, rel=1e-4, abs=0)
+    assert cond2(H) == pytest.approx(np.linalg.cond(H), rel=1e-12, abs=0)
 
 
 def test_cond2_scaling_invariance_and_lower_bound():
@@ -134,7 +134,7 @@ def test_cond2_scaling_invariance_and_lower_bound():
         A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         c = cond2(A)
         assert c >= 1.0 - 1e-9
-        assert cond2(3.7j * A) == pytest.approx(c, rel=1e-6)
+        assert cond2(3.7j * A) == pytest.approx(c, rel=1e-6, abs=0)
 
 
 def test_cond2_matches_svd_oracle_small():
@@ -143,7 +143,7 @@ def test_cond2_matches_svd_oracle_small():
         n = int(rng.integers(2, 13))
         A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         sv = np.linalg.svd(A, compute_uv=False)
-        assert cond2(A) == pytest.approx(sv[0] / sv[-1], rel=1e-12)
+        assert cond2(A) == pytest.approx(sv[0] / sv[-1], rel=1e-12, abs=0)
 
 
 def test_cond2_singular_is_infinite():
@@ -175,7 +175,7 @@ def test_fold_solves_and_conditions_like_the_whole(n):
     y = lu_solve(fact, b)
     assert np.linalg.norm(A @ y - b) <= 1e-13 * np.linalg.norm(A, 2) * np.linalg.norm(y)
     npt.assert_allclose(y, x, rtol=1e-12 * c)
-    assert linalg.solve(*fact, cond=True)[1] == pytest.approx(c, rel=1e-12)
+    assert linalg.solve(*fact, cond=True)[1] == pytest.approx(c, rel=1e-12, abs=0)
 
 
 def test_fold_leaves_the_matrix_and_the_load_alone():
@@ -337,8 +337,8 @@ def test_fold_rows_validates_shape_and_finiteness():
     assert h == n == 6 and np.shares_memory(whole, C) and np.array_equal(whole, C)
     S = A.copy()
     S[5, 0] = np.inf
-    with pytest.raises(ValueError):
-        lu_factor(S)
+    with pytest.raises(ValueError, match="must be finite"):
+        lu_solve(lu_factor(S), b)
     for shape in ((4, 6), (2, 6), (3, 6), (6, 5), (6, 7)):    # not square, the leading ceil(n/2) rows included
         with pytest.raises(ValueError):
             lu_factor(np.ones(shape, dtype=complex))
@@ -366,6 +366,29 @@ def test_fold_rows_validates_shape_and_finiteness():
     assert calls == [(0, 48)]
     with pytest.raises(ValueError, match="must be finite"):   # the whole block of a rows function
         next(linalg.halves(lambda lo, hi: np.full((hi - lo, 6), np.nan), 6, 6))
+
+
+@pytest.mark.parametrize("n", [6, 7])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("mirrored", [True, False])
+def test_a_non_finite_entry_is_refused_by_the_solve_alone(n, value, mirrored):
+    # lu_factor checks the shape only; the fold's one pass over the entries
+    # refuses a NaN (never centrosymmetric, so the whole-block check) and an
+    # inf (in every half it reaches), placed mirrored or not, at each kind of entry
+    A, b = centrosymmetric(n, n)
+    k = n // 2
+    for i, j in ((0, 0), (0, n - 1), (1, 2), (k, k), (n - 1, 0), (k, 0)):
+        M = A.copy()
+        M[i, j] = value
+        if mirrored:
+            M[n - 1 - i, n - 1 - j] = value
+        fact = lu_factor(M)
+        # odd n's middle entry is its own mirror image
+        halved = value == value and (mirrored or (i, j) == (n - 1 - i, n - 1 - j))
+        assert fact[1:] == (n, n - k if halved else n), (i, j)
+        for call in (lambda: lu_solve(fact, b), lambda: cond2(M)):
+            with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="matrix entries must be finite"):
+                call()
 
 
 @pytest.mark.parametrize("n", [7, 390, 515])
@@ -411,7 +434,7 @@ def test_cond2_of_blocks_is_the_block_diagonal_condition():
     blocks = [H.copy() for H in linalg.halves(*lu_factor(A))]
     sv = [np.linalg.svd(H, compute_uv=False) for H in blocks]
     assert cond2(A) == max(s[0] for s in sv) / min(s[-1] for s in sv)
-    assert cond2(A) == pytest.approx(cond2(scipy.linalg.block_diag(*blocks)), rel=1e-12)
+    assert cond2(A) == pytest.approx(cond2(scipy.linalg.block_diag(*blocks)), rel=1e-12, abs=0)
     B = np.random.default_rng(3).standard_normal((2, 2))
     top = np.hstack([B, B[:, ::-1]])
     assert cond2(np.vstack([top, top[::-1, ::-1]])) == np.inf

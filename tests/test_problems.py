@@ -61,7 +61,7 @@ def test_benchmark_exact_norm_constant():
     for kappa in (*np.geomspace(10.0, 1e4, 8), 5e4, 137.0):
         prob = paper_benchmark(kappa)
         assert prob.norm_y() == pytest.approx(4 * np.sqrt(7) / 7, rel=1e-15, abs=0.0), kappa
-    assert prob.norm_y() == pytest.approx(1.51186, rel=1e-5)
+    assert prob.norm_y() == pytest.approx(1.51186, rel=1e-5, abs=0)
 
 
 @pytest.mark.parametrize("kappa", [50.0, 5000.0])
@@ -71,11 +71,11 @@ def test_every_problem_takes_one_error_norm(kappa):
     # by a composite Gauss rule with 64 panels on each of the 33 cells
     p = paper_benchmark(kappa)
     paper, made = run_galerkin(p, "opgm", 32), run_galerkin(manufactured(p.kernel, p.exact), "opgm", 32)
-    assert made.e_N == pytest.approx(paper.e_N, rel=1e-6)
+    assert made.e_N == pytest.approx(paper.e_N, rel=1e-6, abs=0)
     s, w = oscquad._composite_rule(-1.0, 1.0, 33 * 64)
     y = p.exact(s)
     l2 = np.sqrt((w @ np.abs(y - made.evaluate(s)) ** 2) / (w @ np.abs(y) ** 2))
-    assert made.e_l2 == pytest.approx(l2, rel=1e-3)
+    assert made.e_l2 == pytest.approx(l2, rel=1e-3, abs=0)
 
 
 def mpmath_norm(y):
@@ -208,7 +208,7 @@ def test_probe_amplitude_scaling_exact():
             g = OscProbeFunction(index=j, kappa=kappa)
             # max |g_j - t^2| = kappa^(1-j), attained where |sin| = 1
             dev = np.max(np.abs(g(t) - t**2))
-            assert dev == pytest.approx(kappa ** (1 - j), rel=1e-4)
+            assert dev == pytest.approx(kappa ** (1 - j), rel=1e-4, abs=0)
 
 
 def test_probe_validation():
@@ -229,9 +229,9 @@ def test_table1_reference_rows():
 def test_table1_growth_ratios():
     errors = table1_experiment([40.0, 80.0])
     ratios = errors[1] / errors[0]
-    assert ratios[0] == pytest.approx(4.0, rel=0.1)
-    assert ratios[1] == pytest.approx(2.0, rel=0.1)
-    assert ratios[2] == pytest.approx(1.0, rel=0.05)
+    assert ratios[0] == pytest.approx(4.0, rel=0.1, abs=0)
+    assert ratios[1] == pytest.approx(2.0, rel=0.1, abs=0)
+    assert ratios[2] == pytest.approx(1.0, rel=0.05, abs=0)
 
 
 def test_table1_rejects_nonpositive_kappa():
